@@ -3,7 +3,7 @@ global fixed-priority scheduling.
 
 Submodules:
   dag       task model, DAG algorithms, JSON (de)serialization
-  workload  closed-form interfering-workload bounds and window splitting
+  workload  interfering-workload bounds and the per-DAG tables behind them
   carryout  exact carry-out workload optimum (ILP, oracle, flow curve)
   rta       fixed-point response-time bounds and the schedulability test
   taskgen   seeded random task-set generation
@@ -12,12 +12,12 @@ Submodules:
             simulate)
 """
 
-from .dag import Dag, DagTask, Subtask, TaskSet, load_taskset, save_taskset
+from .dag import Dag, DagTask, TaskSet, load_taskset, save_taskset
 from .rta import AnalysisReport, schedulability_test
 from .taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 __all__ = [
-    "Dag", "DagTask", "Subtask", "TaskSet", "load_taskset", "save_taskset",
+    "Dag", "DagTask", "TaskSet", "load_taskset", "save_taskset",
     "AnalysisReport", "schedulability_test",
     "GenConfig", "assign_priorities_dm", "gen_taskset",
 ]

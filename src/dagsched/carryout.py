@@ -18,18 +18,17 @@ activation binary A_a, with
 
 `solve_exact` solves the model by branch-and-bound on the binaries with an
 exact rational simplex per node.  `brute_force_oracle` enumerates execution
-vectors directly.  `WorkCurve`/`carry_out_bound` compute the same optimum
-through an equivalent reformulation (maximum total work whose makespan fits
-the window), solved in polynomial time by a small min-cost flow; all three
+vectors directly.  `WorkCurve` computes the same optimum for every window
+length through an equivalent reformulation (maximum total work whose
+makespan fits the window), solved in polynomial time by a small min-cost
+flow; the analysis reads it through `workload.DagProfile`.  All three
 routes are cross-checked exactly in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, prod
@@ -37,7 +36,7 @@ from math import floor, prod
 import numpy as np
 
 from . import simplex
-from .dag import Dag, asap_start_times, enumerate_paths, normalize_source_sink, span, topological_order, work
+from .dag import Dag, asap_start_times, enumerate_paths, normalize_source_sink
 from .errors import OracleLimitError, SolverLimitError, ValidationError
 
 ORACLE_GUARD = 10**6
@@ -61,10 +60,9 @@ def trim_to_window(dag, exec_times, delta):
     the remaining window never loses in-window workload, so the trimmed
     vector's total equals at least the original in-window workload.
     """
-    order = topological_order(dag)
     trimmed = [0] * dag.n
     dist = [0] * dag.n
-    for v in order:
+    for v in dag.order:
         dist[v] = max((dist[p] + trimmed[p] for p in dag.preds[v]), default=0)
         trimmed[v] = min(exec_times[v], max(delta - dist[v], 0))
     return trimmed
@@ -78,7 +76,6 @@ def brute_force_oracle(dag, delta_co, guard=ORACLE_GUARD) -> int:
     if space > guard:
         raise OracleLimitError(
             f"{space} execution vectors exceed the enumeration guard {guard}")
-    order = topological_order(dag)
     best = 0
     chunk = 100_000
     ranges = [range(c + 1) for c in dag.wcets]
@@ -91,7 +88,7 @@ def brute_force_oracle(dag, delta_co, guard=ORACLE_GUARD) -> int:
         k = X.shape[1]
         dist = np.zeros((dag.n, k), dtype=np.int64)
         total = np.zeros(k, dtype=np.int64)
-        for v in order:
+        for v in dag.order:
             for p in dag.preds[v]:
                 np.maximum(dist[v], dist[p] + X[p], out=dist[v])
             total += np.minimum(X[v], np.maximum(delta_co - dist[v], 0))
@@ -146,7 +143,7 @@ def build_model(dag, delta_co, formulation="edge-recursive", path_cap=None) -> C
     if formulation not in ("edge-recursive", "path-enumerated"):
         raise ValueError(f"unknown formulation {formulation!r}")
 
-    length = span(dag)
+    length = dag.span
     model = CarryOutModel(
         wcets=dag.wcets, edges=dag.edges, delta_co=int(delta_co), span=length,
         source=sources[0], sink=sinks[0], formulation=formulation)
@@ -243,24 +240,24 @@ def _export_mps(model) -> str:
             if var in row.coeffs:
                 entries.append((row.name, row.coeffs[var]))
         for rname, coef in entries:
-            lines.append(f"    {var:<10}{rname:<10}{coef}")
+            lines.append(f"    {var:<9} {rname:<9} {coef}")
     lines.append("    MARKER                 'MARKER'                 'INTEND'")
     lines.append("RHS")
     for row in model.rows:
         if row.rhs != 0:
-            lines.append(f"    RHS       {row.name:<10}{row.rhs}")
+            lines.append(f"    RHS       {row.name:<9} {row.rhs}")
     lines.append("BOUNDS")
     for var in model.variables:
         lb, ub = model.bounds[var]
         if var in model.binaries:
             lines.append(f" BV BND       {var}")
         elif ub is not None and lb == ub:
-            lines.append(f" FX BND       {var:<10}{lb}")
+            lines.append(f" FX BND       {var:<9} {lb}")
         else:
             if lb != 0:
-                lines.append(f" LO BND       {var:<10}{lb}")
+                lines.append(f" LO BND       {var:<9} {lb}")
             if ub is not None:
-                lines.append(f" UP BND       {var:<10}{ub}")
+                lines.append(f" UP BND       {var:<9} {ub}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -397,7 +394,7 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
     t0 = time.perf_counter()
     dag = Dag(model.wcets, model.edges)
     delta = model.delta_co
-    order = [v for v in topological_order(dag) if model.wcets[v] > 0]
+    order = [v for v in dag.order if model.wcets[v] > 0]
     base_fix = {f"A{a}": 0 for a in range(model.n) if model.wcets[a] == 0}
 
     best_val = -1
@@ -493,8 +490,8 @@ class WorkCurve:
 
     def __init__(self, dag):
         ndag = normalize_source_sink(dag)
-        self.total = work(ndag)
-        self.span = span(ndag)
+        self.total = ndag.work
+        self.span = ndag.span
         self.penalties = _cover_penalties(ndag)
 
     def obj(self, delta) -> int:
@@ -526,8 +523,8 @@ def _cover_penalties(dag):
         add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
 
     s, t = 2 * source, 2 * sink + 1
-    penalties = [work(dag)]
-    for _ in range(work(dag) + 2):
+    penalties = [dag.work]
+    for _ in range(dag.work + 2):
         # Bellman-Ford on the residual network (negative costs, no neg cycles)
         dist = [None] * (2 * n)
         parent = [-1] * (2 * n)
@@ -555,24 +552,3 @@ def _cover_penalties(dag):
             node = arcs[aid ^ 1][0]
         penalties.append(penalties[-1] + dist[t])
     return penalties
-
-
-_curve_cache = weakref.WeakKeyDictionary()
-_curve_lock = threading.Lock()
-
-
-def work_curve(task) -> WorkCurve:
-    """Memoized WorkCurve for a task (thread-safe insert-or-read)."""
-    with _curve_lock:
-        curve = _curve_cache.get(task)
-        if curve is None:
-            curve = WorkCurve(task.dag)
-            _curve_cache[task] = curve
-    return curve
-
-
-def carry_out_bound(task, delta_co, m) -> int:
-    """min(model optimum, m * delta_co): safe carry-out workload bound."""
-    if delta_co < 0:
-        raise ValueError("delta_co must be non-negative")
-    return min(work_curve(task).obj(delta_co), m * delta_co)

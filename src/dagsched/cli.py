@@ -47,11 +47,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.sweep not in ("util", "procs"):
-            raise ValueError("sweep must be 'util' or 'procs'")
+            raise ValidationError("sweep", "sweep must be 'util' or 'procs'")
         if not self.points:
-            raise ValueError("sweep grid must be non-empty")
+            raise ValidationError("sweep", "sweep grid must be non-empty")
         if self.sets_per_point < 1:
-            raise ValueError("need at least one task set per point")
+            raise ValidationError("sweep", "need at least one task set per point")
 
     @classmethod
     def from_json(cls, path):
@@ -144,6 +144,8 @@ def _cmd_analyze(args):
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.procs < 0:
+        raise ValidationError("processors", "--procs must be positive (0 keeps the file's count)")
     m = args.procs if args.procs else ts.processors
     report = rta.schedulability_test(ts, method=args.method, m=m)
     print(report.to_json())
@@ -206,6 +208,8 @@ def _cmd_simulate(args):
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not ts.tasks:
+        raise ValidationError("tasks", "the task set is empty: nothing to simulate")
     rng = np.random.default_rng(args.seed)
     horizon = args.horizon if args.horizon else 3 * max(t.period for t in ts.tasks)
     result = sim.simulate(ts, ts.processors, horizon,

@@ -7,45 +7,55 @@ deadlines require span <= deadline <= period.
 
 from __future__ import annotations
 
+import heapq
 import json
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import PathExplosionError, ValidationError
 
 DEFAULT_PATH_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Subtask:
-    """A sequential unit of work, identified by its index within the task."""
-
-    id: int
-    wcet: int
-
-
 class Dag:
-    """Immutable DAG over dense vertex ids 0..n-1 with integer WCETs."""
+    """Immutable DAG over dense vertex ids 0..n-1 with integer WCETs.
+
+    The derived facts are computed once, here: ``order`` (the topological
+    order taking the smallest ready vertex id first), ``preds`` and
+    ``succs``, ``work``, ``span`` and ``starts`` (the ASAP start times at
+    full WCETs).
+    """
 
     def __init__(self, wcets, edges):
         self.wcets = tuple(int(w) for w in wcets)
         self.n = len(self.wcets)
         # deduplicate while keeping a canonical order for serialization
         self.edges = tuple(sorted(set((int(a), int(b)) for a, b in edges)))
-        validate(self)
-        self.preds = tuple(tuple(a for a, b in self.edges if b == v) for v in range(self.n))
-        self.succs = tuple(tuple(b for a, b in self.edges if a == v) for v in range(self.n))
+        self.order = validate(self)
+        preds = [[] for _ in range(self.n)]
+        succs = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            preds[b].append(a)
+            succs[a].append(b)
+        self.preds = tuple(map(tuple, preds))
+        self.succs = tuple(map(tuple, succs))
+        self.work = sum(self.wcets)
+        self.starts = tuple(asap_start_times(self, self.wcets))
+        self.span = max((s + c for s, c in zip(self.starts, self.wcets)), default=0)
 
-    @property
-    def vertices(self):
-        return [Subtask(i, w) for i, w in enumerate(self.wcets)]
+    @cached_property
+    def profile(self):
+        """The per-DAG workload tables (`workload.DagProfile`), built on first use."""
+        from .workload import DagProfile  # workload imports this module
+
+        return DagProfile(self)
 
     def sources(self):
-        has_pred = {b for _, b in self.edges}
-        return [v for v in range(self.n) if v not in has_pred]
+        return [v for v in range(self.n) if not self.preds[v]]
 
     def sinks(self):
-        has_succ = {a for a, _ in self.edges}
-        return [v for v in range(self.n) if v not in has_succ]
+        return [v for v in range(self.n) if not self.succs[v]]
 
     def __eq__(self, other):
         return (isinstance(other, Dag)
@@ -55,11 +65,15 @@ class Dag:
         return hash((self.wcets, self.edges))
 
     def __repr__(self):
-        return f"Dag(n={self.n}, work={work(self)}, span={span(self)})"
+        return f"Dag(n={self.n}, work={self.work}, span={self.span})"
 
 
-def validate(dag) -> None:
-    """Check structural rules; raise ValidationError naming the first violated one."""
+def validate(dag):
+    """Check structural rules; raise ValidationError naming the first violated one.
+
+    Returns the topological order that takes the smallest ready vertex id
+    first (Kahn's algorithm with a heap).
+    """
     n = dag.n
     for a, b in dag.edges:
         if not (0 <= a < n and 0 <= b < n):
@@ -70,57 +84,32 @@ def validate(dag) -> None:
     for w in dag.wcets:
         if w < 0:
             raise ValidationError("wcet", "subtask WCETs must be non-negative")
-    # Kahn's algorithm; leftovers mean a cycle
     indeg = [0] * n
-    for _, b in dag.edges:
-        indeg[b] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
     succs = [[] for _ in range(n)]
     for a, b in dag.edges:
+        indeg[b] += 1
         succs[a].append(b)
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for b in succs[v]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-    if seen != n:
-        raise ValidationError("cycle", "edge set contains a directed cycle")
-
-
-def topological_order(dag):
-    """Deterministic topological order (smallest vertex id first among ready)."""
-    indeg = [len(dag.preds[v]) for v in range(dag.n)]
-    import heapq
-
-    heap = [v for v in range(dag.n) if indeg[v] == 0]
-    heapq.heapify(heap)
+    heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for b in dag.succs[v]:
+        for b in succs[v]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 heapq.heappush(heap, b)
-    return order
+    # leftovers mean a cycle
+    if len(order) != n:
+        raise ValidationError("cycle", "edge set contains a directed cycle")
+    return tuple(order)
 
 
 def work(dag) -> int:
-    return sum(dag.wcets)
+    return dag.work
 
 
 def span(dag) -> int:
-    """Longest-path length by dynamic programming over a topological order."""
-    finish = [0] * dag.n
-    best = 0
-    for v in topological_order(dag):
-        start = max((finish[p] for p in dag.preds[v]), default=0)
-        finish[v] = start + dag.wcets[v]
-        best = max(best, finish[v])
-    return best
+    return dag.span
 
 
 def normalize_source_sink(dag) -> Dag:
@@ -160,7 +149,7 @@ def asap_start_times(dag, exec_times):
         if not (0 <= x <= c):
             raise ValueError(f"exec time {x} of vertex {v} outside [0, {c}]")
     start = [0] * dag.n
-    for v in topological_order(dag):
+    for v in dag.order:
         start[v] = max((start[p] + exec_times[p] for p in dag.preds[v]), default=0)
     return start
 
@@ -168,8 +157,7 @@ def asap_start_times(dag, exec_times):
 def count_paths(dag, v) -> int:
     """Number of source-to-v paths (single-source DAG assumed)."""
     counts = [0] * dag.n
-    order = topological_order(dag)
-    for u in order:
+    for u in dag.order:
         if not dag.preds[u]:
             counts[u] = 1
         else:
@@ -214,8 +202,8 @@ class DagTask:
     span: int = field(init=False)
 
     def __post_init__(self):
-        self.work = work(self.dag)
-        self.span = span(self.dag)
+        self.work = self.dag.work
+        self.span = self.dag.span
         if self.period <= 0 or self.deadline <= 0:
             raise ValidationError("deadline", "period and deadline must be positive")
         if not (self.span <= self.deadline <= self.period):
@@ -284,19 +272,36 @@ def taskset_to_dict(ts) -> dict:
     }
 
 
+def _integer(value, what):
+    """A JSON integer field; floats and booleans are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError("schema", f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _edge(value, what):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError("schema", f"{what} must be a [src, dst] pair, got {value!r}")
+    return tuple(_integer(v, what) for v in value)
+
+
 def taskset_from_dict(doc) -> TaskSet:
     try:
         raw_tasks = doc["tasks"]
-        m = doc["processors"]
+        m = _integer(doc["processors"], "processors")
     except (KeyError, TypeError) as exc:
         raise ValidationError("schema", f"task-set document missing key: {exc}") from exc
     tasks = []
     for idx, entry in enumerate(raw_tasks):
+        where = f"tasks[{idx}]"
         try:
-            dag = Dag([v["wcet"] for v in entry["vertices"]], entry["edges"])
-            tasks.append(DagTask(dag, entry["deadline"], entry["period"], priority=idx))
+            wcets = [_integer(v["wcet"], f"{where} wcet") for v in entry["vertices"]]
+            edges = [_edge(e, f"{where} edge") for e in entry["edges"]]
+            deadline = _integer(entry["deadline"], f"{where} deadline")
+            period = _integer(entry["period"], f"{where} period")
+            tasks.append(DagTask(Dag(wcets, edges), deadline, period, priority=idx))
         except (KeyError, TypeError) as exc:
-            raise ValidationError("schema", f"tasks[{idx}] malformed: {exc}") from exc
+            raise ValidationError("schema", f"{where} malformed: {exc}") from exc
     return TaskSet(tasks, m)
 
 

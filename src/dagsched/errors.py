@@ -9,7 +9,8 @@ class ValidationError(DagschedError):
     """A DAG or task violates a structural rule.
 
     ``rule`` names the first violated rule: "cycle", "dangling-edge",
-    "self-loop", or a task-level rule such as "deadline".
+    "self-loop", a task-level rule such as "deadline", or an input rule
+    such as "schema".
     """
 
     def __init__(self, rule, message):

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .workload import WorkloadQuery, interfering_workload, melani_workload
+from .workload import interfering_workload, melani_workload
 
 METHODS = ("ilp", "melani")
 
@@ -124,16 +124,17 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
             # valid bound even when a later task fails initialization
             return abort(k, established=min(k, 1))
 
-    def make_workload_fn():
-        def fn(i, delta):
-            interferer = taskset.tasks[i]
-            WorkloadQuery(delta, bounds[i], m).check(interferer)
-            if method == "melani":
-                return melani_workload(interferer, delta, bounds[i], m)
-            return interfering_workload(interferer, delta, bounds[i], m)
-        return fn
+    def workload_fn(i, delta):
+        interferer = taskset.tasks[i]
+        # only tasks already shown schedulable interfere during the analysis
+        if bounds[i] > interferer.deadline:
+            raise ValueError(
+                f"interferer response bound {bounds[i]} exceeds "
+                f"deadline {interferer.deadline}")
+        if method == "melani":
+            return melani_workload(interferer, delta, bounds[i], m)
+        return interfering_workload(interferer, delta, bounds[i], m)
 
-    workload_fn = make_workload_fn()
     for k in range(1, n):
         bound, iters = response_time_bound(k, taskset, m, bounds, workload_fn)
         iterations[k] = iters

@@ -3,7 +3,7 @@
 All subtasks of a task share its priority; at every instant the m
 highest-ranked ready subtasks run (rank = task priority, then job release,
 then subtask id).  Events happen at integer releases and completions only.
-Subtasks drawn with zero execution time complete the instant they become
+A subtask drawn with zero execution time completes the instant it becomes
 ready without occupying a processor.
 
 The trace records per-processor execution segments, from which critical

@@ -25,9 +25,6 @@ class LpResult:
     x: list  # Fractions, structural variables only
     pivots: int
 
-    def is_integral(self) -> bool:
-        return self.value.denominator == 1 and all(v.denominator == 1 for v in self.x)
-
 
 class Unbounded(SolverLimitError):
     """The LP is unbounded above (cannot happen for well-formed models)."""

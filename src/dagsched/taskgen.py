@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dag import Dag, DagTask, TaskSet
+from .errors import ValidationError
 
 UTIL_TOL = 1e-3
 
@@ -31,13 +32,13 @@ class GenConfig:
         # edge_prob 0 is allowed as a degenerate probe of the connectivity
         # fix-up (the result is a spanning tree)
         if not 0 <= self.edge_prob <= 1:
-            raise ValueError("edge_prob must be in [0, 1]")
+            raise ValidationError("config", "edge_prob must be in [0, 1]")
         if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
+            raise ValidationError("config", "beta must be in (0, 1]")
         if self.n_range[0] < 1 or self.n_range[0] > self.n_range[1]:
-            raise ValueError("n_range must be a non-empty positive range")
+            raise ValidationError("config", "n_range must be a non-empty positive range")
         if self.wcet_range[0] < 1 or self.wcet_range[0] > self.wcet_range[1]:
-            raise ValueError("wcet_range must be a non-empty positive range")
+            raise ValidationError("config", "wcet_range must be a non-empty positive range")
 
     def rng(self):
         return np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -101,9 +102,7 @@ def _draw_deadline(rng, length, period):
 
 def gen_task(dag, config, rng) -> DagTask:
     """Attach utilization-driven period and deadline to a DAG."""
-    from .dag import span, work
-
-    c, length = work(dag), span(dag)
+    c, length = dag.work, dag.span
     ratio = c / length
     util = ratio if ratio < config.beta else float(rng.uniform(config.beta, ratio))
     period = max(length, int(round(c / util)))
@@ -127,7 +126,7 @@ def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
     absorb half the gap each until the fit succeeds.
     """
     if total_util <= 0:
-        raise ValueError("total utilization must be positive")
+        raise ValidationError("util", "total utilization must be positive")
     if rng is None:
         rng = config.rng()
     tol = UTIL_TOL * total_util

@@ -1,126 +1,69 @@
 """Interfering-workload bounds for a higher-priority DAG task.
 
 For an analysis window of length delta, an interfering task contributes
-body jobs (whole jobs inside the window), a carry-in job (tail of a job
-released before the window) and a carry-out job (head of a job released
-inside it).  Body workload has a closed form; carry-in workload follows
-from the full-WCET unrestricted ASAP schedule of one job; carry-out
-workload is bounded by the exact optimum from `carryout`.  The total bound
-maximizes over the number of releases inside the window and, for each
-count, over the feasible carry-in/carry-out window splits.
+whole jobs inside the window, a carry-in job (tail of a job released before
+the window) and a carry-out job (head of a job released inside it).
+Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
+one job; carry-out workload is bounded by the exact optimum from
+`carryout`.  Both are tabulated once per DAG in its `DagProfile`.  The total
+bound maximizes over the number of releases inside the window and, for
+each count, over the carry-in/carry-out split of the window.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import numpy as np
 
-from .carryout import work_curve
-from .dag import asap_start_times
+from .carryout import WorkCurve
 
-__all__ = [
-    "WindowSplit", "WorkloadQuery", "body_workload", "carry_in_workload",
-    "melani_workload", "window_splits", "interfering_workload",
-]
+__all__ = ["DagProfile", "carry_in_workload", "melani_workload", "interfering_workload"]
 
 
-@dataclass(frozen=True)
-class WindowSplit:
-    """Carry-in / carry-out window lengths of one problem-window alignment."""
+class DagProfile:
+    """Per-DAG tables of the interfering-workload bound.
 
-    ci_len: int
-    co_len: int
+    ``ci[d]`` is the carry-in workload of a window of length d = 0..span:
+    per vertex max{C_k - max(L - S_k - d, 0), 0} with S_k the full-WCET ASAP
+    start.  The `WorkCurve` and the carry-out table of each processor count
+    are built on first use.  A `Dag` owns its profile (`Dag.profile`), so
+    the profile keeps no reference back to it and the carry-out lookup takes
+    the DAG as an argument.  Concurrent first uses may build a table twice;
+    both builds are equal.
+    """
 
+    def __init__(self, dag):
+        starts = np.array(dag.starts, dtype=np.int64)
+        wcets = np.array(dag.wcets, dtype=np.int64)
+        ci = np.arange(dag.span + 1, dtype=np.int64)[:, None]
+        overhang = np.maximum(dag.span - starts[None, :] - ci, 0)
+        self.ci = np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
+        self.curve = None
+        self.co = {}
 
-@dataclass(frozen=True)
-class WorkloadQuery:
-    """Inputs of one interfering-workload evaluation."""
-
-    delta: int
-    interferer_response: int
-    processors: int
-
-    def check(self, task):
-        # only tasks already shown schedulable interfere during the analysis
-        if self.interferer_response > task.deadline:
-            raise ValueError(
-                f"interferer response bound {self.interferer_response} exceeds "
-                f"deadline {task.deadline}")
-
-
-def body_workload(task, delta, r_i) -> int:
-    """Workload of jobs entirely inside a window of length delta."""
-    if delta < 0:
-        return 0
-    jobs = (delta - task.span + r_i) // task.period - 1
-    return max(jobs * task.work, 0)
-
-
-_starts_cache = weakref.WeakKeyDictionary()
-_ci_cache = weakref.WeakKeyDictionary()
-_co_cache = weakref.WeakKeyDictionary()
-_cache_lock = threading.RLock()
-
-
-def _full_wcet_starts(task):
-    with _cache_lock:
-        starts = _starts_cache.get(task)
-        if starts is None:
-            starts = tuple(asap_start_times(task.dag, list(task.dag.wcets)))
-            _starts_cache[task] = starts
-    return starts
+    def carry_out(self, dag, m):
+        """min(carry-out optimum, m*len), capped at work, for lengths 0..span."""
+        table = self.co.get(m)
+        if table is None:
+            if self.curve is None:
+                self.curve = WorkCurve(dag)
+            table = np.array(
+                [min(self.curve.obj(d), m * d, dag.work) for d in range(dag.span + 1)],
+                dtype=np.int64)
+            self.co[m] = table
+        return table
 
 
 def carry_in_workload(task, ci_len) -> int:
-    """Workload of the last ci_len time units of the full-WCET ASAP schedule.
-
-    Per vertex: max{C_k - max(L - S_k - ci_len, 0), 0} with S_k the ASAP
-    start at full WCETs; the whole job (work C) fits once ci_len >= span.
-    """
+    """Workload of the last ci_len time units of the full-WCET ASAP schedule;
+    the whole job (work C) fits once ci_len >= span."""
     if ci_len < 0:
         raise ValueError("ci_len must be non-negative")
     if ci_len >= task.span:
         return task.work
-    starts = _full_wcet_starts(task)
-    length = task.span
-    return sum(max(c - max(length - s - ci_len, 0), 0)
-               for c, s in zip(task.dag.wcets, starts))
-
-
-def _carry_in_table(task):
-    """carry_in_workload for every length 0..span, as an int64 array."""
-    with _cache_lock:
-        table = _ci_cache.get(task)
-        if table is None:
-            starts = np.array(_full_wcet_starts(task), dtype=np.int64)
-            wcets = np.array(task.dag.wcets, dtype=np.int64)
-            ci = np.arange(task.span + 1, dtype=np.int64)[:, None]
-            overhang = np.maximum(task.span - starts[None, :] - ci, 0)
-            table = np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
-            _ci_cache[task] = table
-    return table
-
-
-def _carry_out_table(task, m):
-    """min(carry-out optimum, m*len), capped at work, for lengths 0..span."""
-    with _cache_lock:
-        per_m = _co_cache.get(task)
-        if per_m is None:
-            per_m = {}
-            _co_cache[task] = per_m
-        table = per_m.get(m)
-        if table is None:
-            curve = work_curve(task)
-            table = np.array(
-                [min(curve.obj(d), m * d, task.work) for d in range(task.span + 1)],
-                dtype=np.int64)
-            per_m[m] = table
-    return table
+    return int(task.dag.profile.ci[ci_len])
 
 
 def melani_workload(task, delta, r_i, m) -> int:
@@ -138,44 +81,7 @@ def melani_workload(task, delta, r_i, m) -> int:
     return floor(value)
 
 
-def _gamma(task, delta, r_i):
-    """Combined carry-in + carry-out window length for the dense pattern.
-
-    For q = floor((delta - span + r_i)/T) >= 1 this is span + residue.  At
-    q = 0 the residue formula would make the carry-in and carry-out job the
-    same release; the carry-out job is then the next release, giving
-    delta + r_i - T (see the window-split notes in the docs).
-    """
-    G = delta - task.span + r_i
-    if G < 0:
-        return None
-    if G // task.period >= 1:
-        return task.span + G % task.period
-    return max(delta + r_i - task.period, 0)
-
-
-def _split_range(length, gamma):
-    """Inclusive carry-out length range of the split sweep (gamma <= 2L)."""
-    return max(gamma - length, 0), min(gamma, length)
-
-
-def window_splits(task, delta, r_i):
-    """Feasible (carry-in, carry-out) window-length pairs, largest carry-in
-    first.  Empty when the window cannot reach a carry-in alignment; a
-    single saturated split when both windows reach the span."""
-    gamma = _gamma(task, delta, r_i)
-    if gamma is None:
-        return []
-    length = task.span
-    if gamma == 0:
-        return [WindowSplit(0, 0)]
-    if gamma >= 2 * length:
-        return [WindowSplit(length, length)]
-    co_lo, co_hi = _split_range(length, gamma)
-    return [WindowSplit(gamma - co, co) for co in range(co_lo, co_hi + 1)]
-
-
-def interfering_workload(task, delta, r_i, m, carryout_fn=None) -> int:
+def interfering_workload(task, delta, r_i, m) -> int:
     """Upper bound on the workload an interferer puts in a window of length
     delta, given its own response bound r_i.
 
@@ -189,32 +95,22 @@ def interfering_workload(task, delta, r_i, m, carryout_fn=None) -> int:
     window alone, which can exceed the dense bound when the task is wider
     than the processor count.
 
-    carryout_fn(co_len) supplies the carry-out bound (must be non-decreasing);
-    None selects the built-in exact bound, min of the model optimum and
-    m*co_len.  Every addend is capped at min(work, m * window-part) and the
-    result at m * delta.  The bound is non-decreasing in delta.
+    The carry-out bound is the exact optimum capped at m*co_len.  Every
+    addend is capped at min(work, m * window-part) and the result at
+    m * delta.  The bound is non-decreasing in delta.
     """
     if delta <= 0:
         return 0
     C, L, T = task.work, task.span, task.period
-
-    fast = carryout_fn is None
-    if not fast:
-        co_fn = carryout_fn
-    else:
-        co_table = _carry_out_table(task, m)
-
-        def co_fn(d):
-            return int(co_table[d]) if d <= L else min(C, m * d)
-
-    ci_table = _carry_in_table(task)
+    ci_table = task.dag.profile.ci
+    co_table = task.dag.profile.carry_out(task.dag, m)
 
     def ci_term(ci):
         w = int(ci_table[ci]) if ci <= L else C
         return min(w, C, m * ci)
 
     def co_term(co):
-        return min(co_fn(co), C, m * co)
+        return int(co_table[co]) if co <= L else min(C, m * co)
 
     def split_peak(budget):
         """max carry-in + carry-out over window lengths summing to budget."""
@@ -228,15 +124,13 @@ def interfering_workload(task, delta, r_i, m, carryout_fn=None) -> int:
             # stay below the cap line there)
             half = budget // 2
             return min(C, m * half) + min(C, m * (budget - half))
-        if fast:
-            cis = np.arange(0, budget + 1, dtype=np.int64)
-            cos = budget - cis
-            ci_vals = np.where(cis <= L, ci_table[np.minimum(cis, L)], C)
-            ci_vals = np.minimum(ci_vals, m * cis)
-            co_vals = np.where(cos <= L, co_table[np.minimum(cos, L)], C)
-            co_vals = np.minimum(np.minimum(co_vals, C), m * cos)
-            return int((ci_vals + co_vals).max())
-        return max(ci_term(ci) + co_term(budget - ci) for ci in range(budget + 1))
+        cis = np.arange(0, budget + 1, dtype=np.int64)
+        cos = budget - cis
+        ci_vals = np.where(cis <= L, ci_table[np.minimum(cis, L)], C)
+        ci_vals = np.minimum(ci_vals, m * cis)
+        co_vals = np.where(cos <= L, co_table[np.minimum(cos, L)], C)
+        co_vals = np.minimum(np.minimum(co_vals, C), m * cos)
+        return int((ci_vals + co_vals).max())
 
     best = ci_term(delta)  # no release inside the window at all
     s = 1

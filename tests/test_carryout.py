@@ -1,18 +1,19 @@
 """Carry-out workload optimum: model, exact solver, oracle and work curve."""
 
+import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_dag
-from dagsched import carryout
 from dagsched.carryout import (
     WorkCurve, asap_window_workload, brute_force_oracle, build_model,
-    carry_out_bound, export_model, solve_exact, trim_to_window, verify_assignment,
-    work_curve,
+    export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
+from dagsched.workload import DagProfile, interfering_workload
 from dagsched.errors import OracleLimitError, PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task
 
@@ -156,6 +157,14 @@ class TestWorkCurve:
             assert curve.obj(span(dag)) == work(dag)
 
 
+def carry_out_bound(task, delta_co, m):
+    """The analysis's carry-out bound: the DAG profile's table up to the
+    span, min(work, m * delta_co) beyond it."""
+    if delta_co > task.span:
+        return min(task.work, m * delta_co)
+    return int(task.dag.profile.carry_out(task.dag, m)[delta_co])
+
+
 class TestCarryOutBound:
     def test_fork_with_processor_cap(self):
         task = DagTask(fork_5_5(), 6, 6)
@@ -177,25 +186,42 @@ class TestCarryOutBound:
             assert all(b >= a for a, b in zip(vals, vals[1:]))
             assert all(v <= min(task.work, m * d) for d, v in enumerate(vals))
 
-    def test_memoized_per_task(self):
+    def test_memoized_per_task(self, monkeypatch):
+        builds = []
+        init = DagProfile.__init__
+
+        def counting_init(self, dag):
+            builds.append(dag)
+            init(self, dag)
+
+        monkeypatch.setattr(DagProfile, "__init__", counting_init)
         task = antimonotone_task()
-        c1 = work_curve(task)
-        c2 = work_curve(task)
-        assert c1 is c2
+        copy = replace(task, priority=3)
+        assert copy.dag is task.dag and copy is not task
+        assert interfering_workload(task, 10, 15, 2) == interfering_workload(copy, 10, 15, 2)
+        assert task.dag.profile is copy.dag.profile
+        assert task.dag.profile.carry_out(task.dag, 2) is copy.dag.profile.carry_out(copy.dag, 2)
+        assert len(builds) == 1
 
     def test_concurrent_queries(self):
         task = antimonotone_task()
         out = []
 
         def worker():
-            out.append([carry_out_bound(task, d, 2) for d in range(10)])
+            out.append([interfering_workload(task, d, 15, 2) for d in range(30)])
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(o == out[0] for o in out)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often during the first build
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(out) == 8 and all(o == out[0] for o in out)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dagsched import cli, rta
 from dagsched.cli import CSV_HEADER, ExperimentSpec, check_dominance, run_experiment
 from dagsched.dag import load_taskset
@@ -49,6 +51,47 @@ class TestGenerateAnalyze:
         assert run(["analyze", str(path)]) == 2
 
 
+def one_task_doc(vertices=({"wcet": 5},), edges=(), processors=1):
+    return {"tasks": [{"period": 20, "deadline": 20, "vertices": list(vertices),
+                       "edges": list(edges)}],
+            "processors": processors}
+
+
+class TestMalformedInput:
+    """Malformed input exits 2, never 1 ("unschedulable") or with a traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        one_task_doc(vertices=[{"wcet": 1}, {"wcet": 1}], edges=[[0]]),
+        one_task_doc(vertices=[{"wcet": 2.7}]),
+        one_task_doc(vertices=[{"wcet": True}]),
+        one_task_doc(processors=2.5),
+    ], ids=["short-edge", "fractional-wcet", "boolean-wcet", "fractional-processors"])
+    def test_malformed_task_set_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["analyze", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--util", "0", "--procs", "4"],
+        ["generate", "--util", "1", "--procs", "4", "--edge-prob", "2"],
+        ["sweep", "--points", "1.0", "--sets", "-1"],
+    ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative"])
+    def test_bad_arguments_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_analyze_negative_procs_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ts.json"
+        path.write_text(json.dumps(one_task_doc()))
+        assert run(["analyze", str(path), "--procs", "-1"]) == 2
+
+    def test_simulate_empty_task_list_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"tasks": [], "processors": 2}))
+        assert run(["simulate", str(path)]) == 2
+
+
 class TestDumpModel:
     def _write_set(self, tmp_path):
         path = tmp_path / "ts.json"
@@ -86,6 +129,32 @@ class TestDumpModel:
         assert run(["dump-model", str(path), "--task-index", "0",
                     "--delta", "2", "--format", "mps", "--out", str(out)]) == 0
         assert out.read_text().startswith("NAME")
+
+    def test_mps_fields_separated_for_long_names(self, tmp_path, capsys):
+        # fork-join over 12 vertices: names such as prec_10_11 and c8a_10
+        # fill the 10-character name field and must not fuse with the next
+        doc = one_task_doc(vertices=[{"wcet": 2}] * 12,
+                           edges=[[0, v] for v in range(1, 11)]
+                           + [[v, 11] for v in range(1, 11)])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert run(["dump-model", str(path), "--task-index", "0",
+                    "--delta", "3", "--format", "mps"]) == 0
+        text = capsys.readouterr().out
+        assert "prec_10_11" in text
+        section = None
+        checked = 0
+        for line in text.splitlines():
+            fields = line.split()
+            if not line.startswith(" "):
+                section = fields[0]
+            elif section in ("COLUMNS", "RHS"):
+                assert len(fields) == 3, line
+                checked += 1
+            elif section == "BOUNDS":
+                assert len(fields) == (3 if fields[0] == "BV" else 4), line
+                checked += 1
+        assert checked > 100
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ from conftest import diamond, random_dag
 from dagsched.dag import (
     Dag, DagTask, TaskSet, asap_start_times, count_paths, enumerate_paths,
     load_taskset, normalize_source_sink, save_taskset, span, taskset_from_dict,
-    taskset_to_dict, topological_order, validate, work,
+    taskset_to_dict, validate, work,
 )
 from dagsched.errors import PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task

@@ -29,7 +29,7 @@ def test_three_variable_instance():
 def test_fractional_optimum_is_exact():
     res = simplex.solve_lp_max([1], [[3]], [1])
     assert res.value == Fraction(1, 3)
-    assert not res.is_integral()
+    assert res.x == [Fraction(1, 3)]
 
 
 def test_unbounded_detected():

@@ -1,15 +1,114 @@
-"""Interfering-workload bounds: body, carry-in, baseline, window splits."""
+"""Interfering-workload bounds: body, carry-in, baseline, window splits.
+
+The body-job count and the window splits of the dense release pattern are
+reference code kept here: `interfering_workload` enumerates the releases
+itself, and the tests check it against these and against a scalar
+split-by-split evaluation.
+"""
+
+from dataclasses import dataclass
 
 from conftest import random_dag
-from dagsched import rta, workload
-from dagsched.carryout import carry_out_bound
+from dagsched import rta
+from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag, gen_task
-from dagsched.workload import (
-    WindowSplit, body_workload, carry_in_workload, interfering_workload,
-    melani_workload, window_splits,
-)
+from dagsched.workload import carry_in_workload, interfering_workload, melani_workload
+
+
+@dataclass(frozen=True)
+class WindowSplit:
+    """Carry-in / carry-out window lengths of one problem-window alignment."""
+
+    ci_len: int
+    co_len: int
+
+
+def body_workload(task, delta, r_i) -> int:
+    """Workload of jobs entirely inside a window of length delta."""
+    if delta < 0:
+        return 0
+    jobs = (delta - task.span + r_i) // task.period - 1
+    return max(jobs * task.work, 0)
+
+
+def _gamma(task, delta, r_i):
+    """Combined carry-in + carry-out window length for the dense pattern.
+
+    For q = floor((delta - span + r_i)/T) >= 1 this is span + residue.  At
+    q = 0 the residue formula would make the carry-in and carry-out job the
+    same release; the carry-out job is then the next release, giving
+    delta + r_i - T.
+    """
+    G = delta - task.span + r_i
+    if G < 0:
+        return None
+    if G // task.period >= 1:
+        return task.span + G % task.period
+    return max(delta + r_i - task.period, 0)
+
+
+def _split_range(length, gamma):
+    """Inclusive carry-out length range of the split sweep (gamma <= 2L)."""
+    return max(gamma - length, 0), min(gamma, length)
+
+
+def window_splits(task, delta, r_i):
+    """Feasible (carry-in, carry-out) window-length pairs, largest carry-in
+    first.  Empty when the window cannot reach a carry-in alignment; a
+    single saturated split when both windows reach the span."""
+    gamma = _gamma(task, delta, r_i)
+    if gamma is None:
+        return []
+    length = task.span
+    if gamma == 0:
+        return [WindowSplit(0, 0)]
+    if gamma >= 2 * length:
+        return [WindowSplit(length, length)]
+    co_lo, co_hi = _split_range(length, gamma)
+    return [WindowSplit(gamma - co, co) for co in range(co_lo, co_hi + 1)]
+
+
+def schedule_tail(dag, starts, ci):
+    """Carry-in oracle: overlap of each [S, S+C) of the full-WCET schedule
+    with starts S and its last ci time units [span-ci, span)."""
+    length = max((s + c for s, c in zip(starts, dag.wcets)), default=0)
+    lo = length - ci
+    return sum(max(0, min(s + c, length) - max(s, lo))
+               for s, c in zip(starts, dag.wcets))
+
+
+def scalar_interfering_workload(task, delta, r_i, m):
+    """`interfering_workload` evaluated one split at a time from
+    `WorkCurve.obj` and `carry_in_workload`, with no tables and no shortcut
+    for budgets beyond twice the span."""
+    if delta <= 0:
+        return 0
+    C, T = task.work, task.period
+    curve = WorkCurve(task.dag)
+
+    def ci_term(ci):
+        return min(carry_in_workload(task, ci), C, m * ci)
+
+    def co_term(co):
+        return min(curve.obj(co), C, m * co)
+
+    best = ci_term(delta)
+    s = 1
+    while True:
+        head = delta - (s - 1) * T
+        base = (s - 1) * C
+        if head <= 0 or base >= m * delta:
+            break
+        cand = base + co_term(head)
+        budget = delta + r_i - s * T
+        if budget > 0:
+            peak = max(ci_term(ci) + co_term(budget - ci) for ci in range(budget + 1))
+            cand = max(cand, base + peak)
+        best = max(best, cand)
+        s += 1
+    return min(best, m * delta)
 
 
 def task_13_8(period=20, deadline=20):
@@ -44,19 +143,13 @@ class TestCarryIn:
         task = DagTask(Dag([3, 4], [(0, 1)]), 7, 7)
         assert carry_in_workload(task, 5) == 5  # 1 from the head, 4 from the tail
 
-    def _schedule_tail(self, task, ci):
-        # independent oracle: overlap of each [S, S+C) with [span-ci, span)
-        starts = asap_start_times(task.dag, list(task.dag.wcets))
-        lo = task.span - ci
-        return sum(max(0, min(s + c, task.span) - max(s, lo))
-                   for s, c in zip(starts, task.dag.wcets))
-
     def test_equals_schedule_tail(self, rng):
         for _ in range(120):
             dag = random_dag(rng, n_max=8, wcet_max=9, wcet_min=1)
             task = DagTask(dag, span(dag) + 1, span(dag) + 1)
+            starts = asap_start_times(dag, list(dag.wcets))
             for ci in {0, 1, task.span // 2, task.span, task.span + 4}:
-                assert carry_in_workload(task, ci) == self._schedule_tail(task, ci)
+                assert carry_in_workload(task, ci) == schedule_tail(dag, starts, ci)
 
 
 class TestMelani:
@@ -158,11 +251,7 @@ class TestInterfering:
             delta = int(rng.integers(0, 2 * task.period))
             r_i = int(rng.integers(task.span, task.deadline + 1))
             got = interfering_workload(task, delta, r_i, m)
-
-            def co(d):
-                return carry_out_bound(task, d, m)
-
-            assert got == interfering_workload(task, delta, r_i, m, carryout_fn=co)
+            assert got == scalar_interfering_workload(task, delta, r_i, m)
 
     def test_monotone_in_delta(self, rng):
         cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 20), seed=0)
