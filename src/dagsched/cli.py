@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,21 @@ from .errors import DagschedError, SolverLimitError, ValidationError
 from .taskgen import DESK_SCALE, PAPER_SCALE, GenConfig, assign_priorities_dm, gen_taskset
 
 CSV_HEADER = "point,method,ratio,n_sets,warnings,mean_ms"
+
+
+def _load_config(cls, path):
+    """`cls` from a `--config` JSON object; lists become tuples, except `points`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError("config", f"cannot read {path}: {exc}") from exc
+    names = {f.name for f in fields(cls)}
+    if not isinstance(doc, dict) or not doc.keys() <= names:
+        raise ValidationError("config", f"{path} must hold a JSON object of {cls.__name__} "
+                                        f"fields ({', '.join(sorted(names))})")
+    return cls(**{key: tuple(value) if isinstance(value, list) and key != "points" else value
+                  for key, value in doc.items()})
 
 
 @dataclass
@@ -53,14 +68,7 @@ class ExperimentSpec:
         if self.sets_per_point < 1:
             raise ValidationError("sweep", "need at least one task set per point")
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key in ("points", "n_range", "wcet_range", "methods"):
-            if key in doc and isinstance(doc[key], list):
-                doc[key] = tuple(doc[key]) if key != "points" else doc[key]
-        return cls(**doc)
+    from_json = classmethod(_load_config)
 
 
 def _point_setup(spec, point):
@@ -118,12 +126,7 @@ def check_dominance(csv_lines) -> bool:
 
 def _cmd_generate(args):
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key in ("n_range", "wcet_range"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        cfg = GenConfig(**doc)
+        cfg = _load_config(GenConfig, args.config)
     else:
         cfg = GenConfig(edge_prob=args.edge_prob, n_range=tuple(args.n_range),
                         wcet_range=tuple(args.wcet_range), beta=args.beta,

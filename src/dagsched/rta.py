@@ -71,11 +71,11 @@ class AnalysisReport:
         ])
 
 
-def response_time_bound(k, taskset, m, prior_bounds, workload_fn):
+def response_time_bound(k, taskset, m, workload_fn):
     """Least fixed point for task k, or (None, iterations) once it passes D_k.
 
-    prior_bounds must hold converged bounds for every higher-priority task;
-    workload_fn(i, delta) returns the interfering workload of task i.
+    workload_fn(i, delta) returns the interfering workload of task i, using
+    converged bounds for every higher-priority task.
     """
     task = taskset.tasks[k]
     seed = seed_bound(task, m)
@@ -136,7 +136,7 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
         return interfering_workload(interferer, delta, bounds[i], m)
 
     for k in range(1, n):
-        bound, iters = response_time_bound(k, taskset, m, bounds, workload_fn)
+        bound, iters = response_time_bound(k, taskset, m, workload_fn)
         iterations[k] = iters
         if bound is None:
             return abort(k, established=k)

@@ -6,13 +6,17 @@ then subtask id).  Events happen at integer releases and completions only.
 A subtask drawn with zero execution time completes the instant it becomes
 ready without occupying a processor.
 
-The trace records per-processor execution segments, from which critical
-chains are rebuilt (walking last-completing predecessors) and critical
-interference is measured, both in total and split per interfering task.
+The trace records per-processor execution segments in time order, in one
+list and per job.  Critical chains are rebuilt by walking last-completing
+predecessors; critical interference is read from the job's own segments, and
+its split per interfering task takes one pass over the segments that overlap
+the blocked intervals.  `audit_trace` checks a trace in one time sweep and
+raises `AssertionError` on the first violation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,9 @@ class Job:
     subtask_ready: list = field(default_factory=list)
     subtask_completion: list = field(default_factory=list)
     completion: int | None = None
+    # this job's Segments in time order (simulate appends them as it runs);
+    # _blocked_intervals relies on the order
+    segments: list = field(default_factory=list)
 
     @property
     def response(self):
@@ -53,17 +60,14 @@ class SimResult:
     taskset: object
     processors: int
     horizon: int
+    # every Segment in time order; one step's segments share [start, end) and
+    # steps do not overlap, so interference_by_task may bisect starts and ends
     segments: list
     jobs: list
 
     def response_times(self):
         return [(j.task_index, j.job_index, j.response)
                 for j in self.jobs if j.completion is not None]
-
-    def segments_of(self, job, subtask=None):
-        return [s for s in self.segments
-                if s.task_index == job.task_index and s.job_index == job.job_index
-                and (subtask is None or s.subtask == subtask)]
 
 
 def _release_times(taskset, horizon, policy, rng):
@@ -100,8 +104,6 @@ def _draw_exec(task, task_index, job_index, policy, rng):
         times = wcets
     elif policy == "random":
         times = tuple(int(rng.integers(0, w + 1)) for w in wcets)
-    elif callable(policy):
-        times = policy(task_index, job_index, task, rng)
     else:
         raise SimulationError(f"unknown execution policy {policy!r}")
     times = tuple(int(x) for x in times)
@@ -210,8 +212,9 @@ def simulate(taskset, m, horizon, release_policy="periodic",
 
         finished = []
         for slot, (_, _, _, v, state) in enumerate(running):
-            segments.append(Segment(slot, state.job.task_index,
-                                    state.job.job_index, v, t, t_next))
+            seg = Segment(slot, state.job.task_index, state.job.job_index, v, t, t_next)
+            segments.append(seg)
+            state.job.segments.append(seg)
             state.remaining[v] -= dt
             if state.remaining[v] == 0:
                 finished.append((state, v))
@@ -247,58 +250,44 @@ def extract_critical_chain(sim, job):
     return chain
 
 
-def _chain_windows(sim, job, chain):
-    """Consecutive [ready, completion) windows covering the job's response."""
-    comp = job.subtask_completion
-    start = job.release
-    windows = []
-    for v in chain:
-        if job.subtask_ready[v] != start:
-            raise SimulationError("chain/trace mismatch: ready times do not chain")
-        windows.append((v, start, comp[v]))
-        start = comp[v]
-    if start != job.completion:
-        raise SimulationError("chain/trace mismatch: chain does not end the job")
-    return windows
-
-
 def _blocked_intervals(sim, job, chain):
     """Intervals where the current critical subtask is ready but not running."""
+    comp = job.subtask_completion
+    cur = job.release
     blocked = []
-    for v, lo, hi in _chain_windows(sim, job, chain):
-        execs = sorted((s.start, s.end) for s in sim.segments_of(job, v))
-        cur = lo
-        for a, b in execs:
-            if a > cur:
-                blocked.append((cur, a))
-            cur = max(cur, b)
-        if cur < hi:
-            blocked.append((cur, hi))
+    for v in chain:
+        if job.subtask_ready[v] != cur:
+            raise SimulationError("chain/trace mismatch: ready times do not chain")
+        for seg in job.segments:
+            if seg.subtask == v:
+                if seg.start > cur:
+                    blocked.append((cur, seg.start))
+                cur = seg.end
+        if cur < comp[v]:
+            blocked.append((cur, comp[v]))
+        cur = comp[v]
+    if cur != job.completion:
+        raise SimulationError("chain/trace mismatch: chain does not end the job")
     return blocked
 
 
-def critical_interference(sim, job, chain, by_task=None) -> int:
-    """Total time the job's critical chain is ready but denied a processor.
-
-    With by_task set, returns that task's processor time (summed across
-    processors) during those instants instead.
-    """
-    blocked = _blocked_intervals(sim, job, chain)
-    if by_task is None:
-        return sum(b - a for a, b in blocked)
-    total = 0
-    for seg in sim.segments:
-        if seg.task_index != by_task:
-            continue
-        for a, b in blocked:
-            total += max(0, min(seg.end, b) - max(seg.start, a))
-    return total
+def critical_interference(sim, job, chain) -> int:
+    """Total time the job's critical chain is ready but denied a processor."""
+    return sum(b - a for a, b in _blocked_intervals(sim, job, chain))
 
 
 def interference_by_task(sim, job, chain) -> dict:
-    """I_{i,k} for every task index i (including the job's own task)."""
-    return {i: critical_interference(sim, job, chain, by_task=i)
-            for i in range(len(sim.taskset.tasks))}
+    """I_{i,k} for every task index i (including the job's own task): task
+    i's processor time, summed across processors, while the chain is blocked.
+    """
+    out = dict.fromkeys(range(len(sim.taskset.tasks)), 0)
+    segs = sim.segments
+    for a, b in _blocked_intervals(sim, job, chain):
+        first = bisect_right(segs, a, key=lambda s: s.end)
+        last = bisect_left(segs, b, key=lambda s: s.start)
+        for seg in segs[first:last]:
+            out[seg.task_index] += min(seg.end, b) - max(seg.start, a)
+    return out
 
 
 def chain_execution(sim, job, chain) -> int:
@@ -309,52 +298,59 @@ def chain_execution(sim, job, chain) -> int:
 # Trace auditor
 
 def audit_trace(sim) -> None:
-    """Assert work conservation, precedence and priority rules on a trace."""
+    """Check work conservation, precedence and priority rules on a trace.
+
+    Raises AssertionError on the first violation.
+    """
     by_proc = {}
     for seg in sim.segments:
         by_proc.setdefault(seg.proc, []).append(seg)
     for proc, segs in by_proc.items():
         segs.sort(key=lambda s: s.start)
         for a, b in zip(segs, segs[1:]):
-            assert a.end <= b.start, f"processor {proc} overlaps: {a} / {b}"
+            if a.end > b.start:
+                raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
     for seg in sim.segments:
         job = job_map[(seg.task_index, seg.job_index)]
         ready = job.subtask_ready[seg.subtask]
-        assert ready is not None and seg.start >= ready, \
-            f"segment {seg} starts before readiness {ready}"
+        if ready is None or seg.start < ready:
+            raise AssertionError(f"segment {seg} starts before readiness {ready}")
         dag = sim.taskset.tasks[seg.task_index].dag
         for p in dag.preds[seg.subtask]:
             comp = job.subtask_completion[p]
-            assert comp is not None and seg.start >= comp, \
-                f"segment {seg} starts before predecessor {p} completes"
+            if comp is None or seg.start < comp:
+                raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
 
-    # priority correctness + work conservation at every event boundary
+    # priority correctness + work conservation between event points, in one
+    # sweep that keeps the running segments and the ready subtasks
     points = sorted({s.start for s in sim.segments} | {s.end for s in sim.segments}
                     | {j.release for j in sim.jobs})
-    m = sim.processors
 
     def rank(job, v):
         return (sim.taskset.tasks[job.task_index].priority, job.release,
                 job.job_index, v)
 
+    starts = sorted(sim.segments, key=lambda s: s.start, reverse=True)
+    readies = sorted(((max(job.release, r), job.subtask_completion[v], rank(job, v))
+                      for job in sim.jobs for v, r in enumerate(job.subtask_ready)
+                      if r is not None and job.exec_times[v] > 0),
+                     key=lambda e: e[0], reverse=True)
+    live, ready = [], []
     for lo, hi in zip(points, points[1:]):
-        running = {(s.task_index, s.job_index, s.subtask)
-                   for s in sim.segments if s.start <= lo and s.end >= hi}
-        waiting = []
-        for job in sim.jobs:
-            if job.release > lo:
-                continue
-            for v in range(len(job.exec_times)):
-                ready = job.subtask_ready[v]
-                comp = job.subtask_completion[v]
-                if ready is not None and ready <= lo and (comp is None or comp > lo):
-                    if job.exec_times[v] > 0 and (job.task_index, job.job_index, v) not in running:
-                        waiting.append(rank(job, v))
+        while starts and starts[-1].start <= lo:
+            live.append(starts.pop())
+        while readies and readies[-1][0] <= lo:
+            ready.append(readies.pop())
+        live = [s for s in live if s.end > lo]
+        ready = [e for e in ready if e[1] is None or e[1] > lo]
+        # task priorities are distinct, so a rank names one subtask of one job
+        running = {rank(job_map[(s.task_index, s.job_index)], s.subtask) for s in live}
+        waiting = [e[2] for e in ready if e[2] not in running]
         if waiting:
-            assert len(running) == m, \
-                f"work conservation violated in [{lo},{hi}): {len(running)} running"
-            worst_running = max(rank(job_map[(ti, ji)], v) for ti, ji, v in running)
-            assert worst_running < min(waiting), \
-                f"priority inversion in [{lo},{hi})"
+            if len(running) != sim.processors:
+                raise AssertionError(
+                    f"work conservation violated in [{lo},{hi}): {len(running)} running")
+            if not max(running) < min(waiting):
+                raise AssertionError(f"priority inversion in [{lo},{hi})")

@@ -46,6 +46,7 @@ def test_measured_workload_and_interference_below_bound():
                 k = job.task_index
                 lo, hi = job.release, job.completion
                 chain = sim.extract_critical_chain(res, job)
+                measured = sim.interference_by_task(res, job, chain)
                 for i in range(k):
                     interferer = ts.tasks[i]
                     bound = workload.interfering_workload(
@@ -55,9 +56,7 @@ def test_measured_workload_and_interference_below_bound():
                         f"set {idx} task {i}: workload {observed} in a "
                         f"{hi - lo} window exceeds bound {bound}")
                     checked_workload += 1
-                    measured_i = sim.critical_interference(res, job, chain,
-                                                           by_task=i)
-                    assert measured_i <= bound
+                    assert measured[i] <= bound
                     checked_interference += 1
     assert collected == 25
     assert checked_workload > 500 and checked_interference > 500

@@ -81,6 +81,19 @@ class TestMalformedInput:
         assert run(argv) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["sweep"], {"points": [1.0], "sets": 3}),
+        (["generate", "--util", "1", "--procs", "4"], {"n_rang": [3, 5]}),
+        (["sweep"], [1, 2]),
+        (["generate", "--util", "1", "--procs", "4"], None),
+    ], ids=["sweep-unknown-key", "generate-unknown-key", "non-object", "missing-file"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "config.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        assert run(argv + ["--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_analyze_negative_procs_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ts.json"
         path.write_text(json.dumps(one_task_doc()))

@@ -1,11 +1,16 @@
 """Discrete-event G-FP simulator, critical chains and interference."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_dag
+import dagsched
 from dagsched import sim
 from dagsched.dag import Dag, DagTask, TaskSet, span
 from dagsched.errors import SimulationError
@@ -15,6 +20,77 @@ from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 def single_task_set(task, m):
     return TaskSet([task], m)
+
+
+def reference_audit(res):
+    """The quadratic audit: rebuilds the running and waiting sets from every
+    segment and every subtask at each event point."""
+    by_proc = {}
+    for seg in res.segments:
+        by_proc.setdefault(seg.proc, []).append(seg)
+    for proc, segs in by_proc.items():
+        segs.sort(key=lambda s: s.start)
+        for a, b in zip(segs, segs[1:]):
+            assert a.end <= b.start, f"processor {proc} overlaps: {a} / {b}"
+
+    job_map = {(j.task_index, j.job_index): j for j in res.jobs}
+    for seg in res.segments:
+        job = job_map[(seg.task_index, seg.job_index)]
+        ready = job.subtask_ready[seg.subtask]
+        assert ready is not None and seg.start >= ready, \
+            f"segment {seg} starts before readiness {ready}"
+        dag = res.taskset.tasks[seg.task_index].dag
+        for p in dag.preds[seg.subtask]:
+            comp = job.subtask_completion[p]
+            assert comp is not None and seg.start >= comp, \
+                f"segment {seg} starts before predecessor {p} completes"
+
+    points = sorted({s.start for s in res.segments} | {s.end for s in res.segments}
+                    | {j.release for j in res.jobs})
+    m = res.processors
+
+    def rank(job, v):
+        return (res.taskset.tasks[job.task_index].priority, job.release,
+                job.job_index, v)
+
+    for lo, hi in zip(points, points[1:]):
+        running = {(s.task_index, s.job_index, s.subtask)
+                   for s in res.segments if s.start <= lo and s.end >= hi}
+        waiting = []
+        for job in res.jobs:
+            if job.release > lo:
+                continue
+            for v in range(len(job.exec_times)):
+                ready = job.subtask_ready[v]
+                comp = job.subtask_completion[v]
+                if ready is not None and ready <= lo and (comp is None or comp > lo):
+                    if job.exec_times[v] > 0 and (job.task_index, job.job_index, v) not in running:
+                        waiting.append(rank(job, v))
+        if waiting:
+            assert len(running) == m, \
+                f"work conservation violated in [{lo},{hi}): {len(running)} running"
+            worst_running = max(rank(job_map[(ti, ji)], v) for ti, ji, v in running)
+            assert worst_running < min(waiting), \
+                f"priority inversion in [{lo},{hi})"
+
+
+def with_segments(res, segments):
+    return sim.SimResult(res.taskset, res.processors, res.horizon, segments, res.jobs)
+
+
+def random_mixes(seeds):
+    """Simulated traces of small random task sets under every policy mix."""
+    for seed in seeds:
+        cfg = GenConfig(n_range=(3, 6), wcet_range=(1, 9), seed=seed)
+        rng = np.random.default_rng(seed)
+        ts = assign_priorities_dm(gen_taskset(
+            float(rng.uniform(1.0, 3.0)), int(rng.integers(2, 5)), cfg, rng))
+        horizon = 2 * max(t.period for t in ts.tasks)
+        for release in ("periodic", "sporadic"):
+            for policy in ("wcet", "random"):
+                yield sim.simulate(ts, ts.processors, horizon,
+                                   release_policy=release, exec_policy=policy,
+                                   rng=np.random.default_rng(seed + 1))
 
 
 class TestSimulate:
@@ -104,24 +180,11 @@ class TestInterference:
         with pytest.raises(SimulationError):
             sim.critical_interference(res, res.jobs[0], [0, 2])
 
-    def _random_mixes(self, seeds):
-        for seed in seeds:
-            cfg = GenConfig(n_range=(3, 6), wcet_range=(1, 9), seed=seed)
-            rng = np.random.default_rng(seed)
-            ts = assign_priorities_dm(gen_taskset(
-                float(rng.uniform(1.0, 3.0)), int(rng.integers(2, 5)), cfg, rng))
-            horizon = 2 * max(t.period for t in ts.tasks)
-            for release in ("periodic", "sporadic"):
-                for policy in ("wcet", "random"):
-                    yield sim.simulate(ts, ts.processors, horizon,
-                                       release_policy=release, exec_policy=policy,
-                                       rng=np.random.default_rng(seed + 1))
-
     def test_interference_identity_and_decomposition(self):
         # m * I_k equals the summed per-task processor time, exactly, and the
         # response decomposes into chain execution plus interference
         jobs_checked = 0
-        for res in self._random_mixes(range(12)):
+        for res in random_mixes(range(12)):
             m = res.processors
             for job in res.jobs:
                 if job.completion is None:
@@ -146,7 +209,7 @@ class TestInterference:
                                    rng=np.random.default_rng(m))
                 for job in res.jobs:
                     chain = sim.extract_critical_chain(res, job)
-                    own = sim.critical_interference(res, job, chain, by_task=0)
+                    own = sim.interference_by_task(res, job, chain)[0]
                     lhs = sim.chain_execution(res, job, chain) + Fraction(own, m)
                     rhs = task.span + Fraction(task.work - task.span, m)
                     assert lhs <= rhs
@@ -163,3 +226,93 @@ class TestAudit:
                                release_policy="sporadic", exec_policy="random",
                                rng=local)
             sim.audit_trace(res)
+
+    @staticmethod
+    def _chain_trace(m=1):
+        task = DagTask(Dag([3, 4, 2], [(0, 1), (1, 2)]), 9, 9)
+        return sim.simulate(single_task_set(task, m), m, 9)
+
+    def test_rejects_processor_overlap(self):
+        res = self._chain_trace()
+        first = res.segments[0]
+        bad = with_segments(res, res.segments + [replace(first, start=first.end - 1,
+                                                         end=first.end + 1)])
+        with pytest.raises(AssertionError, match="overlaps"):
+            sim.audit_trace(bad)
+
+    def test_rejects_segment_before_ready(self):
+        res = self._chain_trace()
+        res.jobs[0].subtask_ready[1] += 1
+        with pytest.raises(AssertionError, match="before readiness"):
+            sim.audit_trace(res)
+
+    def test_rejects_segment_before_predecessor_completes(self):
+        res = self._chain_trace()
+        res.jobs[0].subtask_completion[0] += 1
+        with pytest.raises(AssertionError, match="before predecessor 0 completes"):
+            sim.audit_trace(res)
+
+    def test_rejects_idle_processor_while_subtask_waits(self):
+        task = DagTask(Dag([2, 2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, 2), 2, 10)
+        assert len(res.segments) == 2
+        with pytest.raises(AssertionError, match="work conservation"):
+            sim.audit_trace(with_segments(res, res.segments[:1]))
+
+    def test_rejects_priority_inversion(self):
+        one = DagTask(Dag([2], []), 10, 10)
+        res = sim.simulate(TaskSet([one, one], 1), 1, 10)
+        high, low = res.segments
+        assert (high.task_index, low.task_index) == (0, 1)
+        swapped = [replace(low, start=high.start, end=high.end),
+                   replace(high, start=low.start, end=low.end)]
+        with pytest.raises(AssertionError, match="priority inversion"):
+            sim.audit_trace(with_segments(res, swapped))
+
+    def test_same_verdict_as_reference_on_mutated_traces(self):
+        rng = np.random.default_rng(47)
+        verdicts = {True: 0, False: 0}
+        for res in random_mixes(range(6)):
+            for _ in range(15):
+                segs = list(res.segments)
+                i = int(rng.integers(len(segs)))
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    del segs[i]
+                elif kind == 1:
+                    d = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                    segs[i] = replace(segs[i], start=segs[i].start + d, end=segs[i].end + d)
+                elif kind == 2:
+                    segs[i] = replace(segs[i], proc=int(rng.integers(res.processors)))
+                else:
+                    segs.append(replace(segs[i], proc=int(rng.integers(res.processors))))
+                bad = with_segments(res, segs)
+                expect = self._passes(reference_audit, bad)
+                assert self._passes(sim.audit_trace, bad) == expect
+                verdicts[expect] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 100
+
+    @staticmethod
+    def _passes(audit, res):
+        try:
+            audit(res)
+        except AssertionError:
+            return False
+        return True
+
+    def test_rejects_overlap_under_optimize_flag(self):
+        # the checks raise explicitly, so they hold when asserts are stripped
+        code = (
+            "from dataclasses import replace\n"
+            "from dagsched import sim\n"
+            "from dagsched.dag import Dag, DagTask, TaskSet\n"
+            "task = DagTask(Dag([3, 4], [(0, 1)]), 9, 9)\n"
+            "res = sim.simulate(TaskSet([task], 1), 1, 9)\n"
+            "res.segments.append(replace(res.segments[0], start=1))\n"
+            "sim.audit_trace(res)\n")
+        src = os.path.dirname(os.path.dirname(dagsched.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "AssertionError: processor 0 overlaps" in proc.stderr

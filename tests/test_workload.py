@@ -245,11 +245,19 @@ class TestInterfering:
     def test_matches_direct_split_evaluation(self, rng):
         # direct evaluation of the capped carry-in + carry-out maximization
         cfg = GenConfig(n_range=(2, 7), wcet_range=(1, 12), seed=0)
+        cases = []
         for _ in range(80):
             task = gen_task(gen_dag(cfg, rng), cfg, rng)
             m = int(rng.integers(1, 17))
             delta = int(rng.integers(0, 2 * task.period))
             r_i = int(rng.integers(task.span, task.deadline + 1))
+            cases.append((task, delta, r_i, m))
+        # a budget above 2*span (13 + 10 - 10 > 2*4) whose balanced split
+        # neither side's work caps (m * 6 < C = 14)
+        fork_join = Dag([1, 2, 2, 2, 2, 2, 2, 1],
+                        [(0, v) for v in range(1, 7)] + [(v, 7) for v in range(1, 7)])
+        cases.append((DagTask(fork_join, 10, 10), 13, 10, 2))
+        for task, delta, r_i, m in cases:
             got = interfering_workload(task, delta, r_i, m)
             assert got == scalar_interfering_workload(task, delta, r_i, m)
 
