@@ -27,6 +27,7 @@ routes are cross-checked exactly in the test suite.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -484,8 +485,9 @@ class WorkCurve:
     LP duality that is  min over flow values phi of  phi*delta +
     penalty(phi),  where penalty(phi) is the total WCET left uncovered by
     phi source-to-sink unit flows; covering a vertex rewards its WCET.
-    The penalties come from a small min-cost flow and the envelope is
-    concave and piecewise linear with integer slopes.
+    The penalties come from a small min-cost flow (`_cover_penalties`) and
+    are the only per-DAG array kept; the envelope is concave and piecewise
+    linear with integer slopes, and `values` tabulates it on demand.
     """
 
     def __init__(self, dag):
@@ -494,27 +496,43 @@ class WorkCurve:
         self.span = ndag.span
         self.penalties = _cover_penalties(ndag)
 
+    def values(self):
+        """obj(0..span) as one int64 array: the lower envelope of the lines
+        phi*delta + penalty(phi)."""
+        phis = np.arange(len(self.penalties), dtype=np.int64)[:, None]
+        deltas = np.arange(self.span + 1, dtype=np.int64)[None, :]
+        return (phis * deltas + np.array(self.penalties, dtype=np.int64)[:, None]).min(axis=0)
+
     def obj(self, delta) -> int:
         if delta <= 0:
             return 0
         if delta >= self.span:
             return self.total
-        return min(phi * delta + pen for phi, pen in enumerate(self.penalties))
+        return int(self.values()[delta])
 
 
 def _cover_penalties(dag):
-    """penalty[phi] = total WCET not covered by a cheapest phi-unit flow."""
+    """penalty[phi] = total WCET not covered by a cheapest phi-unit flow.
+
+    Successive shortest paths with Johnson potentials: the first potentials
+    are the shortest distances from the source on the split graph, which
+    has no residual arcs yet and is acyclic, so they are minus the ASAP
+    start (in-node) and finish (out-node) of each vertex.  Each
+    augmentation runs one Dijkstra on the reduced costs, which stay
+    non-negative once the potentials add the distances it found.
+    """
     n = dag.n
     source, sink = dag.sources()[0], dag.sinks()[0]
     # vertex split: node 2v = in, 2v+1 = out
     graph = [[] for _ in range(2 * n)]  # node -> list of arc ids
-    arcs = []  # [to, cap, cost]
+    head, cap, cost = [], [], []
 
-    def add_arc(u, v, cap, cost):
-        graph[u].append(len(arcs))
-        arcs.append([v, cap, cost])
-        graph[v].append(len(arcs))
-        arcs.append([u, 0, -cost])
+    def add_arc(u, v, capacity, c):  # and its residual twin, id ^ 1
+        graph[u].append(len(head))
+        graph[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((c, -c))
 
     for v in range(n):
         add_arc(2 * v, 2 * v + 1, 1, -dag.wcets[v])
@@ -523,32 +541,36 @@ def _cover_penalties(dag):
         add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
 
     s, t = 2 * source, 2 * sink + 1
+    pot = [-x for start, c in zip(dag.starts, dag.wcets) for x in (start, start + c)]
     penalties = [dag.work]
     for _ in range(dag.work + 2):
-        # Bellman-Ford on the residual network (negative costs, no neg cycles)
+        # every node stays reachable through the uncapped arcs
         dist = [None] * (2 * n)
         parent = [-1] * (2 * n)
         dist[s] = 0
-        for _ in range(2 * n):
-            changed = False
-            for u in range(2 * n):
-                if dist[u] is None:
-                    continue
-                for aid in graph[u]:
-                    to, cap, cost = arcs[aid]
-                    if cap > 0 and (dist[to] is None or dist[u] + cost < dist[to]):
-                        dist[to] = dist[u] + cost
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            base = d + pot[u]
+            for aid in graph[u]:
+                if cap[aid] > 0:
+                    to = head[aid]
+                    nd = base + cost[aid] - pot[to]
+                    if dist[to] is None or nd < dist[to]:
+                        dist[to] = nd
                         parent[to] = aid
-                        changed = True
-            if not changed:
-                break
-        if dist[t] is None or dist[t] >= 0:
+                        heapq.heappush(heap, (nd, to))
+        path_cost = dist[t] + pot[t]  # reduced back to true cost; pot[s] stays 0
+        if path_cost >= 0:
             break
+        pot = [p + d for p, d in zip(pot, dist)]
         node = t
         while node != s:
             aid = parent[node]
-            arcs[aid][1] -= 1
-            arcs[aid ^ 1][1] += 1
-            node = arcs[aid ^ 1][0]
-        penalties.append(penalties[-1] + dist[t])
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            node = head[aid ^ 1]
+        penalties.append(penalties[-1] + path_cost)
     return penalties

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import carryout, rta, sim
 from .dag import load_taskset, normalize_source_sink, taskset_to_dict
-from .errors import DagschedError, SolverLimitError, ValidationError
+from .errors import (
+    DagschedError, SolverLimitError, ValidationError, is_integer, is_number, require,
+)
 from .taskgen import DESK_SCALE, PAPER_SCALE, GenConfig, assign_priorities_dm, gen_taskset
 
 CSV_HEADER = "point,method,ratio,n_sets,warnings,mean_ms"
@@ -63,12 +65,26 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep not in ("util", "procs"):
             raise ValidationError("sweep", "sweep must be 'util' or 'procs'")
+        require(isinstance(self.points, (list, tuple)) and all(map(is_number, self.points)),
+                "points", "a list of numbers")
         if not self.points:
             raise ValidationError("sweep", "sweep grid must be non-empty")
+        require(is_integer(self.processors), "processors", "an integer")
+        require(is_number(self.norm_util), "norm_util", "a number")
+        require(is_integer(self.sets_per_point), "sets_per_point", "an integer")
         if self.sets_per_point < 1:
             raise ValidationError("sweep", "need at least one task set per point")
+        require(isinstance(self.methods, (list, tuple))
+                and all(isinstance(m, str) and m in rta.METHODS for m in self.methods),
+                "methods", f"a list of names from {', '.join(rta.METHODS)}")
+        require(isinstance(self.zero_timing, bool), "zero_timing", "true or false")
+        self.gen_config()  # checks the generator fields and the seed
 
     from_json = classmethod(_load_config)
+
+    def gen_config(self):
+        return GenConfig(edge_prob=self.edge_prob, n_range=self.n_range,
+                         wcet_range=self.wcet_range, beta=self.beta, seed=self.seed)
 
 
 def _point_setup(spec, point):
@@ -81,14 +97,12 @@ def _point_setup(spec, point):
 def run_experiment(spec) -> list:
     """CSV lines (header first) with one row per (grid point, method)."""
     lines = [CSV_HEADER]
+    cfg = spec.gen_config()
     for p_idx, point in enumerate(spec.points):
         total_util, m = _point_setup(spec, point)
         results = {method: [] for method in spec.methods}
         warnings = {method: 0 for method in spec.methods}
         for s_idx in range(spec.sets_per_point):
-            cfg = GenConfig(edge_prob=spec.edge_prob, n_range=spec.n_range,
-                            wcet_range=spec.wcet_range, beta=spec.beta,
-                            seed=spec.seed)
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, p_idx, s_idx)))
             ts = assign_priorities_dm(gen_taskset(total_util, m, cfg, rng))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import heapq
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import PathExplosionError, ValidationError
+from .errors import PathExplosionError, ValidationError, is_integer
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -32,14 +31,7 @@ class Dag:
         self.n = len(self.wcets)
         # deduplicate while keeping a canonical order for serialization
         self.edges = tuple(sorted(set((int(a), int(b)) for a, b in edges)))
-        self.order = validate(self)
-        preds = [[] for _ in range(self.n)]
-        succs = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            preds[b].append(a)
-            succs[a].append(b)
-        self.preds = tuple(map(tuple, preds))
-        self.succs = tuple(map(tuple, succs))
+        self.order, self.preds, self.succs = validate(self)
         self.work = sum(self.wcets)
         self.starts = tuple(asap_start_times(self, self.wcets))
         self.span = max((s + c for s, c in zip(self.starts, self.wcets)), default=0)
@@ -72,7 +64,8 @@ def validate(dag):
     """Check structural rules; raise ValidationError naming the first violated one.
 
     Returns the topological order that takes the smallest ready vertex id
-    first (Kahn's algorithm with a heap).
+    first (Kahn's algorithm with a heap) and the per-vertex ``preds`` and
+    ``succs`` tuples.
     """
     n = dag.n
     for a, b in dag.edges:
@@ -84,11 +77,12 @@ def validate(dag):
     for w in dag.wcets:
         if w < 0:
             raise ValidationError("wcet", "subtask WCETs must be non-negative")
-    indeg = [0] * n
+    preds = [[] for _ in range(n)]
     succs = [[] for _ in range(n)]
     for a, b in dag.edges:
-        indeg[b] += 1
+        preds[b].append(a)
         succs[a].append(b)
+    indeg = [len(p) for p in preds]
     heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
     order = []
     while heap:
@@ -101,7 +95,7 @@ def validate(dag):
     # leftovers mean a cycle
     if len(order) != n:
         raise ValidationError("cycle", "edge set contains a directed cycle")
-    return tuple(order)
+    return tuple(order), tuple(map(tuple, preds)), tuple(map(tuple, succs))
 
 
 def work(dag) -> int:
@@ -274,7 +268,7 @@ def taskset_to_dict(ts) -> dict:
 
 def _integer(value, what):
     """A JSON integer field; floats and booleans are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ValidationError("schema", f"{what} must be an integer, got {value!r}")
     return value
 

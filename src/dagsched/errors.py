@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the type checks of
+configuration fields."""
+
+import numbers
 
 
 class DagschedError(Exception):
@@ -16,6 +19,20 @@ class ValidationError(DagschedError):
     def __init__(self, rule, message):
         super().__init__(message)
         self.rule = rule
+
+
+def is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require(ok, field, expected):
+    """Raise ValidationError ("config") unless ok: `field` must be `expected`."""
+    if not ok:
+        raise ValidationError("config", f"{field} must be {expected}")
 
 
 class PathExplosionError(DagschedError):

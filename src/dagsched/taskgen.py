@@ -3,7 +3,11 @@
 Graphs come from the layered Erdos-Renyi recipe: fix n, draw each forward
 edge of a random vertex ordering with probability p (acyclic by
 construction) and add a minimum number of forward edges to make the graph
-weakly connected.  WCETs are uniform integers; utilization is uniform in
+weakly connected.  The n(n-1)/2 edge draws are taken in one call, in
+row-major order over position pairs i < j (the same stream as one scalar
+draw per pair).  The fix-up links position h - 1 to position h for every
+h > 0 that is the earliest position of its component: all earlier positions
+already form one connected prefix.  WCETs are uniform integers; utilization is uniform in
 [beta, work/span]; the deadline is a normal draw redrawn until it falls in
 [span, period].  Everything is a pure function of (config, seed).
 """
@@ -11,11 +15,12 @@ weakly connected.  WCETs are uniform integers; utilization is uniform in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations, compress
 
 import numpy as np
 
 from .dag import Dag, DagTask, TaskSet
-from .errors import ValidationError
+from .errors import ValidationError, is_integer, is_number, require
 
 UTIL_TOL = 1e-3
 
@@ -29,6 +34,13 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require(is_number(self.edge_prob), "edge_prob", "a number")
+        require(is_number(self.beta), "beta", "a number")
+        for name in ("n_range", "wcet_range"):
+            value = getattr(self, name)
+            require(isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(map(is_integer, value)), name, "a pair of integers")
+        require(is_integer(self.seed) and self.seed >= 0, "seed", "a non-negative integer")
         # edge_prob 0 is allowed as a degenerate probe of the connectivity
         # fix-up (the result is a spanning tree)
         if not 0 <= self.edge_prob <= 1:
@@ -51,17 +63,14 @@ PAPER_SCALE = {"n_range": (10, 20)}
 def gen_dag(config, rng) -> Dag:
     """Random weakly-connected DAG per the Erdos-Renyi recipe above."""
     n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
-    order = [int(v) for v in rng.permutation(n)]
-    pos = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < config.edge_prob:
-                edges.append((order[i], order[j]))
+    order = rng.permutation(n).tolist()
+    # one draw per position pair i < j, in row-major order
+    hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
+    pairs = list(compress(combinations(range(n), 2), hits))
 
-    # connect components with a minimum number of forward edges: walk the
-    # components by earliest position, linking the latest usable vertex of
-    # the merged prefix to the next component's earliest vertex
+    # union-find over positions whose root is the earliest position of its
+    # component; each later component's earliest position h gets the link
+    # (h - 1, h), since every position before h is already connected
     parent = list(range(n))
 
     def find(a):
@@ -70,21 +79,16 @@ def gen_dag(config, rng) -> Dag:
             a = parent[a]
         return a
 
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    comps = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    groups = sorted(comps.values(), key=lambda vs: min(pos[v] for v in vs))
-    merged = groups[0]
-    for nxt in groups[1:]:
-        head = min(nxt, key=lambda v: pos[v])
-        tail = max((v for v in merged if pos[v] < pos[head]), key=lambda v: pos[v])
-        edges.append((tail, head))
-        merged = merged + nxt
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri < rj:
+            parent[rj] = ri
+        else:
+            parent[ri] = rj
+    pairs.extend((h - 1, h) for h in range(1, n) if find(h) == h)
+    edges = [(order[i], order[j]) for i, j in pairs]
 
-    wcets = [int(w) for w in rng.integers(config.wcet_range[0],
-                                          config.wcet_range[1] + 1, size=n)]
+    wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()
     return Dag(wcets, edges)
 
 

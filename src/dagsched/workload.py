@@ -49,9 +49,8 @@ class DagProfile:
         if table is None:
             if self.curve is None:
                 self.curve = WorkCurve(dag)
-            table = np.array(
-                [min(self.curve.obj(d), m * d, dag.work) for d in range(dag.span + 1)],
-                dtype=np.int64)
+            caps = m * np.arange(dag.span + 1, dtype=np.int64)
+            table = np.minimum(np.minimum(self.curve.values(), caps), dag.work)
             self.co[m] = table
         return table
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_dag
 from dagsched.carryout import (
-    WorkCurve, asap_window_workload, brute_force_oracle, build_model,
+    INF_CAP, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle, build_model,
     export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
@@ -133,7 +133,65 @@ class TestSolveExact:
             assert edge.objective == path.objective
 
 
+def reference_cover_penalties(dag):
+    """Min-cost cover penalties by successive shortest paths with a full
+    Bellman-Ford over the residual network per augmentation."""
+    n = dag.n
+    source, sink = dag.sources()[0], dag.sinks()[0]
+    graph = [[] for _ in range(2 * n)]
+    arcs = []  # [to, cap, cost]
+
+    def add_arc(u, v, cap, cost):
+        graph[u].append(len(arcs))
+        arcs.append([v, cap, cost])
+        graph[v].append(len(arcs))
+        arcs.append([u, 0, -cost])
+
+    for v in range(n):
+        add_arc(2 * v, 2 * v + 1, 1, -dag.wcets[v])
+        add_arc(2 * v, 2 * v + 1, INF_CAP, 0)
+    for a, b in dag.edges:
+        add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
+
+    s, t = 2 * source, 2 * sink + 1
+    penalties = [dag.work]
+    for _ in range(dag.work + 2):
+        dist = [None] * (2 * n)
+        parent = [-1] * (2 * n)
+        dist[s] = 0
+        for _ in range(2 * n):
+            changed = False
+            for u in range(2 * n):
+                if dist[u] is None:
+                    continue
+                for aid in graph[u]:
+                    to, cap, cost = arcs[aid]
+                    if cap > 0 and (dist[to] is None or dist[u] + cost < dist[to]):
+                        dist[to] = dist[u] + cost
+                        parent[to] = aid
+                        changed = True
+            if not changed:
+                break
+        if dist[t] is None or dist[t] >= 0:
+            break
+        node = t
+        while node != s:
+            aid = parent[node]
+            arcs[aid][1] -= 1
+            arcs[aid ^ 1][1] += 1
+            node = arcs[aid ^ 1][0]
+        penalties.append(penalties[-1] + dist[t])
+    return penalties
+
+
 class TestWorkCurve:
+    def test_penalties_match_reference(self, rng):
+        for k in range(120):
+            n_max = (6, 20, 60)[k % 3]
+            dag = normalize_source_sink(random_dag(
+                rng, n_max=n_max, wcet_max=(3, 50)[k % 2], p=float(rng.uniform(0.05, 0.5))))
+            assert _cover_penalties(dag) == reference_cover_penalties(dag)
+
     def test_equals_oracle(self, rng):
         for _ in range(150):
             dag = random_dag(rng)

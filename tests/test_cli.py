@@ -76,7 +76,10 @@ class TestMalformedInput:
         ["generate", "--util", "0", "--procs", "4"],
         ["generate", "--util", "1", "--procs", "4", "--edge-prob", "2"],
         ["sweep", "--points", "1.0", "--sets", "-1"],
-    ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative"])
+        ["sweep", "--points", "1.0", "--sets", "1", "--methods", "ilp,foo"],
+        ["generate", "--util", "1", "--procs", "4", "--seed", "-1"],
+    ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative",
+            "sweep-unknown-method", "generate-seed-negative"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert run(argv) == 2
         assert "error" in capsys.readouterr().err
@@ -86,7 +89,11 @@ class TestMalformedInput:
         (["generate", "--util", "1", "--procs", "4"], {"n_rang": [3, 5]}),
         (["sweep"], [1, 2]),
         (["generate", "--util", "1", "--procs", "4"], None),
-    ], ids=["sweep-unknown-key", "generate-unknown-key", "non-object", "missing-file"])
+        (["generate", "--util", "1", "--procs", "2"], {"n_range": 5}),
+        (["generate", "--util", "1", "--procs", "2"], {"edge_prob": "0.2"}),
+        (["sweep"], {"points": [1.0], "sets_per_point": "3"}),
+    ], ids=["sweep-unknown-key", "generate-unknown-key", "non-object", "missing-file",
+            "generate-n-range-scalar", "generate-edge-prob-string", "sweep-sets-string"])
     def test_bad_config_exit_2(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "config.json"
         if doc is not None:

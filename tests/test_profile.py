@@ -1,4 +1,5 @@
-"""Property test of the facts a `Dag` derives once and of its profile tables."""
+"""Property tests of the facts a `Dag` derives once, its profile tables and
+its work curve."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,20 @@ def test_derived_facts_and_profile(case):
     profile = dag.profile
     assert [int(v) for v in profile.ci] == [
         schedule_tail(dag, starts, d) for d in range(length + 1)]
-    curve = WorkCurve(dag)
+    pens = list(enumerate(WorkCurve(dag).penalties))
+    envelope = [min(phi * d + pen for phi, pen in pens) for d in range(length + 1)]
     for m in (1, 2, 3, 16):
         assert [int(v) for v in profile.carry_out(dag, m)] == [
-            min(curve.obj(d), m * d, dag.work) for d in range(length + 1)]
+            min(env, m * d, dag.work) for d, env in enumerate(envelope)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shuffled_dags())
+def test_work_curve_values_concave(case):
+    dag = Dag(*case)
+    vals = WorkCurve(dag).values().tolist()
+    assert len(vals) == dag.span + 1
+    assert vals[0] == 0 and vals[-1] == dag.work
+    steps = [b - a for a, b in zip(vals, vals[1:])]
+    assert all(step >= 0 for step in steps)
+    assert all(a >= b for a, b in zip(steps, steps[1:]))

@@ -1,12 +1,66 @@
 """Random task and task-set generation."""
 
+import numpy as np
+import pytest
+
 from dagsched.dag import span, taskset_to_dict, validate, work
 from dagsched.taskgen import (
     GenConfig, UTIL_TOL, assign_priorities_dm, gen_dag, gen_task, gen_taskset,
 )
 
 
+def reference_gen_dag(config, rng):
+    """`gen_dag` with one scalar draw per edge and a connectivity fix-up that
+    links the latest usable vertex of the merged prefix to each next
+    component's earliest vertex, components sorted by earliest position.
+    Returns the WCETs and the edge set."""
+    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+    order = [int(v) for v in rng.permutation(n)]
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < config.edge_prob:
+                edges.append((order[i], order[j]))
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    groups = sorted(comps.values(), key=lambda vs: min(pos[v] for v in vs))
+    merged = groups[0]
+    for nxt in groups[1:]:
+        head = min(nxt, key=lambda v: pos[v])
+        tail = max((v for v in merged if pos[v] < pos[head]), key=lambda v: pos[v])
+        edges.append((tail, head))
+        merged = merged + nxt
+    wcets = [int(w) for w in rng.integers(config.wcet_range[0],
+                                          config.wcet_range[1] + 1, size=n)]
+    return tuple(wcets), tuple(sorted(set(edges)))
+
+
 class TestGenDag:
+    @pytest.mark.parametrize("fields", [
+        {}, {"n_range": (1, 1)}, {"n_range": (30, 60)}, {"edge_prob": 0.0},
+        {"edge_prob": 1.0}, {"wcet_range": (1, 1)},
+    ], ids=["default", "n-1", "n-30-60", "edge-prob-0", "edge-prob-1", "wcet-1"])
+    def test_matches_reference(self, fields):
+        cfg = GenConfig(**fields)
+        for seed in range(300):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            dag = gen_dag(cfg, rng)
+            assert (dag.wcets, dag.edges) == reference_gen_dag(cfg, ref_rng)
+            assert rng.random() == ref_rng.random()  # same number of draws
+
+
     def test_full_probability_gives_complete_dag(self, rng):
         cfg = GenConfig(edge_prob=1.0, n_range=(5, 5), seed=0)
         dag = gen_dag(cfg, rng)
