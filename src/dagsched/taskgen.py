@@ -6,10 +6,11 @@ construction) and add a minimum number of forward edges to make the graph
 weakly connected.  The n(n-1)/2 edge draws are taken in one call, in
 row-major order over position pairs i < j (the same stream as one scalar
 draw per pair).  The fix-up links position h - 1 to position h for every
-h > 0 that is the earliest position of its component: all earlier positions
-already form one connected prefix.  WCETs are uniform integers; utilization is uniform in
-[beta, work/span]; the deadline is a normal draw redrawn until it falls in
-[span, period].  Everything is a pure function of (config, seed).
+h > 0 that is the earliest position of its component: all earlier
+positions already form one connected prefix.  WCETs are uniform integers;
+utilization is uniform in [beta, work/span]; the deadline is a normal draw
+redrawn until it falls in [span, period].  Everything is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ def gen_dag(config, rng) -> Dag:
 
     for i, j in pairs:
         ri, rj = find(i), find(j)
-        if ri < rj:
-            parent[rj] = ri
-        else:
-            parent[ri] = rj
+        parent[max(ri, rj)] = min(ri, rj)
     pairs.extend((h - 1, h) for h in range(1, n) if find(h) == h)
     edges = [(order[i], order[j]) for i, j in pairs]
 
