@@ -1,4 +1,5 @@
-"""Golden outputs: desk- and paper-scale sweep CSVs and per-set analysis reports.
+"""Golden outputs: desk- and paper-scale sweep CSVs, per-set analysis reports
+and simulation traces.
 
 Any change that alters a bound, a verdict or a CSV byte fails here.  A
 change meant to alter these outputs re-pins the digests and says why.
@@ -7,20 +8,28 @@ change meant to alter these outputs re-pins the digests and says why.
 import hashlib
 import json
 
+from dataclasses import replace
+
 import numpy as np
 
-from dagsched import rta
+from dagsched import rta, sim
 from dagsched.cli import ExperimentSpec, run_experiment
+from dagsched.dag import Dag, TaskSet
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 SWEEP_SHA256 = "57ec116d5d69a206421c2ae0d965ba266896d97acca60df1de2515ec382f6ac2"
 PAPER_SWEEP_SHA256 = "b37b5340cfb766037a5a4aadb2a7b4f284d81879d566043d1f28d4c4757fd77b"
 REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade88"
+TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
 
 # (total utilization, processors, seed) of desk-scale sets: both methods
 # accept, only ilp accepts, and both fail after fixed-point iterations
 ANALYZED_SETS = [(1.0, 4, 8), (2.0, 4, 6), (2.0, 4, 11), (2.0, 8, 10),
                  (3.0, 8, 5), (3.0, 8, 10), (4.0, 16, 6), (4.0, 16, 10)]
+
+# (total utilization, processors, seed) of simulated desk-scale sets; the
+# last one is simulated again with every third WCET set to zero
+SIMULATED_SETS = [(1.0, 1, 3), (1.5, 4, 7), (3.0, 8, 12)]
 
 
 def _sha256(text):
@@ -51,3 +60,34 @@ def test_analysis_reports_digest():
             del doc["wall_time_s"]
             docs.append(doc)
     assert _sha256(json.dumps(docs, sort_keys=True)) == REPORTS_SHA256
+
+
+def _zero_every_third_wcet(ts):
+    tasks = [replace(t, dag=Dag([0 if v % 3 == 0 else w for v, w in enumerate(t.dag.wcets)],
+                                t.dag.edges))
+             for t in ts.tasks]
+    return TaskSet(tasks, ts.processors)
+
+
+def test_simulation_trace_digest():
+    config = GenConfig(n_range=(5, 10))
+    sets = [assign_priorities_dm(gen_taskset(util, m, config, np.random.default_rng(seed)))
+            for util, m, seed in SIMULATED_SETS]
+    sets.append(_zero_every_third_wcet(sets[-1]))
+    docs = []
+    for ts in sets:
+        horizon = 3 * max(t.period for t in ts.tasks)
+        for release in ("periodic", "sporadic"):
+            for policy in ("wcet", "random"):
+                rng = np.random.default_rng(len(docs))
+                res = sim.simulate(ts, ts.processors, horizon, release_policy=release,
+                                   exec_policy=policy, rng=rng)
+                docs.append({
+                    "segments": [(s.proc, s.task_index, s.job_index, s.subtask, s.start, s.end)
+                                 for s in res.segments],
+                    "jobs": [(j.task_index, j.job_index, j.release, j.exec_times,
+                              j.subtask_ready, j.subtask_completion, j.completion)
+                             for j in res.jobs],
+                    "next_draw": int(rng.integers(2**31)),
+                })
+    assert _sha256(json.dumps(docs)) == TRACES_SHA256
