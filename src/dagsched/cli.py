@@ -227,6 +227,7 @@ def _cmd_simulate(args):
         return 2
     if not ts.tasks:
         raise ValidationError("tasks", "the task set is empty: nothing to simulate")
+    require(args.seed >= 0, "--seed", "a non-negative integer")
     rng = np.random.default_rng(args.seed)
     horizon = args.horizon if args.horizon else 3 * max(t.period for t in ts.tasks)
     result = sim.simulate(ts, ts.processors, horizon,

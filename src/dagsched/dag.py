@@ -33,7 +33,8 @@ class Dag:
         self.edges = tuple(sorted(set((int(a), int(b)) for a, b in edges)))
         self.order, self.preds, self.succs = validate(self)
         self.work = sum(self.wcets)
-        self.starts = tuple(asap_start_times(self, self.wcets))
+        # validate has rejected negative WCETs, so the starts need no check
+        self.starts = tuple(_longest_starts(self.order, self.preds, self.wcets))
         self.span = max((s + c for s, c in zip(self.starts, self.wcets)), default=0)
 
     @cached_property
@@ -142,9 +143,20 @@ def asap_start_times(dag, exec_times):
     for v, (x, c) in enumerate(zip(exec_times, dag.wcets)):
         if not (0 <= x <= c):
             raise ValueError(f"exec time {x} of vertex {v} outside [0, {c}]")
-    start = [0] * dag.n
-    for v in dag.order:
-        start[v] = max((start[p] + exec_times[p] for p in dag.preds[v]), default=0)
+    return _longest_starts(dag.order, dag.preds, exec_times)
+
+
+def _longest_starts(order, preds, times):
+    """Longest distance from any source to each vertex, over a topological
+    order, with vertex v weighing times[v]."""
+    start = [0] * len(times)
+    for v in order:
+        best = 0
+        for p in preds[v]:
+            finish = start[p] + times[p]
+            if finish > best:
+                best = finish
+        start[v] = best
     return start
 
 

@@ -2,29 +2,37 @@
 
 All subtasks of a task share its priority; at every instant the m
 highest-ranked ready subtasks run (rank = task priority, then job release,
-then subtask id).  Events happen at integer releases and completions only.
-A subtask drawn with zero execution time completes the instant it becomes
-ready without occupying a processor.
+then job index, then subtask id).  Events happen at integer releases and
+completions only.  One sorted ready queue spans all active jobs: a subtask
+enters it when it becomes ready and leaves it when it completes, and the
+first m entries run.  Every job's execution times are drawn before the run
+starts, in release order; the random policy takes one `rng.integers` call
+for the whole run.  A subtask drawn with zero execution time completes the
+instant it becomes ready without occupying a processor.
 
 The trace records per-processor execution segments in time order, in one
 list and per job.  Critical chains are rebuilt by walking last-completing
 predecessors; critical interference is read from the job's own segments, and
 its split per interfering task takes one pass over the segments that overlap
-the blocked intervals.  `audit_trace` checks a trace in one time sweep and
-raises `AssertionError` on the first violation.
+the blocked intervals.  `audit_trace` numbers the ranks once per job, checks
+a trace in one time sweep and raises `AssertionError` on the first
+violation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import inf
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import SimulationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     proc: int
     task_index: int
@@ -70,6 +78,9 @@ class SimResult:
                 for j in self.jobs if j.completion is not None]
 
 
+_EXEC_RANGE = "execution times must lie in [0, WCET] per subtask"
+
+
 def _release_times(taskset, horizon, policy, rng):
     if isinstance(policy, dict):
         out = {}
@@ -96,36 +107,46 @@ def _release_times(taskset, horizon, policy, rng):
     raise SimulationError(f"unknown release policy {policy!r}")
 
 
-def _draw_exec(task, task_index, job_index, policy, rng):
-    wcets = task.dag.wcets
+def _exec_times(taskset, releases, policy, rng):
+    """Execution times of every released job, in release order.
+
+    ``"random"`` draws each subtask's time uniformly from [0, WCET], in one
+    call for the whole run (the same stream as one scalar draw per subtask
+    in release order).
+    """
+    dags = [taskset.tasks[idx].dag for _, idx, _ in releases]
+    wcets = [w for dag in dags for w in dag.wcets]
     if isinstance(policy, dict):
-        times = policy.get((task_index, job_index), wcets)
+        rows = [tuple(int(x) for x in policy.get((idx, j), dag.wcets))
+                for (_, idx, j), dag in zip(releases, dags)]
+        if any(len(row) != dag.n for row, dag in zip(rows, dags)):
+            raise SimulationError(_EXEC_RANGE)
+        flat = [x for row in rows for x in row]
     elif policy == "wcet":
-        times = wcets
+        flat = wcets
     elif policy == "random":
-        times = tuple(int(rng.integers(0, w + 1)) for w in wcets)
+        flat = rng.integers(0, [w + 1 for w in wcets]).tolist()
     else:
         raise SimulationError(f"unknown execution policy {policy!r}")
-    times = tuple(int(x) for x in times)
-    if len(times) != task.dag.n or any(not 0 <= x <= w for x, w in zip(times, wcets)):
-        raise SimulationError("execution times must lie in [0, WCET] per subtask")
-    return times
+    if not all(0 <= x <= w for x, w in zip(flat, wcets)):
+        raise SimulationError(_EXEC_RANGE)
+    ends = accumulate(dag.n for dag in dags)
+    return [tuple(flat[end - dag.n:end]) for end, dag in zip(ends, dags)]
 
 
 class _ActiveJob:
-    __slots__ = ("job", "dag", "remaining", "pending", "ready", "left")
+    __slots__ = ("job", "dag", "key", "remaining", "pending", "left")
 
-    def __init__(self, job, dag):
+    def __init__(self, job, dag, priority):
         self.job = job
         self.dag = dag
+        self.key = (priority, job.release, job.job_index)
         self.remaining = list(job.exec_times)
-        self.pending = [len(dag.preds[v]) for v in range(dag.n)]
-        self.ready = set()
+        self.pending = [len(p) for p in dag.preds]
         self.left = dag.n
 
     def complete(self, v, now, newly_ready):
         self.job.subtask_completion[v] = now
-        self.ready.discard(v)
         self.left -= 1
         for b in self.dag.succs[v]:
             self.pending[b] -= 1
@@ -133,17 +154,15 @@ class _ActiveJob:
                 self.job.subtask_ready[b] = now
                 newly_ready.append(b)
 
-    def admit_ready(self, vs, now):
-        """Mark subtasks ready; zero-length ones complete instantly."""
+    def admit_ready(self, vs, now, queue):
+        """Queue subtasks that became ready; zero-length ones complete instantly."""
         stack = list(vs)
         while stack:
             v = stack.pop()
             if self.remaining[v] == 0:
-                more = []
-                self.complete(v, now, more)
-                stack.extend(more)
+                self.complete(v, now, stack)
             else:
-                self.ready.add(v)
+                insort(queue, (*self.key, v, self))
         if self.left == 0:
             self.job.completion = now
 
@@ -164,10 +183,13 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         (time, idx, j)
         for idx, times in release_map.items()
         for j, time in enumerate(times))
+    exec_times = _exec_times(taskset, releases, exec_policy, rng)
 
     jobs = []
     segments = []
-    active = []
+    # ready subtasks of all jobs as (priority, release, job_index, v, state),
+    # best first; the first four fields are unique, so state is never compared
+    queue = []
     ptr = 0
     if not releases:
         return SimResult(taskset, m, horizon, segments, jobs)
@@ -176,54 +198,47 @@ def simulate(taskset, m, horizon, release_policy="periodic",
     while True:
         while ptr < len(releases) and releases[ptr][0] == t:
             _, idx, jnum = releases[ptr]
-            ptr += 1
             task = taskset.tasks[idx]
-            exec_times = _draw_exec(task, idx, jnum, exec_policy, rng)
-            job = Job(idx, jnum, t, t + task.deadline, exec_times,
+            job = Job(idx, jnum, t, t + task.deadline, exec_times[ptr],
                       subtask_ready=[None] * task.dag.n,
                       subtask_completion=[None] * task.dag.n)
+            ptr += 1
             jobs.append(job)
-            state = _ActiveJob(job, task.dag)
-            sources = [v for v in range(task.dag.n) if not task.dag.preds[v]]
+            sources = task.dag.sources()
             for v in sources:
                 job.subtask_ready[v] = t
-            state.admit_ready(sources, t)
-            if state.left:
-                active.append(state)
+            _ActiveJob(job, task.dag, task.priority).admit_ready(sources, t, queue)
 
-        ranked = []
-        for state in active:
-            prio = taskset.tasks[state.job.task_index].priority
-            for v in state.ready:
-                ranked.append((prio, state.job.release, state.job.job_index, v, state))
-        ranked.sort(key=lambda r: r[:4])
-        running = ranked[:m]
-
+        running = queue[:m]
         next_release = releases[ptr][0] if ptr < len(releases) else None
         if not running:
             if next_release is None:
                 break
             t = next_release
             continue
-        t_next = t + min(state.remaining[v] for *_, v, state in running)
-        if next_release is not None:
-            t_next = min(t_next, next_release)
-        dt = t_next - t
+        dt = min(state.remaining[v] for _, _, _, v, state in running)
+        if next_release is not None and next_release - t < dt:
+            dt = next_release - t
+        t_next = t + dt
 
         finished = []
         for slot, (_, _, _, v, state) in enumerate(running):
-            seg = Segment(slot, state.job.task_index, state.job.job_index, v, t, t_next)
+            job = state.job
+            seg = Segment(slot, job.task_index, job.job_index, v, t, t_next)
             segments.append(seg)
-            state.job.segments.append(seg)
+            job.segments.append(seg)
             state.remaining[v] -= dt
             if state.remaining[v] == 0:
-                finished.append((state, v))
-        for state, v in finished:
+                finished.append(slot)
+        # the running entries are the queue's head, so drop the finished
+        # ones by position before their successors are queued
+        for slot in reversed(finished):
+            del queue[slot]
+        for slot in finished:
+            _, _, _, v, state = running[slot]
             newly = []
             state.complete(v, t_next, newly)
-            state.admit_ready(newly, t_next)
-            if state.left == 0:
-                active.remove(state)
+            state.admit_ready(newly, t_next, queue)
         t = t_next
 
     return SimResult(taskset, m, horizon, segments, jobs)
@@ -311,42 +326,54 @@ def audit_trace(sim) -> None:
             if a.end > b.start:
                 raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
+    # rank numbers: the jobs in rank order (priority, release, job index),
+    # computed once per job, each followed by its subtask ids; a smaller
+    # number is a higher rank, and a number names one subtask of one job
+    tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
+    base, number = {}, 0
+    for key, job in sorted(job_map.items(), key=lambda kj: (
+            tasks[kj[1].task_index].priority, kj[1].release, kj[1].job_index)):
+        base[key] = number
+        number += len(job.exec_times)
+
+    spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:
-        job = job_map[(seg.task_index, seg.job_index)]
+        key = (seg.task_index, seg.job_index)
+        job = job_map[key]
         ready = job.subtask_ready[seg.subtask]
         if ready is None or seg.start < ready:
             raise AssertionError(f"segment {seg} starts before readiness {ready}")
-        dag = sim.taskset.tasks[seg.task_index].dag
-        for p in dag.preds[seg.subtask]:
+        for p in tasks[seg.task_index].dag.preds[seg.subtask]:
             comp = job.subtask_completion[p]
             if comp is None or seg.start < comp:
                 raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
+        spans.append((seg.start, seg.end, base[key] + seg.subtask))
 
     # priority correctness + work conservation between event points, in one
     # sweep that keeps the running segments and the ready subtasks
     points = sorted({s.start for s in sim.segments} | {s.end for s in sim.segments}
                     | {j.release for j in sim.jobs})
-
-    def rank(job, v):
-        return (sim.taskset.tasks[job.task_index].priority, job.release,
-                job.job_index, v)
-
-    starts = sorted(sim.segments, key=lambda s: s.start, reverse=True)
-    readies = sorted(((max(job.release, r), job.subtask_completion[v], rank(job, v))
-                      for job in sim.jobs for v, r in enumerate(job.subtask_ready)
-                      if r is not None and job.exec_times[v] > 0),
-                     key=lambda e: e[0], reverse=True)
+    spans.sort(key=itemgetter(0))
+    readies = sorted(((max(job.release, r), inf if c is None else c, base[key] + v)
+                      for key, job in job_map.items()
+                      for v, (r, c, x) in enumerate(zip(job.subtask_ready,
+                                                        job.subtask_completion, job.exec_times))
+                      if r is not None and x > 0),
+                     key=itemgetter(0))
     live, ready = [], []
+    i = j = 0
+    n_spans, n_readies = len(spans), len(readies)
     for lo, hi in zip(points, points[1:]):
-        while starts and starts[-1].start <= lo:
-            live.append(starts.pop())
-        while readies and readies[-1][0] <= lo:
-            ready.append(readies.pop())
-        live = [s for s in live if s.end > lo]
-        ready = [e for e in ready if e[1] is None or e[1] > lo]
-        # task priorities are distinct, so a rank names one subtask of one job
-        running = {rank(job_map[(s.task_index, s.job_index)], s.subtask) for s in live}
+        while i < n_spans and spans[i][0] <= lo:
+            live.append(spans[i])
+            i += 1
+        while j < n_readies and readies[j][0] <= lo:
+            ready.append(readies[j])
+            j += 1
+        live = [s for s in live if s[1] > lo]
+        ready = [e for e in ready if e[1] > lo]
+        running = {s[2] for s in live}
         waiting = [e[2] for e in ready if e[2] not in running]
         if waiting:
             if len(running) != sim.processors:

@@ -111,6 +111,12 @@ class TestMalformedInput:
         path.write_text(json.dumps({"tasks": [], "processors": 2}))
         assert run(["simulate", str(path)]) == 2
 
+    def test_simulate_negative_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ts.json"
+        path.write_text(json.dumps(one_task_doc()))
+        assert run(["simulate", str(path), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestDumpModel:
     def _write_set(self, tmp_path):

@@ -1,11 +1,13 @@
-"""Property tests of the facts a `Dag` derives once, its profile tables and
-its work curve."""
+"""Property tests of the facts a `Dag` derives once, its profile tables, its
+work curve and the interfering-workload bound."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagsched.carryout import WorkCurve
-from dagsched.dag import Dag
+from dagsched.dag import Dag, DagTask
+from dagsched.rta import seed_bound
+from dagsched.workload import interfering_workload, melani_workload
 from test_workload import schedule_tail
 
 
@@ -64,3 +66,29 @@ def test_work_curve_values_concave(case):
     steps = [b - a for a, b in zip(vals, vals[1:])]
     assert all(step >= 0 for step in steps)
     assert all(a >= b for a, b in zip(steps, steps[1:]))
+
+
+@st.composite
+def workload_queries(draw):
+    """A task, a processor count, window lengths in increasing order and
+    every response bound of the task from its seed bound to its deadline."""
+    dag = Dag(*draw(shuffled_dags()))
+    m = draw(st.integers(1, 6))
+    lowest = max(dag.span + -(-(dag.work - dag.span) // m), 1)  # the seed bound
+    deadline = draw(st.integers(lowest, lowest + 10))
+    task = DagTask(dag, deadline, draw(st.integers(deadline, deadline + 4)))
+    deltas = sorted(draw(st.sets(st.integers(0, 3 * task.period), min_size=2, max_size=5)))
+    return task, m, deltas, range(seed_bound(task, m), deadline + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(workload_queries())
+def test_interfering_workload_monotone_and_capped(query):
+    task, m, deltas, bounds = query
+    grid = [[interfering_workload(task, delta, r_i, m) for r_i in bounds] for delta in deltas]
+    for delta, row in zip(deltas, grid):
+        assert all(w <= min(m * delta, melani_workload(task, delta, r_i, m))
+                   for r_i, w in zip(bounds, row))
+        assert row == sorted(row)  # non-decreasing in r_i
+    for lower, upper in zip(grid, grid[1:]):
+        assert all(a <= b for a, b in zip(lower, upper))  # and in delta

@@ -74,6 +74,140 @@ def reference_audit(res):
                 f"priority inversion in [{lo},{hi})"
 
 
+def reference_draw_exec(task, task_index, job_index, policy, rng):
+    """One job's execution times, one scalar draw per subtask for "random"."""
+    wcets = task.dag.wcets
+    if isinstance(policy, dict):
+        times = policy.get((task_index, job_index), wcets)
+    elif policy == "wcet":
+        times = wcets
+    elif policy == "random":
+        times = tuple(int(rng.integers(0, w + 1)) for w in wcets)
+    else:
+        raise SimulationError(f"unknown execution policy {policy!r}")
+    times = tuple(int(x) for x in times)
+    if len(times) != task.dag.n or any(not 0 <= x <= w for x, w in zip(times, wcets)):
+        raise SimulationError("execution times must lie in [0, WCET] per subtask")
+    return times
+
+
+class ReferenceActiveJob:
+    __slots__ = ("job", "dag", "remaining", "pending", "ready", "left")
+
+    def __init__(self, job, dag):
+        self.job = job
+        self.dag = dag
+        self.remaining = list(job.exec_times)
+        self.pending = [len(dag.preds[v]) for v in range(dag.n)]
+        self.ready = set()
+        self.left = dag.n
+
+    def complete(self, v, now, newly_ready):
+        self.job.subtask_completion[v] = now
+        self.ready.discard(v)
+        self.left -= 1
+        for b in self.dag.succs[v]:
+            self.pending[b] -= 1
+            if self.pending[b] == 0:
+                self.job.subtask_ready[b] = now
+                newly_ready.append(b)
+
+    def admit_ready(self, vs, now):
+        """Mark subtasks ready; zero-length ones complete instantly."""
+        stack = list(vs)
+        while stack:
+            v = stack.pop()
+            if self.remaining[v] == 0:
+                more = []
+                self.complete(v, now, more)
+                stack.extend(more)
+            else:
+                self.ready.add(v)
+        if self.left == 0:
+            self.job.completion = now
+
+
+def reference_simulate(taskset, m, horizon, release_policy="periodic",
+                       exec_policy="wcet", rng=None):
+    """The rebuild-and-sort simulator: draws each job's execution times at
+    its release and ranks every ready subtask of every active job at every
+    event."""
+    release_map = sim._release_times(taskset, horizon, release_policy, rng)
+    releases = sorted(
+        (time, idx, j)
+        for idx, times in release_map.items()
+        for j, time in enumerate(times))
+
+    jobs = []
+    segments = []
+    active = []
+    ptr = 0
+    if not releases:
+        return sim.SimResult(taskset, m, horizon, segments, jobs)
+    t = releases[0][0]
+
+    while True:
+        while ptr < len(releases) and releases[ptr][0] == t:
+            _, idx, jnum = releases[ptr]
+            ptr += 1
+            task = taskset.tasks[idx]
+            exec_times = reference_draw_exec(task, idx, jnum, exec_policy, rng)
+            job = sim.Job(idx, jnum, t, t + task.deadline, exec_times,
+                          subtask_ready=[None] * task.dag.n,
+                          subtask_completion=[None] * task.dag.n)
+            jobs.append(job)
+            state = ReferenceActiveJob(job, task.dag)
+            sources = [v for v in range(task.dag.n) if not task.dag.preds[v]]
+            for v in sources:
+                job.subtask_ready[v] = t
+            state.admit_ready(sources, t)
+            if state.left:
+                active.append(state)
+
+        ranked = []
+        for state in active:
+            prio = taskset.tasks[state.job.task_index].priority
+            for v in state.ready:
+                ranked.append((prio, state.job.release, state.job.job_index, v, state))
+        ranked.sort(key=lambda r: r[:4])
+        running = ranked[:m]
+
+        next_release = releases[ptr][0] if ptr < len(releases) else None
+        if not running:
+            if next_release is None:
+                break
+            t = next_release
+            continue
+        t_next = t + min(state.remaining[v] for *_, v, state in running)
+        if next_release is not None:
+            t_next = min(t_next, next_release)
+        dt = t_next - t
+
+        finished = []
+        for slot, (_, _, _, v, state) in enumerate(running):
+            seg = sim.Segment(slot, state.job.task_index, state.job.job_index, v, t, t_next)
+            segments.append(seg)
+            state.job.segments.append(seg)
+            state.remaining[v] -= dt
+            if state.remaining[v] == 0:
+                finished.append((state, v))
+        for state, v in finished:
+            newly = []
+            state.complete(v, t_next, newly)
+            state.admit_ready(newly, t_next)
+            if state.left == 0:
+                active.remove(state)
+        t = t_next
+
+    return sim.SimResult(taskset, m, horizon, segments, jobs)
+
+
+def job_facts(res):
+    return [(j.task_index, j.job_index, j.release, j.abs_deadline, j.exec_times,
+             j.subtask_ready, j.subtask_completion, j.completion, j.segments)
+            for j in res.jobs]
+
+
 def with_segments(res, segments):
     return sim.SimResult(res.taskset, res.processors, res.horizon, segments, res.jobs)
 
@@ -123,6 +257,46 @@ class TestSimulate:
                            exec_policy="random", rng=rng)
         for job in res.jobs:
             assert all(0 <= x <= w for x, w in zip(job.exec_times, task.dag.wcets))
+
+    def test_matches_reference_simulator(self):
+        # m from 1 to 16, every release and execution policy, and a third of
+        # the sets with every third WCET zeroed
+        cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 12))
+        zero_wcets = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = 1 + seed % 16
+            ts = assign_priorities_dm(gen_taskset(float(rng.uniform(0.3, 0.4 * m + 0.5)),
+                                                  m, cfg, rng))
+            if seed % 3 == 0:
+                ts = TaskSet([replace(t, dag=Dag([0 if v % 3 == 0 else w
+                                                  for v, w in enumerate(t.dag.wcets)],
+                                                 t.dag.edges))
+                              for t in ts.tasks], m)
+                zero_wcets += 1
+            release = ("periodic", "sporadic")[seed % 2]
+            policy = ("random", "random", "wcet")[seed % 3]
+            horizon = 2 * max(t.period for t in ts.tasks)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sim.simulate(ts, m, horizon, release, policy, got_rng)
+            want = reference_simulate(ts, m, horizon, release, policy, want_rng)
+            assert got.segments == want.segments
+            assert job_facts(got) == job_facts(want)
+            assert got_rng.integers(2**62) == want_rng.integers(2**62)
+        assert zero_wcets > 60
+
+    def test_scripted_exec_times_match_reference(self):
+        ts, m, releases, execs, _ = interference_scenario()
+        got = sim.simulate(ts, m, 120, release_policy=releases, exec_policy=execs)
+        want = reference_simulate(ts, m, 120, releases, execs, np.random.default_rng(0))
+        assert got.segments == want.segments
+        assert job_facts(got) == job_facts(want)
+
+    def test_exec_times_outside_wcet_rejected(self):
+        task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
+        for times in ((0, 4), (-1, 0), (1,), (1, 2, 3)):
+            with pytest.raises(SimulationError, match=r"\[0, WCET\]"):
+                sim.simulate(single_task_set(task, 1), 1, 10, exec_policy={(0, 0): times})
 
     def test_zero_exec_job_completes_at_release(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
