@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import inf
 from operator import itemgetter
 
 import numpy as np
@@ -355,11 +354,9 @@ def audit_trace(sim) -> None:
     points = sorted({s.start for s in sim.segments} | {s.end for s in sim.segments}
                     | {j.release for j in sim.jobs})
     spans.sort(key=itemgetter(0))
-    readies = sorted(((max(job.release, r), inf if c is None else c, base[key] + v)
-                      for key, job in job_map.items()
-                      for v, (r, c, x) in enumerate(zip(job.subtask_ready,
-                                                        job.subtask_completion, job.exec_times))
-                      if r is not None and x > 0),
+    readies = sorted(((max(job.release, r), job.subtask_completion[v], base[key] + v)
+                      for key, job in job_map.items() for v, r in enumerate(job.subtask_ready)
+                      if r is not None and job.exec_times[v] > 0),
                      key=itemgetter(0))
     live, ready = [], []
     i = j = 0
@@ -372,7 +369,7 @@ def audit_trace(sim) -> None:
             ready.append(readies[j])
             j += 1
         live = [s for s in live if s[1] > lo]
-        ready = [e for e in ready if e[1] > lo]
+        ready = [e for e in ready if e[1] is None or e[1] > lo]
         running = {s[2] for s in live}
         waiting = [e[2] for e in ready if e[2] not in running]
         if waiting:

@@ -285,13 +285,6 @@ class TestSimulate:
             assert got_rng.integers(2**62) == want_rng.integers(2**62)
         assert zero_wcets > 60
 
-    def test_scripted_exec_times_match_reference(self):
-        ts, m, releases, execs, _ = interference_scenario()
-        got = sim.simulate(ts, m, 120, release_policy=releases, exec_policy=execs)
-        want = reference_simulate(ts, m, 120, releases, execs, np.random.default_rng(0))
-        assert got.segments == want.segments
-        assert job_facts(got) == job_facts(want)
-
     def test_exec_times_outside_wcet_rejected(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         for times in ((0, 4), (-1, 0), (1,), (1, 2, 3)):
