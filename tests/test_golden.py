@@ -1,5 +1,5 @@
-"""Golden outputs: desk- and paper-scale sweep CSVs, per-set analysis reports
-and simulation traces.
+"""Golden outputs: desk- and paper-scale sweep CSVs, per-set analysis reports,
+simulation traces, carry-out model exports and exact carry-out solves.
 
 Any change that alters a bound, a verdict or a CSV byte fails here.  A
 change meant to alter these outputs re-pins the digests and says why.
@@ -12,15 +12,21 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import random_dag
 from dagsched import rta, sim
+from dagsched.carryout import build_model, export_model, solve_exact
 from dagsched.cli import ExperimentSpec, run_experiment
-from dagsched.dag import Dag, TaskSet
-from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
+from dagsched.dag import Dag, TaskSet, normalize_source_sink
+from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_dag, gen_taskset
 
 SWEEP_SHA256 = "57ec116d5d69a206421c2ae0d965ba266896d97acca60df1de2515ec382f6ac2"
 PAPER_SWEEP_SHA256 = "b37b5340cfb766037a5a4aadb2a7b4f284d81879d566043d1f28d4c4757fd77b"
 REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade88"
 TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
+MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1f31b92ad"
+EXACT_SOLVES_SHA256 = "f8888df3c758cfd9cfede8be942e5a3e2311165c8d7f4e7f050df9b3b5e6fbd1"
+
+FORMULATIONS = ("edge-recursive", "path-enumerated")
 
 # (total utilization, processors, seed) of desk-scale sets: both methods
 # accept, only ilp accepts, and both fail after fixed-point iterations
@@ -91,3 +97,32 @@ def test_simulation_trace_digest():
                     "next_draw": int(rng.integers(2**31)),
                 })
     assert _sha256(json.dumps(docs)) == TRACES_SHA256
+
+
+def test_model_export_digest():
+    # LP and MPS text at windows 1, span // 2 and span (all >= 1) of small
+    # random DAGs and desk-scale generated ones
+    rng = np.random.default_rng(17)
+    dags = [random_dag(rng, n_max=6, wcet_max=5, wcet_min=1) for _ in range(20)]
+    dags += [gen_dag(GenConfig(n_range=(5, 10)), rng) for _ in range(10)]
+    texts = []
+    for dag in map(normalize_source_sink, dags):
+        for delta in sorted({1, dag.span // 2, dag.span} - {0}):
+            for formulation in FORMULATIONS:
+                model = build_model(dag, delta, formulation)
+                texts += [export_model(model, "lp"), export_model(model, "mps")]
+    assert _sha256("".join(texts)) == MODEL_EXPORTS_SHA256
+
+
+def test_exact_solve_digest():
+    # objective, search effort and witness of solve_exact, including zero
+    # WCETs, span 0 and window 0
+    rng = np.random.default_rng(18)
+    docs = []
+    for k in range(40):
+        dag = normalize_source_sink(random_dag(rng, n_max=5, wcet_max=4))
+        delta = 0 if k % 5 == 0 else int(rng.integers(1, dag.span + 2))
+        res = solve_exact(build_model(dag, delta, FORMULATIONS[k % 2]))
+        docs.append([res.objective, res.nodes, res.pivots,
+                     [res.assignment[a] for a in range(dag.n)]])
+    assert _sha256(json.dumps(docs, sort_keys=True)) == EXACT_SOLVES_SHA256
