@@ -16,7 +16,11 @@ activation binary A_a, with
          S_a >= distance of every source path (start = longest distance)
          S_a <= L, S_source = 0
 
-`solve_exact` solves the model by branch-and-bound on the binaries with an
+`build_model` holds the model as integer arrays built once: one int64
+coefficient matrix over the columns kind*n + a (kinds X, W, S, M, A), a
+per-row `>=` flag and right-hand side, and per-column upper bounds (every
+lower bound is 0).  Variable and row names are built only for LP and MPS
+export.  `solve_exact` solves the model by branch-and-bound on the binaries with an
 exact rational simplex per node.  `brute_force_oracle` enumerates execution
 vectors directly.  `WorkCurve` computes the same optimum for every window
 length through an equivalent reformulation (maximum total work whose
@@ -29,15 +33,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import floor, prod
 
 import numpy as np
 
 from . import simplex
-from .dag import Dag, asap_start_times, enumerate_paths, normalize_source_sink
+from .dag import (
+    DEFAULT_PATH_CAP, Dag, asap_start_times, enumerate_paths, normalize_source_sink,
+)
 from .errors import OracleLimitError, SolverLimitError, ValidationError
 
 ORACLE_GUARD = 10**6
@@ -100,35 +104,44 @@ def brute_force_oracle(dag, delta_co, guard=ORACLE_GUARD) -> int:
 # --------------------------------------------------------------------------
 # Model construction and export
 
-@dataclass
-class Row:
-    name: str
-    coeffs: dict
-    sense: str  # "<=" or ">="
-    rhs: int
+KINDS = "XWSMA"
+X, W, S, M, A = range(len(KINDS))  # column kind * n + a is variable KINDS[kind]{a}
 
 
 @dataclass
 class CarryOutModel:
-    wcets: tuple
-    edges: tuple
+    """The carry-out model as integer arrays over the columns kind * n + a.
+
+    Row i reads  coeffs[i] . x >= rhs[i]  where geq[i], else  <= rhs[i].
+    Every column j lies in [0, ub[j]], the A columns are binary, and the
+    objective is the sum of the W columns.  Names exist only for export.
+    """
+
+    dag: Dag
     delta_co: int
-    span: int
-    source: int
-    sink: int
     formulation: str
-    variables: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)      # var -> (lb, ub or None)
-    binaries: list = field(default_factory=list)
-    objective: dict = field(default_factory=dict)   # var -> coefficient
+    coeffs: np.ndarray     # (rows, 5n) int64
+    geq: np.ndarray        # (rows,) bool
+    rhs: np.ndarray        # (rows,) int64
+    row_names: list
+    ub: np.ndarray         # (5n,) int64
 
     @property
     def n(self):
-        return len(self.wcets)
+        return self.dag.n
+
+    @property
+    def variables(self):
+        return [f"{kind}{a}" for kind in KINDS for a in range(self.n)]
+
+    @property
+    def objective(self):
+        """Objective coefficient per column: 1 on every W, 0 elsewhere."""
+        return np.repeat(np.array([kind == "W" for kind in KINDS], dtype=np.int64), self.n)
 
 
-def build_model(dag, delta_co, formulation="edge-recursive", path_cap=None) -> CarryOutModel:
+def build_model(dag, delta_co, formulation="edge-recursive",
+                path_cap=DEFAULT_PATH_CAP) -> CarryOutModel:
     """Linear model whose optimum bounds the carry-out workload.
 
     Requires a normalized (single-source, single-sink) DAG.  The
@@ -144,47 +157,45 @@ def build_model(dag, delta_co, formulation="edge-recursive", path_cap=None) -> C
     if formulation not in ("edge-recursive", "path-enumerated"):
         raise ValueError(f"unknown formulation {formulation!r}")
 
-    length = dag.span
-    model = CarryOutModel(
-        wcets=dag.wcets, edges=dag.edges, delta_co=int(delta_co), span=length,
-        source=sources[0], sink=sinks[0], formulation=formulation)
+    n, length, delta = dag.n, dag.span, int(delta_co)
+    names, geq, rhs, entries = [], [], [], []  # entries: (row, column, coefficient)
 
-    n = dag.n
-    for kind in "XWSMA":
-        model.variables.extend(f"{kind}{a}" for a in range(n))
-    model.binaries = [f"A{a}" for a in range(n)]
-    model.objective = {f"W{a}": 1 for a in range(n)}
+    def add(name, terms, b=0, at_least=False):
+        entries.extend((len(names), kind * n + a, coef) for kind, a, coef in terms)
+        names.append(name)
+        geq.append(at_least)
+        rhs.append(b)
 
     for a in range(n):
-        model.bounds[f"X{a}"] = (0, dag.wcets[a])
-        model.bounds[f"W{a}"] = (0, dag.wcets[a])          # implied by W <= X
-        model.bounds[f"S{a}"] = (0, 0) if a == sources[0] else (0, length)
-        model.bounds[f"M{a}"] = (0, max(delta_co, 0))      # implied by M <= A*delta
-        model.bounds[f"A{a}"] = (0, 1)
-
-    for a in range(n):
-        model.rows.append(Row(f"c2_{a}", {f"W{a}": 1, f"X{a}": -1}, "<=", 0))
-        model.rows.append(Row(f"c6_{a}", {f"W{a}": 1, f"M{a}": -1}, "<=", 0))
+        add(f"c2_{a}", [(W, a, 1), (X, a, -1)])
+        add(f"c6_{a}", [(W, a, 1), (M, a, -1)])
         # M <= delta - S + (1 - A)*span, linearized big-M form
-        model.rows.append(Row(
-            f"c8a_{a}", {f"M{a}": 1, f"S{a}": 1, f"A{a}": length}, "<=", delta_co + length))
-        model.rows.append(Row(f"c8b_{a}", {f"M{a}": 1, f"A{a}": -delta_co}, "<=", 0))
+        add(f"c8a_{a}", [(M, a, 1), (S, a, 1), (A, a, length)], delta + length)
+        add(f"c8b_{a}", [(M, a, 1), (A, a, -delta)])
 
     if formulation == "edge-recursive":
         for b, a in dag.edges:
-            model.rows.append(Row(
-                f"prec_{b}_{a}", {f"S{a}": 1, f"S{b}": -1, f"X{b}": -1}, ">=", 0))
+            add(f"prec_{b}_{a}", [(S, a, 1), (S, b, -1), (X, b, -1)], at_least=True)
     else:
-        kwargs = {} if path_cap is None else {"cap": path_cap}
+        # the sink has the most source paths, so enumerating it first
+        # refuses an explosion before any other vertex is enumerated
+        sink_paths = enumerate_paths(dag, sinks[0], path_cap)
         for a in range(n):
             if a == sources[0]:
                 continue
-            for idx, path in enumerate(enumerate_paths(dag, a, **kwargs)):
-                coeffs = {f"S{a}": 1}
-                for b in path[:-1]:
-                    coeffs[f"X{b}"] = coeffs.get(f"X{b}", 0) - 1
-                model.rows.append(Row(f"dist_{a}_{idx}", coeffs, ">=", 0))
-    return model
+            paths = sink_paths if a == sinks[0] else enumerate_paths(dag, a, path_cap)
+            for idx, path in enumerate(paths):
+                add(f"dist_{a}_{idx}", [(S, a, 1)] + [(X, b, -1) for b in path[:-1]],
+                    at_least=True)
+
+    coeffs = np.zeros((len(names), 5 * n), dtype=np.int64)
+    rows, cols, vals = zip(*entries)
+    np.add.at(coeffs, (rows, cols), vals)
+    s_ub = [0 if a == sources[0] else length for a in range(n)]
+    # W <= C and M <= delta are implied by W <= X and M <= A*delta
+    ub = np.array([*dag.wcets, *dag.wcets, *s_ub, *[delta] * n, *[1] * n], dtype=np.int64)
+    return CarryOutModel(dag, delta, formulation, coeffs, np.array(geq, dtype=bool),
+                         np.array(rhs, dtype=np.int64), names, ub)
 
 
 def export_model(model, fmt="lp") -> str:
@@ -196,92 +207,73 @@ def export_model(model, fmt="lp") -> str:
 
 
 def _export_lp(model) -> str:
+    names = model.variables
+    binaries = A * model.n  # the A columns come last
     out = [f"\\ carry-out workload model: delta_co={model.delta_co}, "
-           f"span={model.span}, formulation={model.formulation}",
+           f"span={model.dag.span}, formulation={model.formulation}",
            "Maximize",
-           " obj: " + " + ".join(sorted(model.objective))]
-    out.append("Subject To")
-    for row in model.rows:
+           " obj: " + " + ".join(sorted(names[j] for j in np.flatnonzero(model.objective))),
+           "Subject To"]
+    for name, row, geq, rhs in zip(model.row_names, model.coeffs, model.geq, model.rhs):
         terms = []
-        for var, coef in sorted(row.coeffs.items()):
+        for var, coef in sorted((names[j], int(row[j])) for j in np.flatnonzero(row)):
             if coef >= 0:
                 terms.append(f"+ {coef} {var}" if terms else f"{coef} {var}")
             else:
                 terms.append(f"- {-coef} {var}")
-        out.append(f" {row.name}: {' '.join(terms)} {row.sense} {row.rhs}")
+        out.append(f" {name}: {' '.join(terms)} {'>=' if geq else '<='} {rhs}")
     out.append("Bounds")
-    for var in model.variables:
-        lb, ub = model.bounds[var]
-        if var in model.binaries:
-            continue
-        if ub is not None and lb == ub:
-            out.append(f" {var} = {lb}")
-        elif ub is not None:
-            out.append(f" {var} <= {ub}")
-    out.append("Binaries")
-    out.append(" " + " ".join(model.binaries))
-    out.append("Generals")
-    out.append(" " + " ".join(v for v in model.variables if v not in model.binaries))
-    out.append("End")
+    for var, ub in zip(names[:binaries], model.ub):
+        out.append(f" {var} = 0" if ub == 0 else f" {var} <= {ub}")
+    out += ["Binaries", " " + " ".join(names[binaries:]),
+            "Generals", " " + " ".join(names[:binaries]), "End"]
     return "\n".join(out) + "\n"
 
 
 def _export_mps(model) -> str:
+    names, rows = model.variables, model.row_names
     lines = ["NAME          CARRYOUT", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
-    for row in model.rows:
-        tag = "L" if row.sense == "<=" else "G"
-        lines.append(f" {tag}  {row.name}")
-    lines.append("COLUMNS")
-    lines.append("    MARKER                 'MARKER'                 'INTORG'")
-    for var in model.variables:
-        entries = []
-        if var in model.objective:
-            entries.append(("OBJ", model.objective[var]))
-        for row in model.rows:
-            if var in row.coeffs:
-                entries.append((row.name, row.coeffs[var]))
+    lines += [f" {'G' if geq else 'L'}  {name}" for name, geq in zip(rows, model.geq)]
+    lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
+    for var, obj, column in zip(names, model.objective, model.coeffs.T):
+        entries = [("OBJ", obj)] if obj else []
+        entries += [(rows[i], column[i]) for i in np.flatnonzero(column)]
         for rname, coef in entries:
             lines.append(f"    {var:<9} {rname:<9} {coef}")
-    lines.append("    MARKER                 'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    for row in model.rows:
-        if row.rhs != 0:
-            lines.append(f"    RHS       {row.name:<9} {row.rhs}")
+    lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
+    lines += [f"    RHS       {name:<9} {rhs}" for name, rhs in zip(rows, model.rhs) if rhs != 0]
     lines.append("BOUNDS")
-    for var in model.variables:
-        lb, ub = model.bounds[var]
-        if var in model.binaries:
+    for j, (var, ub) in enumerate(zip(names, model.ub)):
+        if j >= A * model.n:
             lines.append(f" BV BND       {var}")
-        elif ub is not None and lb == ub:
-            lines.append(f" FX BND       {var:<9} {lb}")
+        elif ub == 0:
+            lines.append(f" FX BND       {var:<9} 0")
         else:
-            if lb != 0:
-                lines.append(f" LO BND       {var:<9} {lb}")
-            if ub is not None:
-                lines.append(f" UP BND       {var:<9} {ub}")
+            lines.append(f" UP BND       {var:<9} {ub}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
 def verify_assignment(model, assignment) -> None:
     """Assert an integer assignment satisfies every model constraint."""
-    val = {}
-    for a in range(model.n):
-        entry = assignment[a]
-        for kind in "XWSMA":
-            val[f"{kind}{a}"] = entry[kind]
-    for var in model.variables:
-        lb, ub = model.bounds[var]
-        v = val[var]
-        if v < lb or (ub is not None and v > ub):
-            raise AssertionError(f"{var} = {v} violates bounds [{lb}, {ub}]")
-        if var in model.binaries and v not in (0, 1):
-            raise AssertionError(f"binary {var} = {v}")
-    for row in model.rows:
-        lhs = sum(coef * val[var] for var, coef in row.coeffs.items())
-        ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
-        if not ok:
-            raise AssertionError(f"constraint {row.name} violated: {lhs} {row.sense} {row.rhs}")
+    n = model.n
+    x = np.array([assignment[a][kind] for kind in KINDS for a in range(n)])
+    out_of_bounds = (x < 0) | (x > model.ub)
+    not_binary = np.zeros_like(out_of_bounds)
+    not_binary[A * n:] = (x[A * n:] != 0) & (x[A * n:] != 1)
+    if (out_of_bounds | not_binary).any():
+        j = int(np.argmax(out_of_bounds | not_binary))
+        var = model.variables[j]
+        if out_of_bounds[j]:
+            raise AssertionError(f"{var} = {x[j]} violates bounds [0, {model.ub[j]}]")
+        raise AssertionError(f"binary {var} = {x[j]}")
+    lhs = model.coeffs @ x
+    violated = np.where(model.geq, lhs < model.rhs, lhs > model.rhs)
+    if violated.any():
+        i = int(np.argmax(violated))
+        sense = ">=" if model.geq[i] else "<="
+        raise AssertionError(f"constraint {model.row_names[i]} violated: "
+                             f"{lhs[i]} {sense} {model.rhs[i]}")
 
 
 # --------------------------------------------------------------------------
@@ -293,73 +285,42 @@ class SolveResult:
     assignment: dict
     nodes: int
     pivots: int
-    solve_time: float
 
 
 def _node_lp(model, afix):
-    """Dense LP data (max form, x >= 0, b >= 0) for a node's A fixings."""
-    cols = []
-    fixed = {}
-    ub_override = {}
-    for a in range(model.n):
-        if afix.get(f"A{a}") == 0:
-            # A=0 forces M=0 (and thus W=0 through W <= M)
-            fixed[f"M{a}"] = 0
-            fixed[f"W{a}"] = 0
-        elif afix.get(f"A{a}") == 1:
-            # A=1 requires S <= delta for M >= 0 to be satisfiable
-            lb, ub = model.bounds[f"S{a}"]
-            if ub is not None and ub > model.delta_co >= lb:
-                ub_override[f"S{a}"] = model.delta_co
-    for var in model.variables:
-        lb, ub = model.bounds[var]
-        if var in fixed:
-            continue
-        if var in afix:
-            fixed[var] = afix[var]
-        elif ub is not None and lb == ub:
-            fixed[var] = lb
+    """Dense LP data (max form, x >= 0, b >= 0) for a node's A fixings.
+
+    `afix` maps a vertex to its fixed A.  The LP keeps the columns whose
+    upper bound is positive and that no fixing pins: A = 0 pins A, M and W
+    at 0 (W <= M), and A = 1 pins A and caps S at delta (M >= 0 needs it).
+    Returns the objective, the rows and their right-hand sides over the
+    kept columns, and those columns.  Every pinned W is 0, so the pinned
+    columns add nothing to the objective.
+    """
+    n = model.n
+    keep = model.ub > 0
+    ub = model.ub.copy()
+    value = np.zeros_like(ub)
+    for a, fixed in afix.items():
+        keep[A * n + a] = False
+        if fixed:
+            value[A * n + a] = 1
+            ub[S * n + a] = min(ub[S * n + a], model.delta_co)
         else:
-            cols.append(var)
-    index = {v: j for j, v in enumerate(cols)}
-
-    rows, rhs = [], []
-
-    def add(coeffs, sense, b):
-        const = sum(coef * fixed[v] for v, coef in coeffs.items() if v in fixed)
-        dense = [0] * len(cols)
-        live = False
-        for v, coef in coeffs.items():
-            if v in index:
-                dense[index[v]] = coef
-                live = True
-        b = b - const
-        if sense == ">=":
-            dense = [-c for c in dense]
-            b = -b
-        if not live:
-            if b < 0:
-                raise SolverLimitError("node LP infeasible after substitution")
-            return
-        rows.append(dense)
-        rhs.append(b)
-
-    for row in model.rows:
-        add(row.coeffs, row.sense, row.rhs)
-    for var in cols:
-        lb, ub = model.bounds[var]
-        ub = ub_override.get(var, ub)
-        if ub is not None:
-            add({var: 1}, "<=", ub)
-
-    c = [model.objective.get(v, 0) for v in cols]
-    const = sum(model.objective.get(v, 0) * fixed[v] for v in fixed)
-    return c, rows, rhs, index, const
+            keep[[M * n + a, W * n + a]] = False
+    cols = np.flatnonzero(keep)
+    sign = np.where(model.geq, -1, 1)
+    rows = model.coeffs[:, cols] * sign[:, None]
+    rhs = (model.rhs - model.coeffs @ value) * sign
+    live = rows.any(axis=1)
+    if (rhs[~live] < 0).any():
+        raise SolverLimitError("node LP infeasible after substitution")
+    rows = np.vstack([rows[live], np.eye(len(cols), dtype=np.int64)])
+    return model.objective[cols], rows, np.concatenate([rhs[live], ub[cols]]), cols
 
 
 def _assignment_from_exec(model, exec_times) -> dict:
-    dag = Dag(model.wcets, model.edges)
-    starts = asap_start_times(dag, exec_times)
+    starts = asap_start_times(model.dag, exec_times)
     delta = model.delta_co
     asg = {}
     for a in range(model.n):
@@ -375,13 +336,6 @@ def _assignment_from_exec(model, exec_times) -> dict:
     return asg
 
 
-def _harvest(model, dag, xfrac, delta):
-    """Integer candidate vectors from a (possibly fractional) LP point."""
-    base = [int(floor(x)) for x in xfrac]
-    yield trim_to_window(dag, base, delta)
-    yield base
-
-
 def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
     """Provably optimal integer solution by branch-and-bound on the binaries.
 
@@ -392,11 +346,11 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
     needed; integer witnesses are recovered from the basic solution (with a
     window-trimming repair, and exhaustive search as a last resort).
     """
-    t0 = time.perf_counter()
-    dag = Dag(model.wcets, model.edges)
+    dag = model.dag
+    wcets = dag.wcets
     delta = model.delta_co
-    order = [v for v in dag.order if model.wcets[v] > 0]
-    base_fix = {f"A{a}": 0 for a in range(model.n) if model.wcets[a] == 0}
+    order = [v for v in dag.order if wcets[v] > 0]
+    base_fix = {a: 0 for a in range(model.n) if wcets[a] == 0}
 
     best_val = -1
     best_exec = None
@@ -407,55 +361,53 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
         if v > best_val:
             best_val, best_exec = v, list(exec_times)
 
-    consider(trim_to_window(dag, list(model.wcets), delta))
-    consider(list(model.wcets))
+    consider(trim_to_window(dag, list(wcets), delta))
+    consider(list(wcets))
     for v in order:
         # zeroing one early vertex often unlocks more parallel work
-        probe = list(model.wcets)
+        probe = list(wcets)
         probe[v] = 0
         consider(trim_to_window(dag, probe, delta))
 
     nodes = 0
     pivots = 0
     gap_nodes = 0
-    stack = [dict(base_fix)]
+    stack = [base_fix]
     while stack:
         afix = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise SolverLimitError(f"branch-and-bound exceeded {node_limit} nodes")
-        c, rows, rhs, index, const = _node_lp(model, afix)
+        c, rows, rhs, cols = _node_lp(model, afix)
         lp = simplex.solve_lp_max(c, rows, rhs)
         pivots += lp.pivots
-        bound = lp.value + const
-        if floor(bound) <= best_val:
+        bound = floor(lp.value)
+        if bound <= best_val:
             continue
-        xvec = [0] * model.n
-        for a in range(model.n):
-            name = f"X{a}"
-            xvec[a] = lp.x[index[name]] if name in index else Fraction(0)
-        for cand in _harvest(model, dag, xvec, delta):
-            consider(cand)
-        branch_var = next((f"A{a}" for a in order if f"A{a}" not in afix), None)
-        if branch_var is None:
+        # integer candidates from the LP point: its floored execution times
+        # (the X columns come first), trimmed to the window and as they are
+        xfloor = [0] * model.n
+        for j, x in zip(cols.tolist(), lp.x):
+            if j < model.n:
+                xfloor[j] = floor(x)
+        consider(trim_to_window(dag, xfloor, delta))
+        consider(xfloor)
+        branch = next((a for a in order if a not in afix), None)
+        if branch is None:
             # A-complete: the relaxation optimum is the node optimum, so a
             # leftover gap means the heuristics missed the optimal witness
-            if floor(bound) > best_val:
+            if bound > best_val:
                 gap_nodes += 1
             continue
-        child0 = dict(afix)
-        child0[branch_var] = 0
-        child1 = dict(afix)
-        child1[branch_var] = 1
-        stack.append(child0)
-        stack.append(child1)  # popped first: optimistic A=1 branch
+        stack.append({**afix, branch: 0})
+        stack.append({**afix, branch: 1})  # popped first: optimistic A=1 branch
 
     if gap_nodes:
         # A witness for the optimum escaped the heuristics; recover it
         # exhaustively when the instance is small enough.
-        space = prod(c + 1 for c in model.wcets)
+        space = prod(c + 1 for c in wcets)
         if space <= ORACLE_GUARD:
-            for combo in itertools.product(*[range(c + 1) for c in model.wcets]):
+            for combo in itertools.product(*[range(c + 1) for c in wcets]):
                 v = asap_window_workload(dag, list(combo), delta)
                 if v > best_val:
                     best_val, best_exec = v, list(combo)
@@ -467,7 +419,7 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
     verify_assignment(model, assignment)
     objective = sum(assignment[a]["W"] for a in range(model.n))
     assert objective == best_val
-    return SolveResult(best_val, assignment, nodes, pivots, time.perf_counter() - t0)
+    return SolveResult(best_val, assignment, nodes, pivots)
 
 
 # --------------------------------------------------------------------------

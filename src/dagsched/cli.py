@@ -156,11 +156,7 @@ def _cmd_generate(args):
 
 
 def _cmd_analyze(args):
-    try:
-        ts = load_taskset(args.taskset)
-    except (OSError, json.JSONDecodeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ts = load_taskset(args.taskset)
     if args.procs < 0:
         raise ValidationError("processors", "--procs must be positive (0 keeps the file's count)")
     m = args.procs if args.procs else ts.processors
@@ -197,17 +193,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_dump_model(args):
-    try:
-        ts = load_taskset(args.taskset)
-    except (OSError, json.JSONDecodeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ts = load_taskset(args.taskset)
     if not 0 <= args.task_index < len(ts.tasks):
-        print(f"error: task index {args.task_index} out of range", file=sys.stderr)
-        return 2
+        raise ValidationError("task-index", f"task index {args.task_index} out of range")
     if args.delta < 0:
-        print("error: delta must be non-negative", file=sys.stderr)
-        return 2
+        raise ValidationError("delta", "delta must be non-negative")
     dag = normalize_source_sink(ts.tasks[args.task_index].dag)
     model = carryout.build_model(dag, args.delta, formulation=args.formulation)
     text = carryout.export_model(model, fmt=args.format)
@@ -220,11 +210,7 @@ def _cmd_dump_model(args):
 
 
 def _cmd_simulate(args):
-    try:
-        ts = load_taskset(args.taskset)
-    except (OSError, json.JSONDecodeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ts = load_taskset(args.taskset)
     if not ts.tasks:
         raise ValidationError("tasks", "the task set is empty: nothing to simulate")
     require(args.seed >= 0, "--seed", "a non-negative integer")

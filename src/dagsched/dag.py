@@ -221,9 +221,6 @@ class DagTask:
     def utilization(self):
         return self.work / self.period
 
-    def parallelism(self):
-        return self.work / self.span
-
 
 @dataclass
 class TaskSet:
@@ -297,6 +294,8 @@ def taskset_from_dict(doc) -> TaskSet:
         m = _integer(doc["processors"], "processors")
     except (KeyError, TypeError) as exc:
         raise ValidationError("schema", f"task-set document missing key: {exc}") from exc
+    if not isinstance(raw_tasks, list):
+        raise ValidationError("schema", f"tasks must be a list, got {raw_tasks!r}")
     tasks = []
     for idx, entry in enumerate(raw_tasks):
         where = f"tasks[{idx}]"
@@ -318,5 +317,11 @@ def save_taskset(ts, path) -> None:
 
 
 def load_taskset(path) -> TaskSet:
-    with open(path, encoding="utf-8") as fh:
-        return taskset_from_dict(json.load(fh))
+    """Read a task-set file; an unreadable, non-UTF-8 or non-JSON file is a
+    ValidationError ("file")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers decode and JSON errors
+        raise ValidationError("file", f"cannot read task set {path}: {exc}") from exc
+    return taskset_from_dict(doc)

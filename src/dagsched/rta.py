@@ -63,13 +63,6 @@ class AnalysisReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1)
 
-    def csv_row(self) -> str:
-        return ",".join([
-            self.method, str(self.processors), str(len(self.bounds)),
-            "1" if self.schedulable else "0",
-            f"{self.wall_time_s * 1000:.3f}",
-        ])
-
 
 def response_time_bound(k, taskset, m, workload_fn):
     """Least fixed point for task k, or (None, iterations) once it passes D_k.

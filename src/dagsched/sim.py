@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import SimulationError, is_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +77,7 @@ class SimResult:
                 for j in self.jobs if j.completion is not None]
 
 
-_EXEC_RANGE = "execution times must lie in [0, WCET] per subtask"
+_EXEC_RANGE = "execution times must be integers in [0, WCET] per subtask"
 
 
 def _release_times(taskset, horizon, policy, rng):
@@ -116,11 +116,12 @@ def _exec_times(taskset, releases, policy, rng):
     dags = [taskset.tasks[idx].dag for _, idx, _ in releases]
     wcets = [w for dag in dags for w in dag.wcets]
     if isinstance(policy, dict):
-        rows = [tuple(int(x) for x in policy.get((idx, j), dag.wcets))
-                for (_, idx, j), dag in zip(releases, dags)]
+        rows = [policy.get((idx, j), dag.wcets) for (_, idx, j), dag in zip(releases, dags)]
         if any(len(row) != dag.n for row, dag in zip(rows, dags)):
             raise SimulationError(_EXEC_RANGE)
         flat = [x for row in rows for x in row]
+        if not all(map(is_integer, flat)):  # no silent int() of 2.7 or True
+            raise SimulationError(_EXEC_RANGE)
     elif policy == "wcet":
         flat = wcets
     elif policy == "random":
@@ -302,10 +303,6 @@ def interference_by_task(sim, job, chain) -> dict:
         for seg in segs[first:last]:
             out[seg.task_index] += min(seg.end, b) - max(seg.start, a)
     return out
-
-
-def chain_execution(sim, job, chain) -> int:
-    return sum(job.exec_times[v] for v in chain)
 
 
 # --------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_criterion_5_interference_identities():
                 total = sim.critical_interference(res, job, chain)
                 per_task = sim.interference_by_task(res, job, chain)
                 assert sum(per_task.values()) == m * total          # Eq. identity
-                assert sim.chain_execution(res, job, chain) + total == job.response
+                assert sum(job.exec_times[v] for v in chain) + total == job.response
                 jobs += 1
     assert jobs > 400
 

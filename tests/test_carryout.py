@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_dag
 from dagsched.carryout import (
-    INF_CAP, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle, build_model,
-    export_model, solve_exact, trim_to_window, verify_assignment,
+    INF_CAP, A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
+    build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
 from dagsched.workload import DagProfile, interfering_workload
@@ -46,16 +46,19 @@ class TestBuildModel:
     def test_single_vertex_structure(self):
         model = build_model(Dag([5], []), 3)
         assert sorted(model.variables) == ["A0", "M0", "S0", "W0", "X0"]
-        assert model.objective == {"W0": 1}
-        assert model.bounds["X0"] == (0, 5)
-        assert model.binaries == ["A0"]
+        assert model.objective.tolist() == [0, 1, 0, 0, 0]  # W0 only
+        assert model.ub[X] == 5
+        assert model.variables[A:] == ["A0"] and model.ub[A:].tolist() == [1]
 
     def test_chain_edge_constraint(self):
         model = build_model(Dag([3, 4], [(0, 1)]), 5)
-        assert len(model.binaries) == 2
-        prec = [r for r in model.rows if r.name == "prec_0_1"]
-        assert prec and prec[0].coeffs == {"S1": 1, "S0": -1, "X0": -1}
-        assert prec[0].sense == ">=" and prec[0].rhs == 0
+        binaries = A * model.n
+        assert model.variables[binaries:] == ["A0", "A1"]
+        assert model.ub[binaries:].tolist() == [1, 1]
+        i = model.row_names.index("prec_0_1")
+        assert {model.variables[j]: model.coeffs[i, j]
+                for j in np.flatnonzero(model.coeffs[i])} == {"S1": 1, "S0": -1, "X0": -1}
+        assert model.geq[i] and model.rhs[i] == 0
 
     def test_path_form_explodes_on_ladder(self):
         wcets = [1]
@@ -376,9 +379,9 @@ class TestExport:
         assert "prec_0_1" in text
 
     def test_mps_cross_solver_equality(self, rng):
-        for _ in range(12):
+        for k in range(13):
             dag = normalize_source_sink(random_dag(rng, n_max=4, wcet_min=1))
-            delta = int(rng.integers(0, span(dag) + 1))
+            delta = 0 if k == 12 else int(rng.integers(0, span(dag) + 1))
             model = build_model(dag, delta)
             internal = solve_exact(model).objective
             external = _solve_mps_with_milp(export_model(model, fmt="mps"))

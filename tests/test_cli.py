@@ -65,7 +65,9 @@ class TestMalformedInput:
         one_task_doc(vertices=[{"wcet": 2.7}]),
         one_task_doc(vertices=[{"wcet": True}]),
         one_task_doc(processors=2.5),
-    ], ids=["short-edge", "fractional-wcet", "boolean-wcet", "fractional-processors"])
+        {"tasks": 5, "processors": 2},
+    ], ids=["short-edge", "fractional-wcet", "boolean-wcet", "fractional-processors",
+            "tasks-not-a-list"])
     def test_malformed_task_set_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -100,6 +102,15 @@ class TestMalformedInput:
             path.write_text(json.dumps(doc))
         assert run(argv + ["--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["simulate"], ["dump-model", "--task-index", "0", "--delta", "1"],
+    ], ids=["analyze", "simulate", "dump-model"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(one_task_doc()).encode() + b" \xff")
+        assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_analyze_negative_procs_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ts.json"

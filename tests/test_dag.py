@@ -162,7 +162,7 @@ class TestTaskTypes:
     def test_derived_fields(self):
         task = antimonotone_task()
         assert (task.work, task.span) == (13, 8)
-        assert task.utilization() <= task.parallelism()
+        assert task.utilization() <= task.work / task.span
 
     def test_taskset_priorities(self):
         t1 = DagTask(Dag([1], []), 5, 5, priority=0)

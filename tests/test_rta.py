@@ -87,7 +87,6 @@ class TestSchedulabilityTest:
         assert doc["verdict"] == "schedulable"
         assert doc["bounds"] == [4, 10]
         assert len(doc["iterations"]) == 2
-        assert rep.csv_row().startswith("melani,1,2,1,")
 
     def test_bounds_at_least_seed(self, rng):
         cfg = GenConfig(n_range=(3, 7), seed=5)

@@ -287,7 +287,7 @@ class TestSimulate:
 
     def test_exec_times_outside_wcet_rejected(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
-        for times in ((0, 4), (-1, 0), (1,), (1, 2, 3)):
+        for times in ((0, 4), (-1, 0), (1,), (1, 2, 3), (2.7, 3.9), (True, 3)):
             with pytest.raises(SimulationError, match=r"\[0, WCET\]"):
                 sim.simulate(single_task_set(task, 1), 1, 10, exec_policy={(0, 0): times})
 
@@ -360,7 +360,7 @@ class TestInterference:
                 total = sim.critical_interference(res, job, chain)
                 per_task = sim.interference_by_task(res, job, chain)
                 assert sum(per_task.values()) == m * total
-                assert sim.chain_execution(res, job, chain) + total == job.response
+                assert sum(job.exec_times[v] for v in chain) + total == job.response
                 jobs_checked += 1
         assert jobs_checked > 100
 
@@ -377,7 +377,7 @@ class TestInterference:
                 for job in res.jobs:
                     chain = sim.extract_critical_chain(res, job)
                     own = sim.interference_by_task(res, job, chain)[0]
-                    lhs = sim.chain_execution(res, job, chain) + Fraction(own, m)
+                    lhs = sum(job.exec_times[v] for v in chain) + Fraction(own, m)
                     rhs = task.span + Fraction(task.work - task.span, m)
                     assert lhs <= rhs
 
