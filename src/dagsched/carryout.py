@@ -158,6 +158,9 @@ def build_model(dag, delta_co, formulation="edge-recursive",
         raise ValueError(f"unknown formulation {formulation!r}")
 
     n, length, delta = dag.n, dag.span, int(delta_co)
+    # every row's left-hand side stays within delta + 2 * work at any point in bounds
+    if delta + 2 * dag.work >= 2**63:
+        raise ValidationError("wcet", "carry-out model values must fit in 64-bit integers")
     names, geq, rhs, entries = [], [], [], []  # entries: (row, column, coefficient)
 
     def add(name, terms, b=0, at_least=False):
@@ -189,8 +192,8 @@ def build_model(dag, delta_co, formulation="edge-recursive",
                     at_least=True)
 
     coeffs = np.zeros((len(names), 5 * n), dtype=np.int64)
-    rows, cols, vals = zip(*entries)
-    np.add.at(coeffs, (rows, cols), vals)
+    rows, cols, vals = zip(*entries)  # no row names a column twice
+    coeffs[rows, cols] = vals
     s_ub = [0 if a == sources[0] else length for a in range(n)]
     # W <= C and M <= delta are implied by W <= X and M <= A*delta
     ub = np.array([*dag.wcets, *dag.wcets, *s_ub, *[delta] * n, *[1] * n], dtype=np.int64)

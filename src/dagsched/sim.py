@@ -120,7 +120,7 @@ def _exec_times(taskset, releases, policy, rng):
         if any(len(row) != dag.n for row, dag in zip(rows, dags)):
             raise SimulationError(_EXEC_RANGE)
         flat = [x for row in rows for x in row]
-        if not all(map(is_integer, flat)):  # no silent int() of 2.7 or True
+        if not all(map(is_integer, flat)):
             raise SimulationError(_EXEC_RANGE)
     elif policy == "wcet":
         flat = wcets

@@ -60,6 +60,10 @@ class TestBuildModel:
                 for j in np.flatnonzero(model.coeffs[i])} == {"S1": 1, "S0": -1, "X0": -1}
         assert model.geq[i] and model.rhs[i] == 0
 
+    def test_values_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError):
+            build_model(Dag([2**62, 2**62], [(0, 1)]), 1)
+
     def test_path_form_explodes_on_ladder(self):
         wcets = [1]
         edges = []
