@@ -42,7 +42,7 @@ from . import simplex
 from .dag import (
     DEFAULT_PATH_CAP, Dag, asap_start_times, enumerate_paths, normalize_source_sink,
 )
-from .errors import OracleLimitError, SolverLimitError, ValidationError
+from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
 DEFAULT_NODE_LIMIT = 100_000
@@ -149,6 +149,8 @@ def build_model(dag, delta_co, formulation="edge-recursive",
     the path-enumerated form writes one distance constraint per source
     path and may refuse with a path-explosion error.
     """
+    if not is_integer(delta_co):
+        raise ValidationError("delta", f"the carry-out window must be an integer, got {delta_co!r}")
     if delta_co < 0:
         raise ValueError("delta_co must be non-negative")
     sources, sinks = dag.sources(), dag.sinks()

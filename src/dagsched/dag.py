@@ -2,17 +2,18 @@
 
 Time is integral everywhere.  A task's *work* is the sum of its subtask
 WCETs, its *span* the length of a longest precedence chain; constrained
-deadlines require span <= deadline <= period.
+deadlines require span <= deadline <= period.  A task set lists its tasks
+in priority order: a task's priority is its index, 0 the highest.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import PathExplosionError, ValidationError, is_integer
+from .errors import PathExplosionError, ValidationError, as_int
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -20,22 +21,60 @@ DEFAULT_PATH_CAP = 100_000
 class Dag:
     """Immutable DAG over dense vertex ids 0..n-1 with integer WCETs.
 
-    The derived facts are computed once, here: ``order`` (the topological
-    order taking the smallest ready vertex id first), ``preds`` and
-    ``succs``, ``work``, ``span`` and ``starts`` (the ASAP start times at
-    full WCETs).
+    The input is checked once, here: a ValidationError names the first
+    broken rule of "wcet" (non-negative integers, work below 2^63), "edge"
+    (integer endpoints), "dangling-edge", "self-loop" and "cycle"; bools
+    and floats are rejected, numpy integers stored as ints.  The derived
+    facts are computed once, here too: ``order`` (the topological order
+    taking the smallest ready vertex id first), ``preds`` and ``succs``,
+    ``work``, ``span`` and ``starts`` (the ASAP start times at full WCETs).
     """
 
     def __init__(self, wcets, edges):
-        self.wcets = tuple(int(w) for w in wcets)
-        self.n = len(self.wcets)
-        # deduplicate while keeping a canonical order for serialization
-        self.edges = tuple(sorted(set((int(a), int(b)) for a, b in edges)))
-        self.order, self.preds, self.succs = validate(self)
-        self.work = sum(self.wcets)
-        # validate has rejected negative WCETs, so the starts need no check
-        self.starts = tuple(_longest_starts(self.order, self.preds, self.wcets))
-        self.span = max((s + c for s, c in zip(self.starts, self.wcets)), default=0)
+        wcets = tuple(wcets)
+        if not {int}.issuperset(map(type, wcets)):  # bools, floats, numpy integers
+            wcets = tuple(as_int(w, "wcet", f"WCET of vertex {v}") for v, w in enumerate(wcets))
+        self.wcets = wcets
+        self.work = sum(wcets)
+        # the work tables are int64 arrays, hence the bound on the sum
+        if (wcets and min(wcets) < 0) or self.work >= 2**63:
+            raise ValidationError("wcet", "subtask WCETs must be non-negative, their sum below 2^63")
+        self.n = n = len(wcets)
+        pairs = set()
+        for a, b in edges:
+            if type(a) is not int or type(b) is not int:
+                a, b = as_int(a, "edge", "edge endpoint"), as_int(b, "edge", "edge endpoint")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValidationError("dangling-edge", f"edge ({a},{b}) references a vertex outside 0..{n - 1}")
+            if a == b:
+                raise ValidationError("self-loop", f"vertex {a} has a self-loop")
+            pairs.add((a, b))
+        # sorted, so the edges, preds and succs have one canonical order
+        self.edges = tuple(sorted(pairs))
+        preds = [[] for _ in range(n)]
+        succs = [[] for _ in range(n)]
+        for a, b in self.edges:
+            preds[b].append(a)
+            succs[a].append(b)
+        # Kahn's algorithm taking the smallest ready vertex id first
+        indeg = [len(p) for p in preds]
+        heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
+        order = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for b in succs[v]:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    heapq.heappush(heap, b)
+        # leftovers mean a cycle
+        if len(order) != n:
+            raise ValidationError("cycle", "edge set contains a directed cycle")
+        self.order = tuple(order)
+        self.preds = tuple(map(tuple, preds))
+        self.succs = tuple(map(tuple, succs))
+        self.starts = tuple(_longest_starts(self.order, self.preds, wcets))
+        self.span = max((s + c for s, c in zip(self.starts, wcets)), default=0)
 
     @cached_property
     def profile(self):
@@ -59,44 +98,6 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(n={self.n}, work={self.work}, span={self.span})"
-
-
-def validate(dag):
-    """Check structural rules; raise ValidationError naming the first violated one.
-
-    Returns the topological order that takes the smallest ready vertex id
-    first (Kahn's algorithm with a heap) and the per-vertex ``preds`` and
-    ``succs`` tuples.
-    """
-    n = dag.n
-    for a, b in dag.edges:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValidationError("dangling-edge", f"edge ({a},{b}) references a vertex outside 0..{n - 1}")
-    for a, b in dag.edges:
-        if a == b:
-            raise ValidationError("self-loop", f"vertex {a} has a self-loop")
-    for w in dag.wcets:
-        if w < 0:
-            raise ValidationError("wcet", "subtask WCETs must be non-negative")
-    preds = [[] for _ in range(n)]
-    succs = [[] for _ in range(n)]
-    for a, b in dag.edges:
-        preds[b].append(a)
-        succs[a].append(b)
-    indeg = [len(p) for p in preds]
-    heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for b in succs[v]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, b)
-    # leftovers mean a cycle
-    if len(order) != n:
-        raise ValidationError("cycle", "edge set contains a directed cycle")
-    return tuple(order), tuple(map(tuple, preds)), tuple(map(tuple, succs))
 
 
 def work(dag) -> int:
@@ -196,18 +197,19 @@ def enumerate_paths(dag, v, cap=DEFAULT_PATH_CAP):
     return paths
 
 
-@dataclass(eq=False)  # identity semantics: tasks key caches and memo tables
+@dataclass(eq=False)  # identity semantics: two tasks with equal fields stay two tasks
 class DagTask:
-    """A sporadic DAG task with constrained deadline (span <= D <= T)."""
+    """A sporadic DAG task with integer constrained deadline (span <= D <= T)."""
 
     dag: Dag
     deadline: int
     period: int
-    priority: int | None = None
     work: int = field(init=False)
     span: int = field(init=False)
 
     def __post_init__(self):
+        self.deadline = as_int(self.deadline, "deadline", "deadline")
+        self.period = as_int(self.period, "deadline", "period")
         self.work = self.dag.work
         self.span = self.dag.span
         if self.period <= 0 or self.deadline <= 0:
@@ -224,22 +226,15 @@ class DagTask:
 
 @dataclass
 class TaskSet:
-    """Priority-ordered tasks plus processor count; index order = priority order."""
+    """Tasks plus processor count; list order is priority order (index 0 highest)."""
 
     tasks: list
     processors: int
 
     def __post_init__(self):
+        self.processors = as_int(self.processors, "processors", "processor count")
         if self.processors <= 0:
             raise ValidationError("processors", "processor count must be positive")
-        for rank, task in enumerate(self.tasks):
-            if task.priority is None:
-                self.tasks[rank] = replace(task, priority=rank)
-        prios = [t.priority for t in self.tasks]
-        if len(set(prios)) != len(prios):
-            raise ValidationError("priority", "task priorities must be distinct")
-        if prios != sorted(prios):
-            raise ValidationError("priority", "tasks must be listed in priority order")
 
     def __len__(self):
         return len(self.tasks)
@@ -275,23 +270,12 @@ def taskset_to_dict(ts) -> dict:
     }
 
 
-def _integer(value, what):
-    """A JSON integer field; floats and booleans are rejected, not coerced."""
-    if not is_integer(value):
-        raise ValidationError("schema", f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _edge(value, what):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValidationError("schema", f"{what} must be a [src, dst] pair, got {value!r}")
-    return tuple(_integer(v, what) for v in value)
-
-
 def taskset_from_dict(doc) -> TaskSet:
+    """Check the document's shape; `Dag`, `DagTask` and `TaskSet` check the
+    values, and an error in task i is prefixed with "tasks[i]: "."""
     try:
         raw_tasks = doc["tasks"]
-        m = _integer(doc["processors"], "processors")
+        m = doc["processors"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("schema", f"task-set document missing key: {exc}") from exc
     if not isinstance(raw_tasks, list):
@@ -300,13 +284,16 @@ def taskset_from_dict(doc) -> TaskSet:
     for idx, entry in enumerate(raw_tasks):
         where = f"tasks[{idx}]"
         try:
-            wcets = [_integer(v["wcet"], f"{where} wcet") for v in entry["vertices"]]
-            edges = [_edge(e, f"{where} edge") for e in entry["edges"]]
-            deadline = _integer(entry["deadline"], f"{where} deadline")
-            period = _integer(entry["period"], f"{where} period")
-            tasks.append(DagTask(Dag(wcets, edges), deadline, period, priority=idx))
+            wcets = [v["wcet"] for v in entry["vertices"]]
+            edges = entry["edges"]
+            for e in edges:
+                if not isinstance(e, list) or len(e) != 2:
+                    raise ValidationError("schema", f"edge must be a [src, dst] pair, got {e!r}")
+            tasks.append(DagTask(Dag(wcets, edges), entry["deadline"], entry["period"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError("schema", f"{where} malformed: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(exc.rule, f"{where}: {exc}") from exc
     return TaskSet(tasks, m)
 
 

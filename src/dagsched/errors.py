@@ -2,6 +2,7 @@
 configuration fields."""
 
 import numbers
+import operator
 
 
 class DagschedError(Exception):
@@ -12,8 +13,8 @@ class ValidationError(DagschedError):
     """A DAG or task violates a structural rule.
 
     ``rule`` names the first violated rule: "cycle", "dangling-edge",
-    "self-loop", a task-level rule such as "deadline", or an input rule
-    such as "schema".
+    "self-loop", a value rule such as "wcet", "edge" or "deadline", or a
+    document rule such as "schema".
     """
 
     def __init__(self, rule, message):
@@ -23,6 +24,14 @@ class ValidationError(DagschedError):
 
 def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def as_int(value, rule, what):
+    """`value` as a Python int; ValidationError(rule) unless it is an integer
+    (bools and floats are rejected, not coerced)."""
+    if not is_integer(value):
+        raise ValidationError(rule, f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def is_number(value):

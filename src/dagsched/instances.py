@@ -33,11 +33,10 @@ def interference_scenario():
     release_map = {}
     exec_map = {}
     for idx, (release, wcet) in enumerate(bursts):
-        tasks.append(DagTask(Dag([wcet], []), deadline=100, period=100, priority=idx))
+        tasks.append(DagTask(Dag([wcet], []), deadline=100, period=100))
         release_map[idx] = [release]
     analyzed = len(bursts)
     tasks.append(antimonotone_task(deadline=15, period=20))
-    tasks[analyzed] = DagTask(tasks[analyzed].dag, 15, 20, priority=analyzed)
     release_map[analyzed] = [0]
     exec_map[(analyzed, 0)] = (2, 2, 2, 1, 2, 1)
     return TaskSet(tasks, 2), 2, release_map, exec_map, analyzed

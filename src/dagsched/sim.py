@@ -1,8 +1,8 @@
 """Discrete-event simulator for preemptive global fixed-priority scheduling.
 
-All subtasks of a task share its priority; at every instant the m
-highest-ranked ready subtasks run (rank = task priority, then job release,
-then job index, then subtask id).  Events happen at integer releases and
+A task's priority is its index in the task set; at every instant the m
+highest-ranked ready subtasks run (rank = task index, then job index, in
+release order, then subtask id).  Events happen at integer releases and
 completions only.  One sorted ready queue spans all active jobs: a subtask
 enters it when it becomes ready and leaves it when it completes, and the
 first m entries run.  Every job's execution times are drawn before the run
@@ -137,10 +137,10 @@ def _exec_times(taskset, releases, policy, rng):
 class _ActiveJob:
     __slots__ = ("job", "dag", "key", "remaining", "pending", "left")
 
-    def __init__(self, job, dag, priority):
+    def __init__(self, job, dag):
         self.job = job
         self.dag = dag
-        self.key = (priority, job.release, job.job_index)
+        self.key = (job.task_index, job.job_index)
         self.remaining = list(job.exec_times)
         self.pending = [len(p) for p in dag.preds]
         self.left = dag.n
@@ -187,8 +187,8 @@ def simulate(taskset, m, horizon, release_policy="periodic",
 
     jobs = []
     segments = []
-    # ready subtasks of all jobs as (priority, release, job_index, v, state),
-    # best first; the first four fields are unique, so state is never compared
+    # ready subtasks of all jobs as (task_index, job_index, v, state), best
+    # first; the first three fields are unique, so state is never compared
     queue = []
     ptr = 0
     if not releases:
@@ -207,7 +207,7 @@ def simulate(taskset, m, horizon, release_policy="periodic",
             sources = task.dag.sources()
             for v in sources:
                 job.subtask_ready[v] = t
-            _ActiveJob(job, task.dag, task.priority).admit_ready(sources, t, queue)
+            _ActiveJob(job, task.dag).admit_ready(sources, t, queue)
 
         running = queue[:m]
         next_release = releases[ptr][0] if ptr < len(releases) else None
@@ -216,13 +216,13 @@ def simulate(taskset, m, horizon, release_policy="periodic",
                 break
             t = next_release
             continue
-        dt = min(state.remaining[v] for _, _, _, v, state in running)
+        dt = min(state.remaining[v] for _, _, v, state in running)
         if next_release is not None and next_release - t < dt:
             dt = next_release - t
         t_next = t + dt
 
         finished = []
-        for slot, (_, _, _, v, state) in enumerate(running):
+        for slot, (_, _, v, state) in enumerate(running):
             job = state.job
             seg = Segment(slot, job.task_index, job.job_index, v, t, t_next)
             segments.append(seg)
@@ -235,7 +235,7 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         for slot in reversed(finished):
             del queue[slot]
         for slot in finished:
-            _, _, _, v, state = running[slot]
+            _, _, v, state = running[slot]
             newly = []
             state.complete(v, t_next, newly)
             state.admit_ready(newly, t_next, queue)
@@ -322,16 +322,15 @@ def audit_trace(sim) -> None:
             if a.end > b.start:
                 raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
-    # rank numbers: the jobs in rank order (priority, release, job index),
-    # computed once per job, each followed by its subtask ids; a smaller
-    # number is a higher rank, and a number names one subtask of one job
+    # rank numbers: the jobs in rank order (task index, job index), computed
+    # once per job, each followed by its subtask ids; a smaller number is a
+    # higher rank, and a number names one subtask of one job
     tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
     base, number = {}, 0
-    for key, job in sorted(job_map.items(), key=lambda kj: (
-            tasks[kj[1].task_index].priority, kj[1].release, kj[1].job_index)):
+    for key in sorted(job_map):
         base[key] = number
-        number += len(job.exec_times)
+        number += len(job_map[key].exec_times)
 
     spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:

@@ -15,7 +15,7 @@ redrawn until it falls in [span, period].  Everything is a pure function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, compress
 
 import numpy as np
@@ -161,7 +161,6 @@ def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
 
 
 def assign_priorities_dm(taskset) -> TaskSet:
-    """Deadline Monotonic priorities; ties keep generation order (stable)."""
-    ordered = sorted(taskset.tasks, key=lambda t: t.deadline)
-    tasks = [replace(t, priority=rank) for rank, t in enumerate(ordered)]
-    return TaskSet(tasks, taskset.processors)
+    """Deadline Monotonic priorities: the tasks sorted by deadline into a new
+    task set; ties keep generation order (stable)."""
+    return TaskSet(sorted(taskset.tasks, key=lambda t: t.deadline), taskset.processors)

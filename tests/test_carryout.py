@@ -42,6 +42,9 @@ class TestBuildModel:
     def test_requires_normalized(self):
         with pytest.raises(ValidationError):
             build_model(Dag([1, 1], []), 1)
+        for delta in (2.7, True):  # and an integer window
+            with pytest.raises(ValidationError):
+                build_model(Dag([5], []), delta)
 
     def test_single_vertex_structure(self):
         model = build_model(Dag([5], []), 3)
@@ -62,7 +65,7 @@ class TestBuildModel:
 
     def test_values_beyond_int64_rejected(self):
         with pytest.raises(ValidationError):
-            build_model(Dag([2**62, 2**62], [(0, 1)]), 1)
+            build_model(Dag([2**61, 2**61], [(0, 1)]), 1)
 
     def test_path_form_explodes_on_ladder(self):
         wcets = [1]
@@ -261,7 +264,7 @@ class TestCarryOutBound:
 
         monkeypatch.setattr(DagProfile, "__init__", counting_init)
         task = antimonotone_task()
-        copy = replace(task, priority=3)
+        copy = replace(task, deadline=14)
         assert copy.dag is task.dag and copy is not task
         assert interfering_workload(task, 10, 15, 2) == interfering_workload(copy, 10, 15, 2)
         assert task.dag.profile is copy.dag.profile

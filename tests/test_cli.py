@@ -66,8 +66,10 @@ class TestMalformedInput:
         one_task_doc(vertices=[{"wcet": True}]),
         one_task_doc(processors=2.5),
         {"tasks": 5, "processors": 2},
+        {"tasks": [{"period": 10**19, "deadline": 10**19, "vertices": [{"wcet": 10**19}],
+                    "edges": []}] * 2, "processors": 1},
     ], ids=["short-edge", "fractional-wcet", "boolean-wcet", "fractional-processors",
-            "tasks-not-a-list"])
+            "tasks-not-a-list", "wcet-beyond-int64"])
     def test_malformed_task_set_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

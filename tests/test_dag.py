@@ -1,12 +1,15 @@
 """Task-model structure, DAG algorithms and serialization."""
 
+import json
+
+import numpy as np
 import pytest
 
 from conftest import diamond, random_dag
 from dagsched.dag import (
     Dag, DagTask, TaskSet, asap_start_times, count_paths, enumerate_paths,
     load_taskset, normalize_source_sink, save_taskset, span, taskset_from_dict,
-    taskset_to_dict, validate, work,
+    taskset_to_dict, work,
 )
 from dagsched.errors import PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task
@@ -14,7 +17,27 @@ from dagsched.instances import antimonotone_task
 
 class TestValidate:
     def test_single_vertex_valid(self):
-        validate(Dag([3], []))
+        Dag([3], [])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Dag([2.7], []),
+        lambda: Dag([True], []),
+        lambda: Dag([1, 1], [(0.9, 1)]),
+        lambda: Dag([1, 1], [(0, True)]),
+        lambda: DagTask(Dag([3], []), 5.5, 10),
+        lambda: TaskSet([DagTask(Dag([3], []), 5, 10)], 2.0),
+    ], ids=["fractional-wcet", "boolean-wcet", "fractional-endpoint", "boolean-endpoint",
+            "fractional-deadline", "fractional-processors"])
+    def test_non_integer_rejected(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_numpy_integers_stored_as_int(self):
+        dag = Dag(np.array([2, 3], dtype=np.int32), [(np.int64(0), np.int64(1))])
+        assert dag.wcets == (2, 3) and dag.edges == ((0, 1),)
+        assert all(type(x) is int for x in dag.wcets + dag.edges[0])
+        doc = taskset_to_dict(TaskSet([DagTask(dag, 10, 10)], 1))
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_two_cycle_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -164,18 +187,6 @@ class TestTaskTypes:
         assert (task.work, task.span) == (13, 8)
         assert task.utilization() <= task.work / task.span
 
-    def test_taskset_priorities(self):
-        t1 = DagTask(Dag([1], []), 5, 5, priority=0)
-        t2 = DagTask(Dag([1], []), 6, 6, priority=0)
-        with pytest.raises(ValidationError):
-            TaskSet([t1, t2], 2)  # duplicate priorities
-
-    def test_taskset_order_must_match_priority(self):
-        t1 = DagTask(Dag([1], []), 5, 5, priority=1)
-        t2 = DagTask(Dag([1], []), 6, 6, priority=0)
-        with pytest.raises(ValidationError):
-            TaskSet([t1, t2], 2)
-
 
 class TestJson:
     def test_round_trip_identity(self, rng, tmp_path):
@@ -183,7 +194,7 @@ class TestJson:
         for idx in range(4):
             dag = random_dag(rng, wcet_min=1)
             length = span(dag)
-            tasks.append(DagTask(dag, length + 5, length + 9, priority=idx))
+            tasks.append(DagTask(dag, length + 5, length + 9))
         ts = TaskSet(tasks, 4)
         path = tmp_path / "ts.json"
         save_taskset(ts, path)

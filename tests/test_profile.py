@@ -38,6 +38,9 @@ def test_derived_facts_and_profile(case):
         order.append(v)
         placed.add(v)
     assert list(dag.order) == order
+    assert dag.edges == tuple(sorted(set(edges)))
+    assert dag.preds == tuple(tuple(sorted(p)) for p in preds)
+    assert dag.succs == tuple(tuple(sorted({b for a, b in edges if a == v})) for v in range(n))
 
     starts = [0] * n
     for _ in range(n):  # relax every edge until the longest distances settle

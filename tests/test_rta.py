@@ -18,8 +18,8 @@ def two_task_set():
     split yields 4 -> R2=10 fixed.  Simulation confirms response 10 is
     reached (release together, the chain runs [4,10)).
     """
-    high = DagTask(Dag([4], []), 10, 10, priority=0)
-    low = DagTask(Dag([3, 3], [(0, 1)]), 20, 20, priority=1)
+    high = DagTask(Dag([4], []), 10, 10)
+    low = DagTask(Dag([3, 3], [(0, 1)]), 20, 20)
     return TaskSet([high, low], 1)
 
 

@@ -50,8 +50,7 @@ def reference_audit(res):
     m = res.processors
 
     def rank(job, v):
-        return (res.taskset.tasks[job.task_index].priority, job.release,
-                job.job_index, v)
+        return (job.task_index, job.release, job.job_index, v)
 
     for lo, hi in zip(points, points[1:]):
         running = {(s.task_index, s.job_index, s.subtask)
@@ -166,9 +165,9 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
 
         ranked = []
         for state in active:
-            prio = taskset.tasks[state.job.task_index].priority
             for v in state.ready:
-                ranked.append((prio, state.job.release, state.job.job_index, v, state))
+                ranked.append((state.job.task_index, state.job.release,
+                               state.job.job_index, v, state))
         ranked.sort(key=lambda r: r[:4])
         running = ranked[:m]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dagsched.dag import span, taskset_to_dict, validate, work
+from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
 from dagsched.taskgen import (
     GenConfig, UTIL_TOL, assign_priorities_dm, gen_dag, gen_task, gen_taskset,
 )
@@ -81,7 +81,7 @@ class TestGenDag:
         cfg = GenConfig(n_range=(3, 12), seed=0)
         for _ in range(200):
             dag = gen_dag(cfg, rng)
-            validate(dag)  # acyclic, well-formed
+            Dag(dag.wcets, dag.edges)  # acyclic, well-formed
             # weak connectivity via union-find over undirected edges
             parent = list(range(dag.n))
 
@@ -146,15 +146,12 @@ class TestGenTaskset:
 
 class TestDeadlineMonotonic:
     def _mk(self, deadlines):
-        from dagsched.dag import Dag, DagTask, TaskSet
-        tasks = [DagTask(Dag([1], []), d, d + 10, priority=i)
-                 for i, d in enumerate(deadlines)]
+        tasks = [DagTask(Dag([1], []), d, d + 10) for d in deadlines]
         return TaskSet(tasks, 2)
 
     def test_sorts_by_deadline(self):
         ts = assign_priorities_dm(self._mk([30, 10, 20]))
         assert [t.deadline for t in ts.tasks] == [10, 20, 30]
-        assert [t.priority for t in ts.tasks] == [0, 1, 2]
 
     def test_stable_ties(self):
         ts = self._mk([10, 10, 5])
@@ -165,4 +162,4 @@ class TestDeadlineMonotonic:
 
     def test_single_task(self):
         ts = assign_priorities_dm(self._mk([7]))
-        assert len(ts.tasks) == 1 and ts.tasks[0].priority == 0
+        assert len(ts.tasks) == 1
