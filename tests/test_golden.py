@@ -15,7 +15,7 @@ import numpy as np
 from conftest import random_dag
 from dagsched import rta, sim
 from dagsched.carryout import build_model, export_model, solve_exact
-from dagsched.cli import ExperimentSpec, run_experiment
+from dagsched.cli import ExperimentSpec, main as cli_main, run_experiment
 from dagsched.dag import Dag, TaskSet, normalize_source_sink
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_dag, gen_taskset
 
@@ -25,6 +25,7 @@ REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade
 TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
 MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1f31b92ad"
 EXACT_SOLVES_SHA256 = "f8888df3c758cfd9cfede8be942e5a3e2311165c8d7f4e7f050df9b3b5e6fbd1"
+TRACE_OUT_SHA256 = "228f13f89a3870d185903400300931f538da394ee0379cf086fc1142d2d76cd7"
 
 FORMULATIONS = ("edge-recursive", "path-enumerated")
 
@@ -36,6 +37,10 @@ ANALYZED_SETS = [(1.0, 4, 8), (2.0, 4, 6), (2.0, 4, 11), (2.0, 8, 10),
 # (total utilization, processors, seed) of simulated desk-scale sets; the
 # last one is simulated again with every third WCET set to zero
 SIMULATED_SETS = [(1.0, 1, 3), (1.5, 4, 7), (3.0, 8, 12)]
+
+# (total utilization, processors, seed) of `dagsched generate` sets whose
+# `dagsched simulate --trace-out` JSON lines are pinned
+TRACED_CLI_SETS = [(1.5, 2, 8), (2.0, 4, 5), (3.0, 8, 12)]
 
 
 def _sha256(text):
@@ -97,6 +102,22 @@ def test_simulation_trace_digest():
                     "next_draw": int(rng.integers(2**31)),
                 })
     assert _sha256(json.dumps(docs)) == TRACES_SHA256
+
+
+def test_simulate_trace_out_digest(tmp_path, capsys):
+    # the JSON lines `dagsched simulate --trace-out` writes for sporadic
+    # releases and random execution times
+    texts = []
+    for util, m, seed in TRACED_CLI_SETS:
+        path, trace = tmp_path / "ts.json", tmp_path / "trace.jsonl"
+        assert cli_main(["generate", "--util", str(util), "--procs", str(m),
+                         "--seed", str(seed), "--out", str(path)]) == 0
+        assert cli_main(["simulate", str(path), "--release", "sporadic",
+                         "--exec-policy", "random", "--seed", str(seed),
+                         "--trace-out", str(trace)]) == 0
+        texts.append(trace.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert _sha256("".join(texts)) == TRACE_OUT_SHA256
 
 
 def test_model_export_digest():
