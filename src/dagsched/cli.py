@@ -222,9 +222,7 @@ def _cmd_simulate(args):
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             for seg in result.segments:
-                fh.write(json.dumps({
-                    "proc": seg.proc, "task": seg.task_index, "job": seg.job_index,
-                    "subtask": seg.subtask, "start": seg.start, "end": seg.end}) + "\n")
+                fh.write(json.dumps(dict(zip(sim.SEGMENT_FIELDS, seg))) + "\n")
     worst = {}
     for t_idx, _, resp in result.response_times():
         worst[t_idx] = max(worst.get(t_idx, 0), resp)

@@ -220,9 +220,6 @@ class DagTask:
                 f"constrained deadline violated: span {self.span} <= deadline "
                 f"{self.deadline} <= period {self.period} required")
 
-    def utilization(self):
-        return self.work / self.period
-
 
 @dataclass
 class TaskSet:
@@ -235,15 +232,6 @@ class TaskSet:
         self.processors = as_int(self.processors, "processors", "processor count")
         if self.processors <= 0:
             raise ValidationError("processors", "processor count must be positive")
-
-    def __len__(self):
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
-
-    def utilization(self):
-        return sum(t.utilization() for t in self.tasks)
 
 
 # --- JSON schema -----------------------------------------------------------

@@ -11,12 +11,14 @@ for the whole run.  A subtask drawn with zero execution time completes the
 instant it becomes ready without occupying a processor.
 
 The trace records per-processor execution segments in time order, in one
-list and per job.  Critical chains are rebuilt by walking last-completing
-predecessors; critical interference is read from the job's own segments, and
-its split per interfering task takes one pass over the segments that overlap
-the blocked intervals.  `audit_trace` numbers the ranks once per job, checks
-a trace in one time sweep and raises `AssertionError` on the first
-violation.
+list and per job.  A segment is a plain tuple of six ints in
+``SEGMENT_FIELDS`` order, (proc, task, job, subtask, start, end): one tuple
+per running subtask per step, shared by both lists.  Critical chains are
+rebuilt by walking last-completing predecessors; critical interference is
+read from the job's own segments, and its split per interfering task takes
+one pass over the segments that overlap the blocked intervals.
+`audit_trace` numbers the ranks once per job, checks a trace in one time
+sweep and raises `AssertionError` on the first violation.
 """
 
 from __future__ import annotations
@@ -30,15 +32,9 @@ import numpy as np
 
 from .errors import SimulationError, is_integer
 
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    proc: int
-    task_index: int
-    job_index: int
-    subtask: int
-    start: int
-    end: int
+# the fields of a trace segment tuple, in order (also the `--trace-out` keys)
+SEGMENT_FIELDS = ("proc", "task", "job", "subtask", "start", "end")
+_START, _END = itemgetter(4), itemgetter(5)
 
 
 @dataclass
@@ -51,8 +47,8 @@ class Job:
     subtask_ready: list = field(default_factory=list)
     subtask_completion: list = field(default_factory=list)
     completion: int | None = None
-    # this job's Segments in time order (simulate appends them as it runs);
-    # _blocked_intervals relies on the order
+    # this job's segment tuples in time order (simulate appends them as it
+    # runs); _blocked_intervals relies on the order
     segments: list = field(default_factory=list)
 
     @property
@@ -67,8 +63,9 @@ class SimResult:
     taskset: object
     processors: int
     horizon: int
-    # every Segment in time order; one step's segments share [start, end) and
-    # steps do not overlap, so interference_by_task may bisect starts and ends
+    # every segment tuple in time order; one step's segments share
+    # [start, end) and steps do not overlap, so interference_by_task may
+    # bisect starts and ends
     segments: list
     jobs: list
 
@@ -222,11 +219,10 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         t_next = t + dt
 
         finished = []
-        for slot, (_, _, v, state) in enumerate(running):
-            job = state.job
-            seg = Segment(slot, job.task_index, job.job_index, v, t, t_next)
+        for slot, (task_index, job_index, v, state) in enumerate(running):
+            seg = (slot, task_index, job_index, v, t, t_next)
             segments.append(seg)
-            job.segments.append(seg)
+            state.job.segments.append(seg)
             state.remaining[v] -= dt
             if state.remaining[v] == 0:
                 finished.append(slot)
@@ -273,11 +269,11 @@ def _blocked_intervals(sim, job, chain):
     for v in chain:
         if job.subtask_ready[v] != cur:
             raise SimulationError("chain/trace mismatch: ready times do not chain")
-        for seg in job.segments:
-            if seg.subtask == v:
-                if seg.start > cur:
-                    blocked.append((cur, seg.start))
-                cur = seg.end
+        for _, _, _, subtask, start, end in job.segments:
+            if subtask == v:
+                if start > cur:
+                    blocked.append((cur, start))
+                cur = end
         if cur < comp[v]:
             blocked.append((cur, comp[v]))
         cur = comp[v]
@@ -298,10 +294,10 @@ def interference_by_task(sim, job, chain) -> dict:
     out = dict.fromkeys(range(len(sim.taskset.tasks)), 0)
     segs = sim.segments
     for a, b in _blocked_intervals(sim, job, chain):
-        first = bisect_right(segs, a, key=lambda s: s.end)
-        last = bisect_left(segs, b, key=lambda s: s.start)
-        for seg in segs[first:last]:
-            out[seg.task_index] += min(seg.end, b) - max(seg.start, a)
+        first = bisect_right(segs, a, key=_END)
+        last = bisect_left(segs, b, key=_START)
+        for _, task, _, _, start, end in segs[first:last]:
+            out[task] += min(end, b) - max(start, a)
     return out
 
 
@@ -315,11 +311,11 @@ def audit_trace(sim) -> None:
     """
     by_proc = {}
     for seg in sim.segments:
-        by_proc.setdefault(seg.proc, []).append(seg)
+        by_proc.setdefault(seg[0], []).append(seg)
     for proc, segs in by_proc.items():
-        segs.sort(key=lambda s: s.start)
+        segs.sort(key=_START)
         for a, b in zip(segs, segs[1:]):
-            if a.end > b.start:
+            if a[5] > b[4]:
                 raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
     # rank numbers: the jobs in rank order (task index, job index), computed
@@ -334,20 +330,21 @@ def audit_trace(sim) -> None:
 
     spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:
-        key = (seg.task_index, seg.job_index)
+        _, task, jnum, v, start, end = seg
+        key = (task, jnum)
         job = job_map[key]
-        ready = job.subtask_ready[seg.subtask]
-        if ready is None or seg.start < ready:
+        ready = job.subtask_ready[v]
+        if ready is None or start < ready:
             raise AssertionError(f"segment {seg} starts before readiness {ready}")
-        for p in tasks[seg.task_index].dag.preds[seg.subtask]:
+        for p in tasks[task].dag.preds[v]:
             comp = job.subtask_completion[p]
-            if comp is None or seg.start < comp:
+            if comp is None or start < comp:
                 raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
-        spans.append((seg.start, seg.end, base[key] + seg.subtask))
+        spans.append((start, end, base[key] + v))
 
     # priority correctness + work conservation between event points, in one
     # sweep that keeps the running segments and the ready subtasks
-    points = sorted({s.start for s in sim.segments} | {s.end for s in sim.segments}
+    points = sorted({s[0] for s in spans} | {s[1] for s in spans}
                     | {j.release for j in sim.jobs})
     spans.sort(key=itemgetter(0))
     readies = sorted(((max(job.release, r), job.subtask_completion[v], base[key] + v)

@@ -18,6 +18,7 @@ from math import floor
 import numpy as np
 
 from .carryout import WorkCurve
+from .errors import ValidationError
 
 __all__ = ["DagProfile", "carry_in_workload", "melani_workload", "interfering_workload"]
 
@@ -37,9 +38,13 @@ class DagProfile:
     def __init__(self, dag):
         starts = np.array(dag.starts, dtype=np.int64)
         wcets = np.array(dag.wcets, dtype=np.int64)
-        ci = np.arange(dag.span + 1, dtype=np.int64)[:, None]
-        overhang = np.maximum(dag.span - starts[None, :] - ci, 0)
-        self.ci = np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
+        try:
+            ci = np.arange(dag.span + 1, dtype=np.int64)[:, None]
+            overhang = np.maximum(dag.span - starts[None, :] - ci, 0)
+            self.ci = np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
+        except (ValueError, MemoryError):  # numpy refuses span-sized tables
+            raise ValidationError(
+                "span", f"span {dag.span} is too long for the workload tables") from None
         self.curve = None
         self.co = {}
 

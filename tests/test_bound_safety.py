@@ -16,8 +16,8 @@ POLICY_MIX = [("periodic", "wcet"), ("periodic", "random"),
 
 
 def _segment_time_in(segments, task_index, lo, hi):
-    return sum(max(0, min(s.end, hi) - max(s.start, lo))
-               for s in segments if s.task_index == task_index)
+    return sum(max(0, min(end, hi) - max(start, lo))
+               for _, task, _, _, start, end in segments if task == task_index)
 
 
 def test_measured_workload_and_interference_below_bound():

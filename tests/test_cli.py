@@ -68,8 +68,12 @@ class TestMalformedInput:
         {"tasks": 5, "processors": 2},
         {"tasks": [{"period": 10**19, "deadline": 10**19, "vertices": [{"wcet": 10**19}],
                     "edges": []}] * 2, "processors": 1},
+        # numpy refuses the span-sized workload tables before allocating
+        {"tasks": [{"period": 2**62, "deadline": 2**62,
+                    "vertices": [{"wcet": 2**61}, {"wcet": 2**61}], "edges": []}] * 2,
+         "processors": 2},
     ], ids=["short-edge", "fractional-wcet", "boolean-wcet", "fractional-processors",
-            "tasks-not-a-list", "wcet-beyond-int64"])
+            "tasks-not-a-list", "wcet-beyond-int64", "span-sized-tables"])
     def test_malformed_task_set_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -185,7 +185,7 @@ class TestTaskTypes:
     def test_derived_fields(self):
         task = antimonotone_task()
         assert (task.work, task.span) == (13, 8)
-        assert task.utilization() <= task.work / task.span
+        assert task.work / task.period <= task.work / task.span
 
 
 class TestJson:

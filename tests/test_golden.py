@@ -94,8 +94,7 @@ def test_simulation_trace_digest():
                 res = sim.simulate(ts, ts.processors, horizon, release_policy=release,
                                    exec_policy=policy, rng=rng)
                 docs.append({
-                    "segments": [(s.proc, s.task_index, s.job_index, s.subtask, s.start, s.end)
-                                 for s in res.segments],
+                    "segments": res.segments,
                     "jobs": [(j.task_index, j.job_index, j.release, j.exec_times,
                               j.subtask_ready, j.subtask_completion, j.completion)
                              for j in res.jobs],

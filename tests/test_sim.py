@@ -27,25 +27,26 @@ def reference_audit(res):
     segment and every subtask at each event point."""
     by_proc = {}
     for seg in res.segments:
-        by_proc.setdefault(seg.proc, []).append(seg)
+        by_proc.setdefault(seg[0], []).append(seg)
     for proc, segs in by_proc.items():
-        segs.sort(key=lambda s: s.start)
+        segs.sort(key=lambda s: s[4])
         for a, b in zip(segs, segs[1:]):
-            assert a.end <= b.start, f"processor {proc} overlaps: {a} / {b}"
+            assert a[5] <= b[4], f"processor {proc} overlaps: {a} / {b}"
 
     job_map = {(j.task_index, j.job_index): j for j in res.jobs}
     for seg in res.segments:
-        job = job_map[(seg.task_index, seg.job_index)]
-        ready = job.subtask_ready[seg.subtask]
-        assert ready is not None and seg.start >= ready, \
+        _, task, jnum, v, start, _ = seg
+        job = job_map[(task, jnum)]
+        ready = job.subtask_ready[v]
+        assert ready is not None and start >= ready, \
             f"segment {seg} starts before readiness {ready}"
-        dag = res.taskset.tasks[seg.task_index].dag
-        for p in dag.preds[seg.subtask]:
+        dag = res.taskset.tasks[task].dag
+        for p in dag.preds[v]:
             comp = job.subtask_completion[p]
-            assert comp is not None and seg.start >= comp, \
+            assert comp is not None and start >= comp, \
                 f"segment {seg} starts before predecessor {p} completes"
 
-    points = sorted({s.start for s in res.segments} | {s.end for s in res.segments}
+    points = sorted({s[4] for s in res.segments} | {s[5] for s in res.segments}
                     | {j.release for j in res.jobs})
     m = res.processors
 
@@ -53,8 +54,9 @@ def reference_audit(res):
         return (job.task_index, job.release, job.job_index, v)
 
     for lo, hi in zip(points, points[1:]):
-        running = {(s.task_index, s.job_index, s.subtask)
-                   for s in res.segments if s.start <= lo and s.end >= hi}
+        running = {(task, jnum, v)
+                   for _, task, jnum, v, start, end in res.segments
+                   if start <= lo and end >= hi}
         waiting = []
         for job in res.jobs:
             if job.release > lo:
@@ -184,7 +186,7 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
 
         finished = []
         for slot, (_, _, _, v, state) in enumerate(running):
-            seg = sim.Segment(slot, state.job.task_index, state.job.job_index, v, t, t_next)
+            seg = (slot, state.job.task_index, state.job.job_index, v, t, t_next)
             segments.append(seg)
             state.job.segments.append(seg)
             state.remaining[v] -= dt
@@ -280,6 +282,8 @@ class TestSimulate:
             got = sim.simulate(ts, m, horizon, release, policy, got_rng)
             want = reference_simulate(ts, m, horizon, release, policy, want_rng)
             assert got.segments == want.segments
+            assert all(type(seg) is tuple and len(seg) == 6
+                       and all(type(x) is int for x in seg) for seg in got.segments)
             assert job_facts(got) == job_facts(want)
             assert got_rng.integers(2**62) == want_rng.integers(2**62)
         assert zero_wcets > 60
@@ -400,9 +404,8 @@ class TestAudit:
 
     def test_rejects_processor_overlap(self):
         res = self._chain_trace()
-        first = res.segments[0]
-        bad = with_segments(res, res.segments + [replace(first, start=first.end - 1,
-                                                         end=first.end + 1)])
+        proc, task, jnum, v, _, end = res.segments[0]
+        bad = with_segments(res, res.segments + [(proc, task, jnum, v, end - 1, end + 1)])
         with pytest.raises(AssertionError, match="overlaps"):
             sim.audit_trace(bad)
 
@@ -429,9 +432,8 @@ class TestAudit:
         one = DagTask(Dag([2], []), 10, 10)
         res = sim.simulate(TaskSet([one, one], 1), 1, 10)
         high, low = res.segments
-        assert (high.task_index, low.task_index) == (0, 1)
-        swapped = [replace(low, start=high.start, end=high.end),
-                   replace(high, start=low.start, end=low.end)]
+        assert (high[1], low[1]) == (0, 1)
+        swapped = [low[:4] + high[4:], high[:4] + low[4:]]
         with pytest.raises(AssertionError, match="priority inversion"):
             sim.audit_trace(with_segments(res, swapped))
 
@@ -447,11 +449,12 @@ class TestAudit:
                     del segs[i]
                 elif kind == 1:
                     d = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-                    segs[i] = replace(segs[i], start=segs[i].start + d, end=segs[i].end + d)
+                    _, _, _, _, start, end = segs[i]
+                    segs[i] = segs[i][:4] + (start + d, end + d)
                 elif kind == 2:
-                    segs[i] = replace(segs[i], proc=int(rng.integers(res.processors)))
+                    segs[i] = (int(rng.integers(res.processors)),) + segs[i][1:]
                 else:
-                    segs.append(replace(segs[i], proc=int(rng.integers(res.processors))))
+                    segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
                 bad = with_segments(res, segs)
                 expect = self._passes(reference_audit, bad)
                 assert self._passes(sim.audit_trace, bad) == expect
@@ -469,12 +472,11 @@ class TestAudit:
     def test_rejects_overlap_under_optimize_flag(self):
         # the checks raise explicitly, so they hold when asserts are stripped
         code = (
-            "from dataclasses import replace\n"
             "from dagsched import sim\n"
             "from dagsched.dag import Dag, DagTask, TaskSet\n"
             "task = DagTask(Dag([3, 4], [(0, 1)]), 9, 9)\n"
             "res = sim.simulate(TaskSet([task], 1), 1, 9)\n"
-            "res.segments.append(replace(res.segments[0], start=1))\n"
+            "res.segments.append(res.segments[0][:4] + (1, res.segments[0][5]))\n"
             "sim.audit_trace(res)\n")
         src = os.path.dirname(os.path.dirname(dagsched.__file__))
         env = dict(os.environ, PYTHONPATH=src)

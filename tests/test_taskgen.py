@@ -134,7 +134,7 @@ class TestGenTaskset:
         for seed in range(30):
             cfg = GenConfig(n_range=(5, 10), beta=0.2, seed=seed)
             ts = gen_taskset(8.0, 16, cfg)
-            total = sum(t.utilization() for t in ts.tasks)
+            total = sum(t.work / t.period for t in ts.tasks)
             assert abs(total - 8.0) <= UTIL_TOL * 8.0
 
     def test_determinism(self):
