@@ -25,8 +25,9 @@ exact rational simplex per node.  `brute_force_oracle` enumerates execution
 vectors directly.  `WorkCurve` computes the same optimum for every window
 length through an equivalent reformulation (maximum total work whose
 makespan fits the window), solved in polynomial time by a small min-cost
-flow; the analysis reads it through `workload.DagProfile`.  All three
-routes are cross-checked exactly in the test suite.
+flow on the DAG itself, with a virtual source and sink instead of a
+normalized copy; the analysis reads it through `workload.DagProfile`.  All
+three routes are cross-checked exactly in the test suite.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import floor, prod
+from math import floor, inf, prod
 
 import numpy as np
 
 from . import simplex
-from .dag import (
-    DEFAULT_PATH_CAP, Dag, asap_start_times, enumerate_paths, normalize_source_sink,
-)
+from .dag import DEFAULT_PATH_CAP, Dag, asap_start_times, enumerate_paths
 from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
@@ -442,46 +441,40 @@ class WorkCurve:
     LP duality that is  min over flow values phi of  phi*delta +
     penalty(phi),  where penalty(phi) is the total WCET left uncovered by
     phi source-to-sink unit flows; covering a vertex rewards its WCET.
-    The penalties come from a small min-cost flow (`_cover_penalties`) and
+    The penalties come from a small min-cost flow on the DAG as given
+    (`_cover_penalties`: a virtual source and sink, no normalized copy) and
     are the only per-DAG array kept; the envelope is concave and piecewise
     linear with integer slopes, and `values` tabulates it on demand.
     """
 
     def __init__(self, dag):
-        ndag = normalize_source_sink(dag)
-        self.total = ndag.work
-        self.span = ndag.span
-        self.penalties = _cover_penalties(ndag)
+        self.span = dag.span
+        self.penalties = _cover_penalties(dag)
 
     def values(self):
-        """obj(0..span) as one int64 array: the lower envelope of the lines
-        phi*delta + penalty(phi)."""
+        """The optimum for windows 0..span as one int64 array: the lower
+        envelope of the lines phi*delta + penalty(phi)."""
         phis = np.arange(len(self.penalties), dtype=np.int64)[:, None]
         deltas = np.arange(self.span + 1, dtype=np.int64)[None, :]
         return (phis * deltas + np.array(self.penalties, dtype=np.int64)[:, None]).min(axis=0)
-
-    def obj(self, delta) -> int:
-        if delta <= 0:
-            return 0
-        if delta >= self.span:
-            return self.total
-        return int(self.values()[delta])
 
 
 def _cover_penalties(dag):
     """penalty[phi] = total WCET not covered by a cheapest phi-unit flow.
 
-    Successive shortest paths with Johnson potentials: the first potentials
-    are the shortest distances from the source on the split graph, which
-    has no residual arcs yet and is acyclic, so they are minus the ASAP
-    start (in-node) and finish (out-node) of each vertex.  Each
+    The flow runs on the DAG itself (no normalized copy): a virtual source
+    feeds each source and each sink feeds a virtual sink, by uncapped
+    zero-cost arcs.  Successive shortest paths with Johnson potentials: the
+    first potentials are the shortest distances from the virtual source on
+    the split graph, which has no residual arcs yet and is acyclic, so they
+    are minus the ASAP start (in-node) and finish (out-node) of each vertex,
+    and 0 and minus the span at the virtual source and sink.  Each
     augmentation runs one Dijkstra on the reduced costs, which stay
     non-negative once the potentials add the distances it found.
     """
     n = dag.n
-    source, sink = dag.sources()[0], dag.sinks()[0]
-    # vertex split: node 2v = in, 2v+1 = out
-    graph = [[] for _ in range(2 * n)]  # node -> list of arc ids
+    s, t = 2 * n, 2 * n + 1  # vertex split: node 2v = in, 2v+1 = out
+    graph = [[] for _ in range(2 * n + 2)]  # node -> list of arc ids
     head, cap, cost = [], [], []
 
     def add_arc(u, v, capacity, c):  # and its residual twin, id ^ 1
@@ -494,16 +487,21 @@ def _cover_penalties(dag):
     for v in range(n):
         add_arc(2 * v, 2 * v + 1, 1, -dag.wcets[v])
         add_arc(2 * v, 2 * v + 1, INF_CAP, 0)
+        if not dag.preds[v]:
+            add_arc(s, 2 * v, INF_CAP, 0)
+        if not dag.succs[v]:
+            add_arc(2 * v + 1, t, INF_CAP, 0)
     for a, b in dag.edges:
         add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
 
-    s, t = 2 * source, 2 * sink + 1
     pot = [-x for start, c in zip(dag.starts, dag.wcets) for x in (start, start + c)]
+    pot += [0, -dag.span]  # the virtual source and sink
     penalties = [dag.work]
     for _ in range(dag.work + 2):
-        # every node stays reachable through the uncapped arcs
-        dist = [None] * (2 * n)
-        parent = [-1] * (2 * n)
+        # every node stays reachable through the uncapped arcs (the sink
+        # only if the DAG has a vertex; an empty one stops at once)
+        dist = [inf] * (2 * n + 2)
+        parent = [-1] * (2 * n + 2)
         dist[s] = 0
         heap = [(0, s)]
         while heap:
@@ -512,10 +510,10 @@ def _cover_penalties(dag):
                 continue
             base = d + pot[u]
             for aid in graph[u]:
-                if cap[aid] > 0:
+                if cap[aid]:
                     to = head[aid]
                     nd = base + cost[aid] - pot[to]
-                    if dist[to] is None or nd < dist[to]:
+                    if nd < dist[to]:
                         dist[to] = nd
                         parent[to] = aid
                         heapq.heappush(heap, (nd, to))

@@ -69,6 +69,8 @@ class ExperimentSpec:
                 "points", "a list of numbers")
         if not self.points:
             raise ValidationError("sweep", "sweep grid must be non-empty")
+        require(self.sweep == "util" or all(p % 1 == 0 for p in self.points),
+                "points", "whole processor counts in a processor sweep")
         require(is_integer(self.processors), "processors", "an integer")
         require(is_number(self.norm_util), "norm_util", "a number")
         require(is_integer(self.sets_per_point), "sets_per_point", "an integer")
@@ -77,6 +79,7 @@ class ExperimentSpec:
         require(isinstance(self.methods, (list, tuple))
                 and all(isinstance(m, str) and m in rta.METHODS for m in self.methods),
                 "methods", f"a list of names from {', '.join(rta.METHODS)}")
+        require(len(set(self.methods)) == len(self.methods), "methods", "distinct names")
         require(isinstance(self.zero_timing, bool), "zero_timing", "true or false")
         self.gen_config()  # checks the generator fields and the seed
 
@@ -87,19 +90,13 @@ class ExperimentSpec:
                          wcet_range=self.wcet_range, beta=self.beta, seed=self.seed)
 
 
-def _point_setup(spec, point):
-    if spec.sweep == "util":
-        return float(point), spec.processors
-    m = int(point)
-    return spec.norm_util * m, m
-
-
 def run_experiment(spec) -> list:
     """CSV lines (header first) with one row per (grid point, method)."""
     lines = [CSV_HEADER]
     cfg = spec.gen_config()
     for p_idx, point in enumerate(spec.points):
-        total_util, m = _point_setup(spec, point)
+        m = spec.processors if spec.sweep == "util" else int(point)
+        total_util = float(point) if spec.sweep == "util" else spec.norm_util * m
         results = {method: [] for method in spec.methods}
         warnings = {method: 0 for method in spec.methods}
         for s_idx in range(spec.sets_per_point):

@@ -56,14 +56,22 @@ class Dag:
         for a, b in self.edges:
             preds[b].append(a)
             succs[a].append(b)
-        # Kahn's algorithm taking the smallest ready vertex id first
+        # Kahn's algorithm taking the smallest ready vertex id first; a popped
+        # vertex's ASAP start is final, so its finish updates its successors
         indeg = [len(p) for p in preds]
         heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
         order = []
+        starts = [0] * n
+        length = 0
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
+            finish = starts[v] + wcets[v]
+            if finish > length:
+                length = finish
             for b in succs[v]:
+                if finish > starts[b]:
+                    starts[b] = finish
                 indeg[b] -= 1
                 if indeg[b] == 0:
                     heapq.heappush(heap, b)
@@ -73,8 +81,8 @@ class Dag:
         self.order = tuple(order)
         self.preds = tuple(map(tuple, preds))
         self.succs = tuple(map(tuple, succs))
-        self.starts = tuple(_longest_starts(self.order, self.preds, wcets))
-        self.span = max((s + c for s, c in zip(self.starts, wcets)), default=0)
+        self.starts = tuple(starts)
+        self.span = length
 
     @cached_property
     def profile(self):

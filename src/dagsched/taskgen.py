@@ -69,21 +69,27 @@ def gen_dag(config, rng) -> Dag:
     hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
     pairs = list(compress(combinations(range(n), 2), hits))
 
-    # union-find over positions whose root is the earliest position of its
-    # component; each later component's earliest position h gets the link
-    # (h - 1, h), since every position before h is already connected
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # neighbour bit masks; one flood from each component's earliest position
+    # h, which gets the link (h - 1, h): every position before h is connected
+    adj = [0] * n
     for i, j in pairs:
-        ri, rj = find(i), find(j)
-        parent[max(ri, rj)] = min(ri, rj)
-    pairs.extend((h - 1, h) for h in range(1, n) if find(h) == h)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    seen = 0
+    for h in range(n):
+        if seen >> h & 1:
+            continue
+        if h:
+            pairs.append((h - 1, h))
+        seen |= 1 << h
+        stack = [h]
+        while stack:
+            new = adj[stack.pop()] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                stack.append(low.bit_length() - 1)
+                new ^= low
     edges = [(order[i], order[j]) for i, j in pairs]
 
     wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()
@@ -127,8 +133,8 @@ def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
     cannot reach the tolerance for the remaining gap, intermediate tasks
     absorb half the gap each until the fit succeeds.
     """
-    if total_util <= 0:
-        raise ValidationError("util", "total utilization must be positive")
+    if not 0 < total_util < float("inf"):  # nan and inf would give an empty set
+        raise ValidationError("util", "total utilization must be positive and finite")
     if rng is None:
         rng = config.rng()
     tol = UTIL_TOL * total_util

@@ -7,13 +7,11 @@ Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
 one job; carry-out workload is bounded by the exact optimum from
 `carryout`.  Both are tabulated once per DAG in its `DagProfile`.  The total
 bound maximizes over the number of releases inside the window and, for
-each count, over the carry-in/carry-out split of the window.
+each count, over the carry-in/carry-out split of the window.  The baseline
+`melani_workload` is computed in integers scaled by the processor count.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import floor
 
 import numpy as np
 
@@ -71,18 +69,16 @@ def carry_in_workload(task, ci_len) -> int:
 
 
 def melani_workload(task, delta, r_i, m) -> int:
-    """Full-parallelism baseline bound: the interferer's jobs are assumed to
-    run perfectly parallel on all m processors (exact rational arithmetic,
-    floored to an integer workload)."""
+    """Full-parallelism baseline bound: the interferer's jobs run perfectly
+    parallel on all m processors.  The window delta + r_i - C/m is scaled by
+    m, so floor(jobs*C + min(C, m*rem)) is exact in integers."""
     if delta < 0:
         return 0
-    base = Fraction(delta + r_i) - Fraction(task.work, m)
+    base = m * (delta + r_i) - task.work
     if base < 0:
         return 0
-    jobs = base // task.period
-    rem = base - jobs * task.period
-    value = jobs * task.work + min(Fraction(task.work), m * rem)
-    return floor(value)
+    jobs, rem = divmod(base, m * task.period)
+    return jobs * task.work + min(task.work, rem)
 
 
 def interfering_workload(task, delta, r_i, m) -> int:

@@ -14,6 +14,12 @@ def random_dag(rng, n_max=6, wcet_max=3, p=0.4, wcet_min=0):
     return Dag(wcets, edges)
 
 
+def curve_obj(curve, delta) -> int:
+    """The carry-out optimum of a `WorkCurve` for any window length: its
+    table up to the span, 0 below 1 and the saturated value beyond."""
+    return int(curve.values()[min(max(delta, 0), curve.span)])
+
+
 def diamond(wcets=(1, 2, 3, 1)):
     """s -> {a, b} -> t with the given wcets."""
     return Dag(wcets, [(0, 1), (0, 2), (1, 3), (2, 3)])

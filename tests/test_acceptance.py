@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_dag
+from conftest import curve_obj, random_dag
 from dagsched import carryout, rta, sim, workload
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import Dag, DagTask, asap_start_times, normalize_source_sink, span
@@ -30,14 +30,17 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.time()
     solves = 0
     for _ in range(210):
-        dag = normalize_source_sink(random_dag(rng, n_max=6, wcet_max=3, p=0.4))
+        raw = random_dag(rng, n_max=6, wcet_max=3, p=0.4)
+        dag = normalize_source_sink(raw)
         deltas = {int(rng.integers(0, span(dag) + 1)), span(dag)}
         for delta in deltas:
             expected = carryout.brute_force_oracle(dag, delta)
             res = carryout.solve_exact(carryout.build_model(dag, delta))
             assert res.objective == expected
-            # the production work curve must agree exactly as well
-            assert carryout.WorkCurve(dag).obj(delta) == expected
+            # the production work curve must agree exactly as well, on the
+            # normalized DAG and on the DAG as drawn
+            assert curve_obj(carryout.WorkCurve(dag), delta) == expected
+            assert curve_obj(carryout.WorkCurve(raw), delta) == expected
             solves += 1
     elapsed = time.time() - t0
     assert solves >= 200

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_dag
+from conftest import curve_obj, random_dag
 from dagsched.carryout import (
     INF_CAP, A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
@@ -202,18 +202,31 @@ class TestWorkCurve:
                 rng, n_max=n_max, wcet_max=(3, 50)[k % 2], p=float(rng.uniform(0.05, 0.5))))
             assert _cover_penalties(dag) == reference_cover_penalties(dag)
 
+    def test_same_penalties_without_normalizing(self, rng):
+        # the virtual source and sink of the flow stand in for the dummy
+        # vertices of a normalized copy
+        checked = 0
+        for k in range(150):
+            dag = random_dag(rng, n_max=(8, 20)[k % 2], wcet_max=(3, 50)[k % 2],
+                             p=float(rng.uniform(0.05, 0.3)))
+            if len(dag.sources()) < 2 or len(dag.sinks()) < 2:
+                continue
+            assert WorkCurve(dag).penalties == WorkCurve(normalize_source_sink(dag)).penalties
+            checked += 1
+        assert checked >= 80
+
     def test_equals_oracle(self, rng):
         for _ in range(150):
             dag = random_dag(rng)
             curve = WorkCurve(dag)
             for delta in {0, 1, span(dag), int(rng.integers(0, span(dag) + 2))}:
-                assert curve.obj(delta) == brute_force_oracle(dag, delta)
+                assert curve_obj(curve, delta) == brute_force_oracle(dag, delta)
 
     def test_concave_increments(self, rng):
         for _ in range(40):
             dag = random_dag(rng, wcet_min=1)
             curve = WorkCurve(dag)
-            vals = [curve.obj(d) for d in range(span(dag) + 2)]
+            vals = [curve_obj(curve, d) for d in range(span(dag) + 2)]
             diffs = [b - a for a, b in zip(vals, vals[1:])]
             assert all(d >= 0 for d in diffs)
             assert all(a >= b for a, b in zip(diffs, diffs[1:]))
@@ -222,7 +235,7 @@ class TestWorkCurve:
         for _ in range(20):
             dag = random_dag(rng)
             curve = WorkCurve(dag)
-            assert curve.obj(span(dag)) == work(dag)
+            assert curve_obj(curve, span(dag)) == work(dag)
 
 
 def carry_out_bound(task, delta_co, m):

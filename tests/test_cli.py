@@ -39,6 +39,17 @@ class TestGenerateAnalyze:
         path.write_text(json.dumps({"tasks": [], "processors": 2}))
         assert run(["analyze", str(path)]) == 0
 
+    def test_empty_dag_interferer(self, tmp_path, capsys):
+        # a task with no subtasks has no source and no sink; under ilp it
+        # interferes with nothing
+        doc = {"tasks": [{"period": 5, "deadline": 5, "vertices": [], "edges": []},
+                         {"period": 10, "deadline": 10, "vertices": [{"wcet": 3}], "edges": []}],
+               "processors": 2}
+        path = tmp_path / "empty-dag.json"
+        path.write_text(json.dumps(doc))
+        assert run(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["bounds"] == [0, 3]
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -86,11 +97,23 @@ class TestMalformedInput:
         ["sweep", "--points", "1.0", "--sets", "-1"],
         ["sweep", "--points", "1.0", "--sets", "1", "--methods", "ilp,foo"],
         ["generate", "--util", "1", "--procs", "4", "--seed", "-1"],
+        # a non-finite utilization must not yield an empty task set
+        ["generate", "--util", "nan", "--procs", "4"],
+        ["generate", "--util", "inf", "--procs", "4"],
+        # a fractional processor count must not be truncated under its label
+        ["sweep", "--sweep", "procs", "--points", "2.5", "4.9", "--sets", "1"],
+        ["sweep", "--points", "nan", "--sets", "1"],
+        ["sweep", "--points", "inf", "--sets", "1"],
+        # two passes of one method would pool their results in one row
+        ["sweep", "--points", "1.0", "--methods", "ilp,ilp", "--sets", "3"],
     ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative",
-            "sweep-unknown-method", "generate-seed-negative"])
+            "sweep-unknown-method", "generate-seed-negative", "generate-util-nan",
+            "generate-util-inf", "sweep-procs-fractional",
+            "sweep-point-nan", "sweep-point-inf", "sweep-duplicate-method"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert run(argv) == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
     @pytest.mark.parametrize("argv, doc", [
         (["sweep"], {"points": [1.0], "sets": 3}),
@@ -229,7 +252,8 @@ class TestSweep:
                                     "1.0,melani,0.60,5,0,0"])
 
     def test_processor_sweep(self):
-        lines = run_experiment(self.spec(sweep="procs", points=[2, 4],
+        # whole processor counts may be written as floats
+        lines = run_experiment(self.spec(sweep="procs", points=[2.0, 4],
                                           norm_util=0.4))
         assert len(lines) == 5
 

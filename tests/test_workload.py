@@ -7,8 +7,13 @@ split-by-split evaluation.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import floor
+from types import SimpleNamespace
 
-from conftest import random_dag
+import numpy as np
+
+from conftest import curve_obj, random_dag
 from dagsched import rta
 from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
@@ -92,7 +97,7 @@ def scalar_interfering_workload(task, delta, r_i, m):
         return min(carry_in_workload(task, ci), C, m * ci)
 
     def co_term(co):
-        return min(curve.obj(co), C, m * co)
+        return min(curve_obj(curve, co), C, m * co)
 
     best = ci_term(delta)
     s = 1
@@ -152,7 +157,42 @@ class TestCarryIn:
                 assert carry_in_workload(task, ci) == schedule_tail(dag, starts, ci)
 
 
+def reference_melani(task, delta, r_i, m) -> int:
+    """The full-parallelism bound in exact rationals: jobs of a window of
+    delta + r_i - C/m run perfectly parallel on all m processors."""
+    if delta < 0:
+        return 0
+    base = Fraction(delta + r_i) - Fraction(task.work, m)
+    if base < 0:
+        return 0
+    jobs = base // task.period
+    rem = base - jobs * task.period
+    return floor(jobs * task.work + min(Fraction(task.work), m * rem))
+
+
 class TestMelani:
+    def test_matches_rational_reference(self):
+        rng = np.random.default_rng(20240811)
+        seen = dict(delta_negative=0, base_negative=0, wide=0, exact_multiple=0)
+        for k in range(4000):
+            m = int(rng.integers(1, 33))
+            period = int(rng.integers(1, 300))
+            work = int(rng.integers(1, 400))
+            r_i = int(rng.integers(0, 2 * period))
+            delta = int(rng.integers(-50, 4 * period))
+            if k % 4 == 0:
+                # a window of whole periods: delta + r_i - C/m = j * T exactly
+                work = m * int(rng.integers(1, 20))
+                delta = int(rng.integers(0, 6)) * period + work // m - r_i
+            task = SimpleNamespace(work=work, period=period)
+            seen["delta_negative"] += delta < 0
+            seen["base_negative"] += delta >= 0 and m * (delta + r_i) < work
+            seen["wide"] += m > work
+            seen["exact_multiple"] += delta >= 0 and (m * (delta + r_i) - work) % (m * period) == 0
+            assert melani_workload(task, delta, r_i, m) == reference_melani(task, delta, r_i, m), \
+                (work, period, delta, r_i, m)
+        assert min(seen.values()) >= 50, seen
+
     def test_paper_style_arithmetic(self):
         # C=13, m=2, R=10, T=20, delta=20: floor(23.5/20)*13 + min(13, 2*3.5)
         assert melani_workload(task_13_8(), 20, 10, 2) == 20
