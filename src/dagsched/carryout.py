@@ -464,48 +464,65 @@ def _cover_penalties(dag):
 
     The flow runs on the DAG itself (no normalized copy): a virtual source
     feeds each source and each sink feeds a virtual sink, by uncapped
-    zero-cost arcs.  Successive shortest paths with Johnson potentials: the
-    first potentials are the shortest distances from the virtual source on
-    the split graph, which has no residual arcs yet and is acyclic, so they
-    are minus the ASAP start (in-node) and finish (out-node) of each vertex,
-    and 0 and minus the span at the virtual source and sink.  Each
-    augmentation runs one Dijkstra on the reduced costs, which stay
-    non-negative once the potentials add the distances it found.
+    zero-cost arcs.  Successive shortest paths with Johnson potentials,
+    first the shortest distances from the virtual source on the acyclic
+    split graph: minus the ASAP start (in-node) and finish (out-node) of
+    each vertex, 0 and minus the span at the virtual ends.  A critical path
+    has reduced cost 0, so the first augmentation reads one off
+    `dag.starts`.  Each later one runs a Dijkstra on the reduced costs that
+    stops at the virtual sink; each potential adds the smaller of its
+    node's distance and the sink's, which keeps them non-negative.  The
+    flow stops once the penalty reaches 0, its least value.
     """
+    if dag.span == 0:  # nothing to cover (an empty DAG has no path at all)
+        return [dag.work]
     n = dag.n
     s, t = 2 * n, 2 * n + 1  # vertex split: node 2v = in, 2v+1 = out
     graph = [[] for _ in range(2 * n + 2)]  # node -> list of arc ids
     head, cap, cost = [], [], []
-
-    def add_arc(u, v, capacity, c):  # and its residual twin, id ^ 1
+    # per vertex a one-unit cover arc of cost -WCET before an uncapped one
+    arcs = [(2 * v, 2 * v + 1, capacity, c) for v, w in enumerate(dag.wcets)
+            for capacity, c in ((1, -w), (INF_CAP, 0))]
+    arcs += [(s, 2 * v, INF_CAP, 0) for v in dag.sources()]
+    arcs += [(2 * v + 1, t, INF_CAP, 0) for v in dag.sinks()]
+    arcs += [(2 * a + 1, 2 * b, INF_CAP, 0) for a, b in dag.edges]
+    for u, v, capacity, c in arcs:  # each arc, then its residual twin at id ^ 1
         graph[u].append(len(head))
         graph[v].append(len(head) + 1)
-        head.extend((v, u))
-        cap.extend((capacity, 0))
-        cost.extend((c, -c))
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, 1, -dag.wcets[v])
-        add_arc(2 * v, 2 * v + 1, INF_CAP, 0)
-        if not dag.preds[v]:
-            add_arc(s, 2 * v, INF_CAP, 0)
-        if not dag.succs[v]:
-            add_arc(2 * v + 1, t, INF_CAP, 0)
-    for a, b in dag.edges:
-        add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
-
-    pot = [-x for start, c in zip(dag.starts, dag.wcets) for x in (start, start + c)]
-    pot += [0, -dag.span]  # the virtual source and sink
-    penalties = [dag.work]
-    for _ in range(dag.work + 2):
-        # every node stays reachable through the uncapped arcs (the sink
-        # only if the DAG has a vertex; an empty one stops at once)
-        dist = [inf] * (2 * n + 2)
+        head += (v, u)
+        cap += (capacity, 0)
+        cost += (c, -c)
+    # the first augmentation: a critical path traced back from a sink that
+    # finishes at the span; it costs -span and keeps the potentials exact
+    finish = [start + c for start, c in zip(dag.starts, dag.wcets)]
+    v = next(v for v in range(n) if not dag.succs[v] and finish[v] == dag.span)
+    path = [t]
+    while v is not None:
+        path += (2 * v + 1, 2 * v)
+        v = next((u for u in dag.preds[v] if finish[u] == dag.starts[v]), None)
+    parent = [-1] * (2 * n + 2)
+    for v, u in zip(path, path[1:] + [s]):  # the first arc u -> v is a cover arc
+        parent[v] = next(aid for aid in graph[u] if head[aid] == v)
+    pot = [-x for start, f in zip(dag.starts, finish) for x in (start, f)] + [0, -dag.span]
+    penalties, path_cost = [dag.work], -dag.span
+    for _ in range(dag.work):  # each augmentation lowers the penalty by at least 1
+        node = t
+        while node != s:
+            aid = parent[node]
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            node = head[aid ^ 1]
+        penalties.append(penalties[-1] + path_cost)
+        if penalties[-1] == 0:  # every vertex is covered
+            break
+        dist = [inf] * (2 * n + 2)  # every node stays reachable by uncapped arcs
         parent = [-1] * (2 * n + 2)
         dist[s] = 0
         heap = [(0, s)]
         while heap:
             d, u = heapq.heappop(heap)
+            if u == t:
+                break
             if d > dist[u]:
                 continue
             base = d + pot[u]
@@ -520,12 +537,6 @@ def _cover_penalties(dag):
         path_cost = dist[t] + pot[t]  # reduced back to true cost; pot[s] stays 0
         if path_cost >= 0:
             break
-        pot = [p + d for p, d in zip(pot, dist)]
-        node = t
-        while node != s:
-            aid = parent[node]
-            cap[aid] -= 1
-            cap[aid ^ 1] += 1
-            node = head[aid ^ 1]
-        penalties.append(penalties[-1] + path_cost)
+        reach = dist[t]  # no settled node lies farther
+        pot = [p + (d if d < reach else reach) for p, d in zip(pot, dist)]
     return penalties

@@ -73,6 +73,9 @@ class ExperimentSpec:
                 "points", "whole processor counts in a processor sweep")
         require(is_integer(self.processors), "processors", "an integer")
         require(is_number(self.norm_util), "norm_util", "a number")
+        require(self.sweep == "procs" or not any(p > self.processors for p in self.points),
+                "points", "utilizations no larger than processors (no other set is feasible)")
+        require(self.sweep == "util" or not self.norm_util > 1, "norm_util", "at most 1")
         require(is_integer(self.sets_per_point), "sets_per_point", "an integer")
         if self.sets_per_point < 1:
             raise ValidationError("sweep", "need at least one task set per point")

@@ -89,7 +89,7 @@ class Dag:
         """The per-DAG workload tables (`workload.DagProfile`), built on first use."""
         from .workload import DagProfile  # workload imports this module
 
-        return DagProfile(self)
+        return DagProfile()
 
     def sources(self):
         return [v for v in range(self.n) if not self.preds[v]]

@@ -29,6 +29,8 @@ def is_integer(value):
 def as_int(value, rule, what):
     """`value` as a Python int; ValidationError(rule) unless it is an integer
     (bools and floats are rejected, not coerced)."""
+    if type(value) is int:
+        return value
     if not is_integer(value):
         raise ValidationError(rule, f"{what} must be an integer, got {value!r}")
     return operator.index(value)

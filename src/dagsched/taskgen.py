@@ -131,10 +131,13 @@ def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
     The crossing task's period is adjusted so the cumulative utilization
     matches total_util within a 1e-3 relative tolerance; if integer periods
     cannot reach the tolerance for the remaining gap, intermediate tasks
-    absorb half the gap each until the fit succeeds.
+    absorb half the gap each until the fit succeeds.  A total utilization
+    above m is refused: no such set is feasible.
     """
     if not 0 < total_util < float("inf"):  # nan and inf would give an empty set
         raise ValidationError("util", "total utilization must be positive and finite")
+    if total_util > m:
+        raise ValidationError("util", f"total utilization {total_util} exceeds {m} processors")
     if rng is None:
         rng = config.rng()
     tol = UTIL_TOL * total_util

@@ -5,9 +5,10 @@ whole jobs inside the window, a carry-in job (tail of a job released before
 the window) and a carry-out job (head of a job released inside it).
 Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
 one job; carry-out workload is bounded by the exact optimum from
-`carryout`.  Both are tabulated once per DAG in its `DagProfile`.  The total
-bound maximizes over the number of releases inside the window and, for
-each count, over the carry-in/carry-out split of the window.  The baseline
+`carryout`.  Both are tabulated, capped at min(work, m*len), once per DAG
+and processor count m in the DAG's `DagProfile`.  The total bound
+maximizes over the number of releases inside the window and, for each
+count, over the carry-in/carry-out split of the window.  The baseline
 `melani_workload` is computed in integers scaled by the processor count.
 """
 
@@ -24,48 +25,50 @@ __all__ = ["DagProfile", "carry_in_workload", "melani_workload", "interfering_wo
 class DagProfile:
     """Per-DAG tables of the interfering-workload bound.
 
-    ``ci[d]`` is the carry-in workload of a window of length d = 0..span:
-    per vertex max{C_k - max(L - S_k - d, 0), 0} with S_k the full-WCET ASAP
-    start.  The `WorkCurve` and the carry-out table of each processor count
-    are built on first use.  A `Dag` owns its profile (`Dag.profile`), so
-    the profile keeps no reference back to it and the carry-out lookup takes
-    the DAG as an argument.  Concurrent first uses may build a table twice;
-    both builds are equal.
+    Per processor count m, built on first use, one pair of int64 tables
+    over window lengths d = 0..span: min(carry-in workload, m*d) and
+    min(carry-out optimum, m*d).  Neither workload exceeds the work, so
+    both are capped at min(work, m*d).  Every m shares the `WorkCurve`.  A
+    `Dag` owns its profile (`Dag.profile`), so `tables` takes the DAG as an
+    argument.  Concurrent first uses may build a pair twice; both are equal.
     """
 
-    def __init__(self, dag):
-        starts = np.array(dag.starts, dtype=np.int64)
-        wcets = np.array(dag.wcets, dtype=np.int64)
-        try:
-            ci = np.arange(dag.span + 1, dtype=np.int64)[:, None]
-            overhang = np.maximum(dag.span - starts[None, :] - ci, 0)
-            self.ci = np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
-        except (ValueError, MemoryError):  # numpy refuses span-sized tables
-            raise ValidationError(
-                "span", f"span {dag.span} is too long for the workload tables") from None
+    def __init__(self):
         self.curve = None
-        self.co = {}
+        self.pairs = {}
 
-    def carry_out(self, dag, m):
-        """min(carry-out optimum, m*len), capped at work, for lengths 0..span."""
-        table = self.co.get(m)
-        if table is None:
+    def tables(self, dag, m):
+        """The (carry-in, carry-out) table pair at m processors."""
+        pair = self.pairs.get(m)
+        if pair is None:
             if self.curve is None:
                 self.curve = WorkCurve(dag)
-            caps = m * np.arange(dag.span + 1, dtype=np.int64)
-            table = np.minimum(np.minimum(self.curve.values(), caps), dag.work)
-            self.co[m] = table
-        return table
+            length = dag.span
+            starts = np.array(dag.starts, dtype=np.int64)
+            finishes = starts + np.array(dag.wcets, dtype=np.int64)
+            try:
+                caps = m * np.arange(length + 1, dtype=np.int64)
+                # from d-1 to d the carry-in workload rises by the number of
+                # vertices whose [S, S+C) holds span-d: count, then sum twice
+                slopes = (np.bincount(length - finishes + 1, minlength=length + 2)
+                          - np.bincount(length - starts + 1, minlength=length + 2))
+                carry_in = np.minimum(slopes.cumsum().cumsum()[:length + 1], caps)
+                carry_out = np.minimum(self.curve.values(), caps)
+            except (ValueError, MemoryError):  # numpy refuses span-sized tables
+                raise ValidationError(
+                    "span", f"span {length} is too long for the workload tables") from None
+            pair = self.pairs[m] = (carry_in, carry_out)
+        return pair
 
 
 def carry_in_workload(task, ci_len) -> int:
-    """Workload of the last ci_len time units of the full-WCET ASAP schedule;
-    the whole job (work C) fits once ci_len >= span."""
+    """Workload of the last ci_len time units of the full-WCET ASAP schedule:
+    per vertex max{0, min(C_k, S_k + C_k - span + ci_len)} with S_k its ASAP
+    start; the whole job (work C) fits once ci_len >= span."""
     if ci_len < 0:
         raise ValueError("ci_len must be non-negative")
-    if ci_len >= task.span:
-        return task.work
-    return int(task.dag.profile.ci[ci_len])
+    return sum(max(0, min(c, s + c + ci_len - task.span))
+               for s, c in zip(task.dag.starts, task.dag.wcets))
 
 
 def melani_workload(task, delta, r_i, m) -> int:
@@ -79,6 +82,28 @@ def melani_workload(task, delta, r_i, m) -> int:
         return 0
     jobs, rem = divmod(base, m * task.period)
     return jobs * task.work + min(task.work, rem)
+
+
+def _split_peak(ci_table, co_table, C, m, budget):
+    """max carry-in + carry-out over window lengths summing to budget, read
+    from a profile's table pair; lengths past the span L take min(C, m*len)."""
+    L = len(ci_table) - 1
+    if budget <= 0:
+        return 0
+    if budget <= L:
+        return int((ci_table[:budget + 1] + co_table[budget::-1]).max())
+    if budget > 2 * L:
+        # beyond the span both bounds saturate at the work, so only the
+        # concave cap line min(C, m*ci) + min(C, m*co) binds; its maximum
+        # sits at the balanced split (inside [L, budget-L] here), and
+        # sweeping either end below L never beats it (the workload values
+        # stay below the cap line there)
+        half = budget // 2
+        return min(C, m * half) + min(C, m * (budget - half))
+    tail = np.minimum(m * np.arange(L + 1, budget + 1, dtype=np.int64), C)
+    ci_ext = np.concatenate((ci_table, tail))
+    co_ext = np.concatenate((co_table, tail))
+    return int((ci_ext + co_ext[::-1]).max())
 
 
 def interfering_workload(task, delta, r_i, m) -> int:
@@ -97,52 +122,27 @@ def interfering_workload(task, delta, r_i, m) -> int:
 
     The carry-out bound is the exact optimum capped at m*co_len.  Every
     addend is capped at min(work, m * window-part) and the result at
-    m * delta.  The bound is non-decreasing in delta.
+    m * delta.  Each end term is one lookup in the profile's table pair of
+    this m, with min(C, m*len) past the span, and `_split_peak` adds the
+    pair over all splits of a budget in one slice sum.  The bound is
+    non-decreasing in delta.
     """
     if delta <= 0:
         return 0
     C, L, T = task.work, task.span, task.period
-    ci_table = task.dag.profile.ci
-    co_table = task.dag.profile.carry_out(task.dag, m)
-
-    def ci_term(ci):
-        w = int(ci_table[ci]) if ci <= L else C
-        return min(w, C, m * ci)
-
-    def co_term(co):
-        return int(co_table[co]) if co <= L else min(C, m * co)
-
-    def split_peak(budget):
-        """max carry-in + carry-out over window lengths summing to budget."""
-        if budget <= 0:
-            return 0
-        if budget > 2 * L:
-            # beyond the span both bounds saturate at the work, so only the
-            # concave cap line min(C, m*ci) + min(C, m*co) binds; its maximum
-            # sits at the balanced split (inside [L, budget-L] here), and
-            # sweeping either end below L never beats it (the workload values
-            # stay below the cap line there)
-            half = budget // 2
-            return min(C, m * half) + min(C, m * (budget - half))
-        cis = np.arange(0, budget + 1, dtype=np.int64)
-        cos = budget - cis
-        ci_vals = np.where(cis <= L, ci_table[np.minimum(cis, L)], C)
-        ci_vals = np.minimum(ci_vals, m * cis)
-        co_vals = np.where(cos <= L, co_table[np.minimum(cos, L)], C)
-        co_vals = np.minimum(np.minimum(co_vals, C), m * cos)
-        return int((ci_vals + co_vals).max())
-
-    best = ci_term(delta)  # no release inside the window at all
+    ci_table, co_table = task.dag.profile.tables(task.dag, m)
+    # no release inside the window at all
+    best = int(ci_table[delta]) if delta <= L else min(C, m * delta)
     s = 1
     while True:
         head = delta - (s - 1) * T   # window left of the s-th release at worst
         base = (s - 1) * C
         if head <= 0 or base >= m * delta:
             break
-        cand = base + co_term(head)
+        cand = base + (int(co_table[head]) if head <= L else min(C, m * head))
         budget = delta + r_i - s * T
         if budget > 0:
-            cand = max(cand, base + split_peak(budget))
+            cand = max(cand, base + _split_peak(ci_table, co_table, C, m, budget))
         best = max(best, cand)
         s += 1
     return min(best, m * delta)

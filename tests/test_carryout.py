@@ -1,8 +1,10 @@
 """Carry-out workload optimum: model, exact solver, oracle and work curve."""
 
+import heapq
 import sys
 import threading
 from dataclasses import replace
+from math import inf
 
 import numpy as np
 import pytest
@@ -143,9 +145,10 @@ class TestSolveExact:
             assert edge.objective == path.objective
 
 
-def reference_cover_penalties(dag):
-    """Min-cost cover penalties by successive shortest paths with a full
-    Bellman-Ford over the residual network per augmentation."""
+def bellman_ford_penalties(dag):
+    """Min-cost cover penalties of a normalized DAG by successive shortest
+    paths with a full Bellman-Ford over the residual network per
+    augmentation."""
     n = dag.n
     source, sink = dag.sources()[0], dag.sinks()[0]
     graph = [[] for _ in range(2 * n)]
@@ -194,13 +197,93 @@ def reference_cover_penalties(dag):
     return penalties
 
 
+def reference_cover_penalties(dag):
+    """Cover penalties by successive shortest paths on the DAG itself, with
+    one Dijkstra per augmentation from the first one on, and no stop before
+    an augmentation that costs nothing."""
+    n = dag.n
+    s, t = 2 * n, 2 * n + 1  # vertex split: node 2v = in, 2v+1 = out
+    graph = [[] for _ in range(2 * n + 2)]
+    head, cap, cost = [], [], []
+
+    def add_arc(u, v, capacity, c):
+        graph[u].append(len(head))
+        graph[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((c, -c))
+
+    for v in range(n):
+        add_arc(2 * v, 2 * v + 1, 1, -dag.wcets[v])
+        add_arc(2 * v, 2 * v + 1, INF_CAP, 0)
+        if not dag.preds[v]:
+            add_arc(s, 2 * v, INF_CAP, 0)
+        if not dag.succs[v]:
+            add_arc(2 * v + 1, t, INF_CAP, 0)
+    for a, b in dag.edges:
+        add_arc(2 * a + 1, 2 * b, INF_CAP, 0)
+
+    pot = [-x for start, c in zip(dag.starts, dag.wcets) for x in (start, start + c)]
+    pot += [0, -dag.span]
+    penalties = [dag.work]
+    for _ in range(dag.work + 2):
+        dist = [inf] * (2 * n + 2)
+        parent = [-1] * (2 * n + 2)
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for aid in graph[u]:
+                if cap[aid]:
+                    to = head[aid]
+                    nd = d + pot[u] + cost[aid] - pot[to]
+                    if nd < dist[to]:
+                        dist[to] = nd
+                        parent[to] = aid
+                        heapq.heappush(heap, (nd, to))
+        path_cost = dist[t] + pot[t]
+        if path_cost >= 0:
+            break
+        pot = [p + d for p, d in zip(pot, dist)]
+        node = t
+        while node != s:
+            aid = parent[node]
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            node = head[aid ^ 1]
+        penalties.append(penalties[-1] + path_cost)
+    return penalties
+
+
 class TestWorkCurve:
     def test_penalties_match_reference(self, rng):
         for k in range(120):
             n_max = (6, 20, 60)[k % 3]
             dag = normalize_source_sink(random_dag(
                 rng, n_max=n_max, wcet_max=(3, 50)[k % 2], p=float(rng.uniform(0.05, 0.5))))
+            assert _cover_penalties(dag) == bellman_ford_penalties(dag)
+
+    def test_penalties_match_dijkstra_reference(self, rng):
+        # the critical-path first augmentation and the stop at penalty 0
+        # change no penalty; the DAGs include empty ones, zero WCETs, span
+        # 0 and several sources and sinks
+        shapes = [0, 0, 0, 0]  # empty, span 0, zero WCETs, several ends
+        for k in range(2000):
+            n = int(rng.integers(0, (4, 10, 24)[k % 3] + 1))
+            wcets = [int(w) for w in rng.integers(0, (2, 9, 60)[k % 3], n)]
+            if k % 5 == 0:
+                wcets = [w * int(rng.integers(0, 2)) for w in wcets]
+            p = float(rng.uniform(0.0, 0.6))
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            dag = Dag(wcets, edges)
+            shapes[0] += n == 0
+            shapes[1] += n > 0 and dag.span == 0
+            shapes[2] += 0 in wcets
+            shapes[3] += len(dag.sources()) > 1 and len(dag.sinks()) > 1
             assert _cover_penalties(dag) == reference_cover_penalties(dag)
+        assert min(shapes) >= 20
 
     def test_same_penalties_without_normalizing(self, rng):
         # the virtual source and sink of the flow stand in for the dummy
@@ -243,7 +326,7 @@ def carry_out_bound(task, delta_co, m):
     span, min(work, m * delta_co) beyond it."""
     if delta_co > task.span:
         return min(task.work, m * delta_co)
-    return int(task.dag.profile.carry_out(task.dag, m)[delta_co])
+    return int(task.dag.profile.tables(task.dag, m)[1][delta_co])
 
 
 class TestCarryOutBound:
@@ -271,9 +354,9 @@ class TestCarryOutBound:
         builds = []
         init = DagProfile.__init__
 
-        def counting_init(self, dag):
-            builds.append(dag)
-            init(self, dag)
+        def counting_init(self):
+            builds.append(self)
+            init(self)
 
         monkeypatch.setattr(DagProfile, "__init__", counting_init)
         task = antimonotone_task()
@@ -281,7 +364,7 @@ class TestCarryOutBound:
         assert copy.dag is task.dag and copy is not task
         assert interfering_workload(task, 10, 15, 2) == interfering_workload(copy, 10, 15, 2)
         assert task.dag.profile is copy.dag.profile
-        assert task.dag.profile.carry_out(task.dag, 2) is copy.dag.profile.carry_out(copy.dag, 2)
+        assert task.dag.profile.tables(task.dag, 2) is copy.dag.profile.tables(copy.dag, 2)
         assert len(builds) == 1
 
     def test_concurrent_queries(self):

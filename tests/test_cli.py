@@ -106,10 +106,17 @@ class TestMalformedInput:
         ["sweep", "--points", "inf", "--sets", "1"],
         # two passes of one method would pool their results in one row
         ["sweep", "--points", "1.0", "--methods", "ilp,ilp", "--sets", "3"],
+        # no set above the processor count is feasible, and a huge
+        # utilization would keep the generator appending tasks
+        ["generate", "--util", "5", "--procs", "4"],
+        ["sweep", "--points", "2", "17", "--procs", "16", "--sets", "1"],
+        ["sweep", "--sweep", "procs", "--points", "4", "--norm-util", "1.5", "--sets", "1"],
     ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative",
             "sweep-unknown-method", "generate-seed-negative", "generate-util-nan",
             "generate-util-inf", "sweep-procs-fractional",
-            "sweep-point-nan", "sweep-point-inf", "sweep-duplicate-method"])
+            "sweep-point-nan", "sweep-point-inf", "sweep-duplicate-method",
+            "generate-util-above-procs", "sweep-point-above-procs",
+            "sweep-norm-util-above-1"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert run(argv) == 2
         captured = capsys.readouterr()

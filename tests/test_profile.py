@@ -50,12 +50,16 @@ def test_derived_facts_and_profile(case):
     assert (dag.work, dag.span, list(dag.starts)) == (sum(wcets), length, starts)
 
     profile = dag.profile
-    assert [int(v) for v in profile.ci] == [
-        schedule_tail(dag, starts, d) for d in range(length + 1)]
+    tails = [schedule_tail(dag, starts, d) for d in range(length + 1)]
+    # no window of length d holds more than d units of one vertex, so at
+    # m >= n the cap m*d never binds
+    assert profile.tables(dag, max(n, 1))[0].tolist() == tails
     pens = list(enumerate(WorkCurve(dag).penalties))
     envelope = [min(phi * d + pen for phi, pen in pens) for d in range(length + 1)]
     for m in (1, 2, 3, 16):
-        assert [int(v) for v in profile.carry_out(dag, m)] == [
+        carry_in, carry_out = profile.tables(dag, m)
+        assert carry_in.tolist() == [min(tail, m * d) for d, tail in enumerate(tails)]
+        assert carry_out.tolist() == [
             min(env, m * d, dag.work) for d, env in enumerate(envelope)]
 
 

@@ -214,12 +214,15 @@ def with_segments(res, segments):
 
 
 def random_mixes(seeds):
-    """Simulated traces of small random task sets under every policy mix."""
+    """Simulated traces of small random task sets under every policy mix,
+    some of them overloaded: a set of utilization above 2 on 2 processors."""
     for seed in seeds:
         cfg = GenConfig(n_range=(3, 6), wcet_range=(1, 9), seed=seed)
         rng = np.random.default_rng(seed)
-        ts = assign_priorities_dm(gen_taskset(
-            float(rng.uniform(1.0, 3.0)), int(rng.integers(2, 5)), cfg, rng))
+        util, m = float(rng.uniform(1.0, 3.0)), int(rng.integers(2, 5))
+        # gen_taskset refuses a utilization above its processor count
+        tasks = gen_taskset(util, 3, cfg, rng).tasks
+        ts = assign_priorities_dm(TaskSet(tasks, m))
         horizon = 2 * max(t.period for t in ts.tasks)
         for release in ("periodic", "sporadic"):
             for policy in ("wcet", "random"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
+from dagsched.errors import ValidationError
 from dagsched.taskgen import (
     GenConfig, UTIL_TOL, assign_priorities_dm, gen_dag, gen_task, gen_taskset,
 )
@@ -142,6 +143,15 @@ class TestGenTaskset:
         a = gen_taskset(4.0, 8, cfg)
         b = gen_taskset(4.0, 8, cfg)
         assert taskset_to_dict(a) == taskset_to_dict(b)
+
+    def test_utilization_above_processors_refused(self):
+        # no such set is feasible; 1e300 would keep appending tasks forever
+        cfg = GenConfig(seed=3)
+        assert sum(t.work / t.period for t in gen_taskset(4.0, 4, cfg).tasks) <= 4.0 * (1 + UTIL_TOL)
+        for util in (4.001, 1e300):
+            with pytest.raises(ValidationError) as err:
+                gen_taskset(util, 4, cfg)
+            assert err.value.rule == "util"
 
 
 class TestDeadlineMonotonic:

@@ -3,7 +3,9 @@
 The body-job count and the window splits of the dense release pattern are
 reference code kept here: `interfering_workload` enumerates the releases
 itself, and the tests check it against these and against a scalar
-split-by-split evaluation.
+split-by-split evaluation.  So is the split maximum over an uncapped
+carry-in table with one array per split quantity, which the profile's
+capped table pair replaced.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,9 @@ from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag, gen_task
-from dagsched.workload import carry_in_workload, interfering_workload, melani_workload
+from dagsched.workload import (
+    _split_peak, carry_in_workload, interfering_workload, melani_workload,
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,36 @@ def schedule_tail(dag, starts, ci):
     lo = length - ci
     return sum(max(0, min(s + c, length) - max(s, lo))
                for s, c in zip(starts, dag.wcets))
+
+
+def broadcast_carry_in_table(dag):
+    """Uncapped carry-in workload of windows 0..span from one (span+1) x n
+    broadcast: per vertex max{C_k - max(L - S_k - d, 0), 0}."""
+    starts = np.array(dag.starts, dtype=np.int64)
+    wcets = np.array(dag.wcets, dtype=np.int64)
+    ci = np.arange(dag.span + 1, dtype=np.int64)[:, None]
+    overhang = np.maximum(dag.span - starts[None, :] - ci, 0)
+    return np.maximum(wcets[None, :] - overhang, 0).sum(axis=1)
+
+
+def reference_split_peak(ci_raw, co_table, C, m, budget):
+    """max carry-in + carry-out over window lengths summing to budget, one
+    array per quantity: the carry-in from the uncapped table `ci_raw`, the
+    carry-out from a table capped at min(optimum, m*len, C), both capped
+    again, and min(C, m*len) past the span L."""
+    L = len(ci_raw) - 1
+    if budget <= 0:
+        return 0
+    if budget > 2 * L:
+        half = budget // 2
+        return min(C, m * half) + min(C, m * (budget - half))
+    cis = np.arange(0, budget + 1, dtype=np.int64)
+    cos = budget - cis
+    ci_vals = np.where(cis <= L, ci_raw[np.minimum(cis, L)], C)
+    ci_vals = np.minimum(ci_vals, m * cis)
+    co_vals = np.where(cos <= L, co_table[np.minimum(cos, L)], C)
+    co_vals = np.minimum(np.minimum(co_vals, C), m * cos)
+    return int((ci_vals + co_vals).max())
 
 
 def scalar_interfering_workload(task, delta, r_i, m):
@@ -261,6 +295,44 @@ def _placement_oracle_single_vertex(C, T, R, delta):
             r += T
         best = max(best, total)
     return best
+
+
+class TestSplitPeak:
+    def test_matches_reference_split(self, rng):
+        # every budget 1..2L+2, so each of the three cases of the split
+        # (inside the span, up to twice it, beyond) is reached on every DAG
+        wide = 0
+        for k in range(240):
+            n = int(rng.integers(0, 13))
+            wcets = [int(w) for w in rng.integers(0, (3, 8, 20)[k % 3], n)]
+            p = float(rng.uniform(0.0, 0.5))
+            dag = Dag(wcets, [(a, b) for a in range(n) for b in range(a + 1, n)
+                              if rng.random() < p])
+            C, L = dag.work, dag.span
+            ci_raw = broadcast_carry_in_table(dag)
+            curve = WorkCurve(dag).values()
+            lengths = np.arange(L + 1, dtype=np.int64)
+            for m in (1, 2, 4, 16):
+                wide += C > m * (L + 1)
+                ci_table, co_table = dag.profile.tables(dag, m)
+                assert ci_table.tolist() == np.minimum(ci_raw, m * lengths).tolist()
+                co_ref = np.minimum(np.minimum(curve, m * lengths), C)
+                assert co_table.tolist() == co_ref.tolist()
+                for budget in range(1, 2 * L + 3):
+                    assert (_split_peak(ci_table, co_table, C, m, budget)
+                            == reference_split_peak(ci_raw, co_ref, C, m, budget)), (k, m, budget)
+        assert wide >= 50
+
+    def test_profile_holds_one_table_pair_per_processor_count(self, rng):
+        # two span+1 int64 tables per m, owning their memory (no view into
+        # a larger buffer)
+        for _ in range(20):
+            dag = random_dag(rng, n_max=10, wcet_max=30)
+            for count, m in enumerate((1, 3, 16), start=1):
+                dag.profile.tables(dag, m)
+                arrays = [a for pair in dag.profile.pairs.values() for a in pair]
+                assert all(a.dtype == np.int64 and a.base is None for a in arrays)
+                assert sum(a.nbytes for a in arrays) == count * 2 * 8 * (dag.span + 1)
 
 
 class TestInterfering:
