@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import carryout, rta, sim
-from .dag import load_taskset, normalize_source_sink, taskset_to_dict
+from .dag import load_taskset, normalize_source_sink, save_taskset, taskset_to_dict
 from .errors import (
     DagschedError, SolverLimitError, ValidationError, is_integer, is_number, require,
 )
@@ -102,10 +102,21 @@ def run_experiment(spec) -> list:
         total_util = float(point) if spec.sweep == "util" else spec.norm_util * m
         results = {method: [] for method in spec.methods}
         warnings = {method: 0 for method in spec.methods}
+
+        def doomed(task):
+            # a seed bound past the deadline rejects the set under every
+            # method and priority order, so the rest of it is never drawn
+            return rta.seed_bound(task, m) > task.deadline
+
         for s_idx in range(spec.sets_per_point):
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, p_idx, s_idx)))
-            ts = assign_priorities_dm(gen_taskset(total_util, m, cfg, rng))
+            ts = gen_taskset(total_util, m, cfg, rng, stop=doomed)
+            if ts is None:
+                for method in spec.methods:
+                    results[method].append((0, 0.0))
+                continue
+            ts = assign_priorities_dm(ts)
             for method in spec.methods:
                 t0 = time.perf_counter()
                 try:
@@ -146,12 +157,10 @@ def _cmd_generate(args):
                         wcet_range=tuple(args.wcet_range), beta=args.beta,
                         seed=args.seed)
     ts = assign_priorities_dm(gen_taskset(args.util, args.procs, cfg))
-    doc = json.dumps(taskset_to_dict(ts), indent=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        save_taskset(ts, args.out)
     else:
-        print(doc)
+        print(json.dumps(taskset_to_dict(ts), indent=1))
     return 0
 
 

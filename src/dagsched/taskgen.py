@@ -125,14 +125,16 @@ def _fit_period(c, length, target_util):
     return min(cands, key=lambda t: abs(c / t - target_util))
 
 
-def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
+def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     """Append tasks until the cumulative utilization reaches total_util.
 
     The crossing task's period is adjusted so the cumulative utilization
     matches total_util within a 1e-3 relative tolerance; if integer periods
     cannot reach the tolerance for the remaining gap, intermediate tasks
     absorb half the gap each until the fit succeeds.  A total utilization
-    above m is refused: no such set is feasible.
+    above m is refused: no such set is feasible.  If `stop(task)` holds for
+    a task in its final form, about to be appended, the set is abandoned
+    and the result is None; the draws before it are those of the full set.
     """
     if not 0 < total_util < float("inf"):  # nan and inf would give an empty set
         raise ValidationError("util", "total utilization must be positive and finite")
@@ -143,27 +145,21 @@ def gen_taskset(total_util, m, config, rng=None) -> TaskSet:
     tol = UTIL_TOL * total_util
     tasks = []
     cum = 0.0
-    while cum < total_util - tol:
+    landed = False
+    while not landed and cum < total_util - tol:
         gap = total_util - cum
         dag = gen_dag(config, rng)
         task = gen_task(dag, config, rng)
-        util = task.work / task.period
-        if cum + util < total_util - tol:
-            tasks.append(task)
-            cum += util
-            continue
-        # crossing task: adjust its period upward to land on the target
-        period = _fit_period(task.work, task.span, gap)
-        if abs(task.work / period - gap) <= tol:
-            deadline = _draw_deadline(rng, task.span, period)
-            task = DagTask(task.dag, deadline, period)
-            tasks.append(task)
-            cum += task.work / task.period
-            break
-        # gap too coarse for this DAG: absorb half of it and keep going
-        period = _fit_period(task.work, task.span, gap / 2)
-        deadline = _draw_deadline(rng, task.span, period)
-        task = DagTask(task.dag, deadline, period)
+        if cum + task.work / task.period >= total_util - tol:
+            # crossing task: adjust its period upward to land on the target;
+            # if the gap is too coarse for this DAG, absorb half of it instead
+            period = _fit_period(task.work, task.span, gap)
+            landed = abs(task.work / period - gap) <= tol
+            if not landed:
+                period = _fit_period(task.work, task.span, gap / 2)
+            task = DagTask(dag, _draw_deadline(rng, task.span, period), period)
+        if stop is not None and stop(task):
+            return None
         tasks.append(task)
         cum += task.work / task.period
     return TaskSet(tasks, m)

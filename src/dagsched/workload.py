@@ -19,7 +19,7 @@ import numpy as np
 from .carryout import WorkCurve
 from .errors import ValidationError
 
-__all__ = ["DagProfile", "carry_in_workload", "melani_workload", "interfering_workload"]
+__all__ = ["DagProfile", "melani_workload", "interfering_workload"]
 
 
 class DagProfile:
@@ -47,7 +47,8 @@ class DagProfile:
             starts = np.array(dag.starts, dtype=np.int64)
             finishes = starts + np.array(dag.wcets, dtype=np.int64)
             try:
-                caps = m * np.arange(length + 1, dtype=np.int64)
+                # min(m, work) gives the same caps and keeps them in int64
+                caps = min(m, dag.work) * np.arange(length + 1, dtype=np.int64)
                 # from d-1 to d the carry-in workload rises by the number of
                 # vertices whose [S, S+C) holds span-d: count, then sum twice
                 slopes = (np.bincount(length - finishes + 1, minlength=length + 2)
@@ -59,16 +60,6 @@ class DagProfile:
                     "span", f"span {length} is too long for the workload tables") from None
             pair = self.pairs[m] = (carry_in, carry_out)
         return pair
-
-
-def carry_in_workload(task, ci_len) -> int:
-    """Workload of the last ci_len time units of the full-WCET ASAP schedule:
-    per vertex max{0, min(C_k, S_k + C_k - span + ci_len)} with S_k its ASAP
-    start; the whole job (work C) fits once ci_len >= span."""
-    if ci_len < 0:
-        raise ValueError("ci_len must be non-negative")
-    return sum(max(0, min(c, s + c + ci_len - task.span))
-               for s, c in zip(task.dag.starts, task.dag.wcets))
 
 
 def melani_workload(task, delta, r_i, m) -> int:
@@ -100,7 +91,7 @@ def _split_peak(ci_table, co_table, C, m, budget):
         # stay below the cap line there)
         half = budget // 2
         return min(C, m * half) + min(C, m * (budget - half))
-    tail = np.minimum(m * np.arange(L + 1, budget + 1, dtype=np.int64), C)
+    tail = np.minimum(min(m, C) * np.arange(L + 1, budget + 1, dtype=np.int64), C)
     ci_ext = np.concatenate((ci_table, tail))
     co_ext = np.concatenate((co_table, tail))
     return int((ci_ext + co_ext[::-1]).max())

@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import curve_obj, random_dag
-from dagsched import carryout, rta, sim, workload
+from conftest import carry_in_workload, curve_obj, interference_scenario, random_dag
+from dagsched import carryout, rta, sim
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import Dag, DagTask, asap_start_times, normalize_source_sink, span
-from dagsched.instances import antimonotone_task, interference_scenario
+from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 MASTER_SEED = 20240810
@@ -191,7 +191,7 @@ def test_criterion_6_carry_in_equality():
             lo = task.span - ci
             tail = sum(max(0, min(s + c, task.span) - max(s, lo))
                        for s, c in zip(starts, dag.wcets))
-            assert workload.carry_in_workload(task, ci) == tail
+            assert carry_in_workload(task, ci) == tail
             checked += 1
     _report(6, f"{checked} carry-in evaluations equal the schedule tail exactly "
                "(500 DAGs)")

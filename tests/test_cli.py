@@ -1,16 +1,53 @@
 """Command-line harness: subcommands, exit codes, CSV schema."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from dagsched import cli, rta
 from dagsched.cli import CSV_HEADER, ExperimentSpec, check_dominance, run_experiment
 from dagsched.dag import load_taskset
+from dagsched.errors import SolverLimitError
+from dagsched.taskgen import assign_priorities_dm, gen_taskset
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def reference_run_experiment(spec) -> list:
+    """`run_experiment` generating and analysing every set in full."""
+    lines = [CSV_HEADER]
+    cfg = spec.gen_config()
+    for p_idx, point in enumerate(spec.points):
+        m = spec.processors if spec.sweep == "util" else int(point)
+        total_util = float(point) if spec.sweep == "util" else spec.norm_util * m
+        results = {method: [] for method in spec.methods}
+        warnings = {method: 0 for method in spec.methods}
+        for s_idx in range(spec.sets_per_point):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((spec.seed, p_idx, s_idx)))
+            ts = assign_priorities_dm(gen_taskset(total_util, m, cfg, rng))
+            for method in spec.methods:
+                t0 = time.perf_counter()
+                try:
+                    report = rta.schedulability_test(ts, method=method)
+                except SolverLimitError:
+                    warnings[method] += 1
+                    continue
+                results[method].append(
+                    (1 if report.schedulable else 0, time.perf_counter() - t0))
+        for method in spec.methods:
+            rows = results[method]
+            n = len(rows)
+            ratio = sum(r for r, _ in rows) / n if n else 0.0
+            mean_ms = (sum(t for _, t in rows) / n * 1000) if n else 0.0
+            if spec.zero_timing:
+                mean_ms = 0.0
+            lines.append(f"{point},{method},{ratio:.6f},{n},{warnings[method]},{mean_ms:.3f}")
+    return lines
 
 
 class TestGenerateAnalyze:
@@ -49,6 +86,33 @@ class TestGenerateAnalyze:
         path.write_text(json.dumps(doc))
         assert run(["analyze", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["bounds"] == [0, 3]
+
+    def test_generate_out_file_matches_stdout(self, tmp_path, capsys):
+        path = tmp_path / "ts.json"
+        argv = ["generate", "--util", "3.0", "--procs", "4", "--seed", "11"]
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert run(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.parametrize("procs", [2 ** 62, 10 ** 20])
+    def test_huge_processor_count_matches_a_million(self, tmp_path, capsys, procs):
+        # int64 tables are capped at min(m, work) * d, so no processor count
+        # wraps; past the work every count gives the same bounds
+        for seed in range(4):
+            path = tmp_path / f"ts{seed}.json"
+            assert run(["generate", "--util", "3.0", "--procs", "4", "--seed", str(seed),
+                        "--out", str(path)]) == 0
+            reports = []
+            for m in (10 ** 6, procs):
+                code = run(["analyze", str(path), "--procs", str(m)])
+                report = json.loads(capsys.readouterr().out)
+                assert report.pop("processors") == m
+                report.pop("wall_time_s")
+                reports.append((code, report))
+            assert reports[0] == reports[1]
+            assert reports[0][0] == 0 and len(reports[0][1]["bounds"]) > 1
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -270,6 +334,28 @@ class TestSweep:
                     "--zero-timing", "--check-dominance", "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith(CSV_HEADER)
+
+    @pytest.mark.parametrize("methods", [("ilp",), ("melani",), ("ilp", "melani"),
+                                         ("melani", "ilp")])
+    @pytest.mark.parametrize("grid", [
+        dict(points=[1.0, 3.0, 5.0, 7.0], processors=8),
+        dict(sweep="procs", points=[2, 4, 8], norm_util=0.6),
+    ], ids=["util", "procs"])
+    def test_matches_full_generation(self, monkeypatch, methods, grid):
+        """Cutting a doomed set changes no CSV byte; `cli.gen_taskset` is
+        called once per set, through the module, with `stop` as a keyword."""
+        spec = self.spec(methods=methods, sets_per_point=8, n_range=(3, 8), **grid)
+        results = []
+
+        def counted(*args, **kwargs):
+            assert set(kwargs) == {"stop"}
+            results.append(gen_taskset(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "gen_taskset", counted)
+        assert run_experiment(spec) == reference_run_experiment(spec)
+        assert len(results) == len(spec.points) * spec.sets_per_point
+        assert 0 < results.count(None) < len(results)
 
     def test_spec_from_json(self, tmp_path):
         cfgfile = tmp_path / "spec.json"

@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_dag
+from conftest import interference_scenario, random_dag
 import dagsched
 from dagsched import sim
 from dagsched.dag import Dag, DagTask, TaskSet, span
 from dagsched.errors import SimulationError
-from dagsched.instances import antimonotone_task, interference_scenario
+from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from dagsched import rta
 from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
 from dagsched.errors import ValidationError
 from dagsched.taskgen import (
-    GenConfig, UTIL_TOL, assign_priorities_dm, gen_dag, gen_task, gen_taskset,
+    GenConfig, UTIL_TOL, _draw_deadline, _fit_period, assign_priorities_dm, gen_dag,
+    gen_task, gen_taskset,
 )
 
 
@@ -46,6 +48,42 @@ def reference_gen_dag(config, rng):
     wcets = [int(w) for w in rng.integers(config.wcet_range[0],
                                           config.wcet_range[1] + 1, size=n)]
     return tuple(wcets), tuple(sorted(set(edges)))
+
+
+def reference_gen_taskset(total_util, m, config, rng):
+    """`gen_taskset`'s loop with one append per branch and no stop check.
+    Returns the tasks and the number of tasks that absorbed half a gap."""
+    tol = UTIL_TOL * total_util
+    tasks = []
+    cum = 0.0
+    absorbed = 0
+    while cum < total_util - tol:
+        gap = total_util - cum
+        dag = gen_dag(config, rng)
+        task = gen_task(dag, config, rng)
+        util = task.work / task.period
+        if cum + util < total_util - tol:
+            tasks.append(task)
+            cum += util
+            continue
+        period = _fit_period(task.work, task.span, gap)
+        if abs(task.work / period - gap) <= tol:
+            deadline = _draw_deadline(rng, task.span, period)
+            task = DagTask(task.dag, deadline, period)
+            tasks.append(task)
+            cum += task.work / task.period
+            break
+        absorbed += 1
+        period = _fit_period(task.work, task.span, gap / 2)
+        deadline = _draw_deadline(rng, task.span, period)
+        task = DagTask(task.dag, deadline, period)
+        tasks.append(task)
+        cum += task.work / task.period
+    return tasks, absorbed
+
+
+def task_key(task):
+    return task.dag.wcets, task.dag.edges, task.deadline, task.period
 
 
 class TestGenDag:
@@ -152,6 +190,51 @@ class TestGenTaskset:
             with pytest.raises(ValidationError) as err:
                 gen_taskset(util, 4, cfg)
             assert err.value.rule == "util"
+
+
+    def test_stop_cuts_at_the_first_stopping_task(self):
+        """On seeded (util, m, config) draws, `stop` sees the full set's
+        tasks in order, in their final form, and the result is None iff one
+        of them stops it; otherwise the set is the full set.  The full set
+        equals the reference loop's, with the same next draw."""
+        master = np.random.default_rng(20240811)
+        cut = absorbed = last_doomed = 0
+        for seed in range(600):
+            m = int(master.integers(1, 17))
+            util = float(master.uniform(0.05, 1.0)) * m
+            lo = int(master.integers(1, 9))
+            wcet_lo = int(master.integers(1, 50))
+            cfg = GenConfig(edge_prob=float(master.uniform(0, 1)),
+                            n_range=(lo, lo + int(master.integers(0, 6))),
+                            wcet_range=(wcet_lo, wcet_lo + int(master.integers(0, 100))),
+                            beta=float(master.uniform(0.05, 1)))
+            ref_rng = np.random.default_rng(seed)
+            ref_tasks, ref_absorbed = reference_gen_taskset(util, m, cfg, ref_rng)
+            full_rng = np.random.default_rng(seed)
+            full = gen_taskset(util, m, cfg, full_rng)
+            assert list(map(task_key, full.tasks)) == list(map(task_key, ref_tasks))
+            assert full.processors == m
+            assert full_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+            def doomed(task):
+                return rta.seed_bound(task, m) > task.deadline
+
+            first = next((k for k, t in enumerate(full.tasks) if doomed(t)), None)
+            seen = []
+            result = gen_taskset(util, m, cfg, np.random.default_rng(seed),
+                                 stop=lambda t: seen.append(task_key(t)) or doomed(t))
+            if first is None:
+                assert list(map(task_key, result.tasks)) == list(map(task_key, full.tasks))
+                assert seen == list(map(task_key, full.tasks))
+            else:
+                assert result is None
+                assert seen == list(map(task_key, full.tasks[:first + 1]))
+                cut += 1
+                last_doomed += first == len(full.tasks) - 1
+            absorbed += ref_absorbed > 0
+        # both outcomes, the absorbing branch and a crossing task that is
+        # itself the first doomed task all occur
+        assert 100 < cut < 500 and absorbed > 10 and last_doomed > 10
 
 
 class TestDeadlineMonotonic:

@@ -14,16 +14,15 @@ from math import floor
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from conftest import curve_obj, random_dag
+from conftest import carry_in_workload, curve_obj, random_dag
 from dagsched import rta
 from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag, gen_task
-from dagsched.workload import (
-    _split_peak, carry_in_workload, interfering_workload, melani_workload,
-)
+from dagsched.workload import _split_peak, interfering_workload, melani_workload
 
 
 @dataclass(frozen=True)
@@ -322,6 +321,22 @@ class TestSplitPeak:
                     assert (_split_peak(ci_table, co_table, C, m, budget)
                             == reference_split_peak(ci_raw, co_ref, C, m, budget)), (k, m, budget)
         assert wide >= 50
+
+    @pytest.mark.parametrize("huge", [2 ** 61, 2 ** 62, 2 ** 63, 10 ** 20])
+    def test_processor_counts_past_the_work(self, rng, huge):
+        # any m >= work gives the tables and split maxima of m = work, with
+        # no int64 wrap in the caps or in the tail past the span
+        for _ in range(40):
+            dag = random_dag(rng, n_max=10, wcet_max=30)
+            C, L = dag.work, dag.span
+            m = max(C, 1)
+            ci_table, co_table = dag.profile.tables(dag, huge)
+            ref_ci, ref_co = dag.profile.tables(dag, m)
+            assert ci_table.tolist() == ref_ci.tolist()
+            assert co_table.tolist() == ref_co.tolist()
+            for budget in range(1, 2 * L + 3):
+                assert (_split_peak(ci_table, co_table, C, huge, budget)
+                        == _split_peak(ref_ci, ref_co, C, m, budget)), budget
 
     def test_profile_holds_one_table_pair_per_processor_count(self, rng):
         # two span+1 int64 tables per m, owning their memory (no view into
