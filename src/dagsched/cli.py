@@ -24,42 +24,42 @@ import numpy as np
 
 from . import carryout, rta, sim
 from .dag import load_taskset, normalize_source_sink, save_taskset, taskset_to_dict
-from .errors import (
-    DagschedError, SolverLimitError, ValidationError, is_integer, is_number, require,
-)
-from .taskgen import DESK_SCALE, PAPER_SCALE, GenConfig, assign_priorities_dm, gen_taskset
+from .errors import DagschedError, ValidationError, is_integer, is_number, require
+from .taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
 CSV_HEADER = "point,method,ratio,n_sets,warnings,mean_ms"
+PAPER_SCALE = {"n_range": (10, 20), "sets_per_point": 500}
 
 
-def _load_config(cls, path):
-    """`cls` from a `--config` JSON object; lists become tuples, except `points`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValidationError("config", f"cannot read {path}: {exc}") from exc
+def _settings(cls, args, base=()):
+    """`cls` from `base`, then the `--config` JSON object, then the flags
+    given (each later source wins); lists become tuples, except `points`."""
     names = {f.name for f in fields(cls)}
-    if not isinstance(doc, dict) or not doc.keys() <= names:
-        raise ValidationError("config", f"{path} must hold a JSON object of {cls.__name__} "
-                                        f"fields ({', '.join(sorted(names))})")
+    values = dict(base)
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError("config", f"cannot read {args.config}: {exc}") from exc
+        if not isinstance(doc, dict) or not doc.keys() <= names:
+            raise ValidationError("config", f"{args.config} must hold a JSON object of "
+                                            f"{cls.__name__} fields ({', '.join(sorted(names))})")
+        values.update(doc)
+    values.update((name, getattr(args, name)) for name in names
+                  if getattr(args, name) is not None)
     return cls(**{key: tuple(value) if isinstance(value, list) and key != "points" else value
-                  for key, value in doc.items()})
+                  for key, value in values.items()})
 
 
-@dataclass
-class ExperimentSpec:
+@dataclass(frozen=True)
+class ExperimentSpec(GenConfig):
     sweep: str = "util"                  # "util" | "procs"
     points: list = field(default_factory=lambda: [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0])
     processors: int = 16                 # fixed m for util sweeps
     norm_util: float = 0.5               # U = norm_util * m for processor sweeps
     sets_per_point: int = 100
-    methods: tuple = ("ilp", "melani")
-    seed: int = 0
-    edge_prob: float = 0.2
-    n_range: tuple = (5, 10)
-    wcet_range: tuple = (1, 100)
-    beta: float = 0.1
+    methods: tuple = rta.METHODS
     zero_timing: bool = False
 
     def __post_init__(self):
@@ -84,34 +84,27 @@ class ExperimentSpec:
                 "methods", f"a list of names from {', '.join(rta.METHODS)}")
         require(len(set(self.methods)) == len(self.methods), "methods", "distinct names")
         require(isinstance(self.zero_timing, bool), "zero_timing", "true or false")
-        self.gen_config()  # checks the generator fields and the seed
-
-    from_json = classmethod(_load_config)
-
-    def gen_config(self):
-        return GenConfig(edge_prob=self.edge_prob, n_range=self.n_range,
-                         wcet_range=self.wcet_range, beta=self.beta, seed=self.seed)
+        super().__post_init__()  # the generator fields and the seed
 
 
 def run_experiment(spec) -> list:
     """CSV lines (header first) with one row per (grid point, method)."""
     lines = [CSV_HEADER]
-    cfg = spec.gen_config()
+    n = spec.sets_per_point
     for p_idx, point in enumerate(spec.points):
         m = spec.processors if spec.sweep == "util" else int(point)
         total_util = float(point) if spec.sweep == "util" else spec.norm_util * m
         results = {method: [] for method in spec.methods}
-        warnings = {method: 0 for method in spec.methods}
 
         def doomed(task):
             # a seed bound past the deadline rejects the set under every
             # method and priority order, so the rest of it is never drawn
             return rta.seed_bound(task, m) > task.deadline
 
-        for s_idx in range(spec.sets_per_point):
+        for s_idx in range(n):
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, p_idx, s_idx)))
-            ts = gen_taskset(total_util, m, cfg, rng, stop=doomed)
+            ts = gen_taskset(total_util, m, spec, rng, stop=doomed)
             if ts is None:
                 for method in spec.methods:
                     results[method].append((0, 0.0))
@@ -119,21 +112,16 @@ def run_experiment(spec) -> list:
             ts = assign_priorities_dm(ts)
             for method in spec.methods:
                 t0 = time.perf_counter()
-                try:
-                    report = rta.schedulability_test(ts, method=method)
-                except SolverLimitError:
-                    warnings[method] += 1
-                    continue
+                report = rta.schedulability_test(ts, method=method)
                 results[method].append(
                     (1 if report.schedulable else 0, time.perf_counter() - t0))
         for method in spec.methods:
             rows = results[method]
-            n = len(rows)
-            ratio = sum(r for r, _ in rows) / n if n else 0.0
-            mean_ms = (sum(t for _, t in rows) / n * 1000) if n else 0.0
-            if spec.zero_timing:
-                mean_ms = 0.0
-            lines.append(f"{point},{method},{ratio:.6f},{n},{warnings[method]},{mean_ms:.3f}")
+            ratio = sum(r for r, _ in rows) / n
+            mean_ms = 0.0 if spec.zero_timing else sum(t for _, t in rows) / n * 1000
+            # warnings is always 0 (the analysis calls no solver); the column
+            # stays until the CSV schema changes
+            lines.append(f"{point},{method},{ratio:.6f},{n},0,{mean_ms:.3f}")
     return lines
 
 
@@ -149,13 +137,17 @@ def check_dominance(csv_lines) -> bool:
 
 # --------------------------------------------------------------------------
 
-def _cmd_generate(args):
-    if args.config:
-        cfg = _load_config(GenConfig, args.config)
+def _write(text, path):
+    """`text` to the file at `path`, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        cfg = GenConfig(edge_prob=args.edge_prob, n_range=tuple(args.n_range),
-                        wcet_range=tuple(args.wcet_range), beta=args.beta,
-                        seed=args.seed)
+        sys.stdout.write(text)
+
+
+def _cmd_generate(args):
+    cfg = _settings(GenConfig, args)
     ts = assign_priorities_dm(gen_taskset(args.util, args.procs, cfg))
     if args.out:
         save_taskset(ts, args.out)
@@ -175,26 +167,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_sweep(args):
-    if args.config:
-        spec = ExperimentSpec.from_json(args.config)
-    else:
-        scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-        n_range = tuple(args.n_range) if args.n_range else scale["n_range"]
-        spec = ExperimentSpec(
-            sweep=args.sweep, points=args.points, processors=args.procs,
-            norm_util=args.norm_util,
-            sets_per_point=args.sets if args.sets else (500 if args.paper_scale else 100),
-            methods=tuple(args.methods.split(",")), seed=args.seed,
-            edge_prob=args.edge_prob, n_range=n_range,
-            wcet_range=tuple(args.wcet_range), beta=args.beta,
-            zero_timing=args.zero_timing)
+    spec = _settings(ExperimentSpec, args, PAPER_SCALE if args.paper_scale else ())
     lines = run_experiment(spec)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     if args.check_dominance and not check_dominance(lines):
         print("dominance check failed: a melani row beats its ilp row", file=sys.stderr)
         return 1
@@ -209,12 +184,7 @@ def _cmd_dump_model(args):
         raise ValidationError("delta", "delta must be non-negative")
     dag = normalize_source_sink(ts.tasks[args.task_index].dag)
     model = carryout.build_model(dag, args.delta, formulation=args.formulation)
-    text = carryout.export_model(model, fmt=args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(carryout.export_model(model, fmt=args.format), args.out)
     return 0
 
 
@@ -250,16 +220,22 @@ def build_parser():
                     "global fixed-priority scheduling")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shared_flags(p, cls):
+        # no flag has a default: a flag left out keeps the config's or the
+        # dataclass's value (see _settings)
+        p.add_argument("--config", help=f"JSON object of {cls.__name__} fields "
+                                        "(the flags given override it)")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--edge-prob", type=float)
+        p.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"))
+        p.add_argument("--wcet-range", type=int, nargs=2, metavar=("LO", "HI"))
+        p.add_argument("--beta", type=float)
+        p.add_argument("--out")
+
     g = sub.add_parser("generate", help="generate a random task set (JSON)")
     g.add_argument("--util", type=float, required=True, help="total utilization")
     g.add_argument("--procs", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--edge-prob", type=float, default=0.2)
-    g.add_argument("--n-range", type=int, nargs=2, default=[5, 10], metavar=("LO", "HI"))
-    g.add_argument("--wcet-range", type=int, nargs=2, default=[1, 100], metavar=("LO", "HI"))
-    g.add_argument("--beta", type=float, default=0.1)
-    g.add_argument("--config", help="JSON file with generator-config fields")
-    g.add_argument("--out")
+    shared_flags(g, GenConfig)
     g.set_defaults(func=_cmd_generate)
 
     a = sub.add_parser("analyze", help="response-time test on a task-set file")
@@ -269,28 +245,20 @@ def build_parser():
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("sweep", help="schedulability-ratio sweep (CSV)")
-    s.add_argument("--config", help="JSON file with ExperimentSpec fields")
-    s.add_argument("--sweep", choices=("util", "procs"), default="util")
-    s.add_argument("--points", type=float, nargs="+",
-                   default=[2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0])
-    s.add_argument("--procs", type=int, default=16)
-    s.add_argument("--norm-util", type=float, default=0.5)
-    s.add_argument("--sets", type=int, default=0, help="task sets per point")
-    s.add_argument("--methods", default="ilp,melani")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--edge-prob", type=float, default=0.2)
-    s.add_argument("--beta", type=float, default=0.1)
-    s.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"),
-                   help="override the subtask-count range")
-    s.add_argument("--wcet-range", type=int, nargs=2, default=[1, 100],
-                   metavar=("LO", "HI"))
+    shared_flags(s, ExperimentSpec)
+    s.add_argument("--sweep", choices=("util", "procs"))
+    s.add_argument("--points", type=float, nargs="+")
+    s.add_argument("--procs", type=int, dest="processors", metavar="M")
+    s.add_argument("--norm-util", type=float)
+    s.add_argument("--sets", type=int, dest="sets_per_point", metavar="N",
+                   help="task sets per point")
+    s.add_argument("--methods", type=lambda text: text.split(","))
     s.add_argument("--paper-scale", action="store_true",
-                   help="n in [10,20] and 500 sets per point")
-    s.add_argument("--zero-timing", action="store_true",
+                   help=f"start from {PAPER_SCALE} instead of the desk-scale defaults")
+    s.add_argument("--zero-timing", action="store_true", default=None,
                    help="blank the mean_ms column (reproducible output)")
     s.add_argument("--check-dominance", action="store_true",
                    help="exit nonzero unless ilp >= melani on every row")
-    s.add_argument("--out")
     s.set_defaults(func=_cmd_sweep)
 
     d = sub.add_parser("dump-model", help="export the carry-out model")

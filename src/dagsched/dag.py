@@ -152,17 +152,12 @@ def asap_start_times(dag, exec_times):
     for v, (x, c) in enumerate(zip(exec_times, dag.wcets)):
         if not (0 <= x <= c):
             raise ValueError(f"exec time {x} of vertex {v} outside [0, {c}]")
-    return _longest_starts(dag.order, dag.preds, exec_times)
-
-
-def _longest_starts(order, preds, times):
-    """Longest distance from any source to each vertex, over a topological
-    order, with vertex v weighing times[v]."""
-    start = [0] * len(times)
-    for v in order:
+    start = [0] * dag.n
+    preds = dag.preds
+    for v in dag.order:
         best = 0
         for p in preds[v]:
-            finish = start[p] + times[p]
+            finish = start[p] + exec_times[p]
             if finish > best:
                 best = finish
         start[v] = best

@@ -92,8 +92,8 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     """Run the response-time test over a priority-ordered task set.
 
     Bounds are computed in priority order; the test aborts unschedulable as
-    soon as any seed or converged bound exceeds its deadline (tasks after
-    the abort keep their seed values).
+    soon as any seed or converged bound exceeds its deadline; the bounds
+    not established by then are None ("not computed").
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")

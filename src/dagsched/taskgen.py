@@ -29,7 +29,7 @@ UTIL_TOL = 1e-3
 @dataclass(frozen=True)
 class GenConfig:
     edge_prob: float = 0.2
-    n_range: tuple = (10, 20)
+    n_range: tuple = (5, 10)
     wcet_range: tuple = (1, 100)
     beta: float = 0.1
     seed: int = 0
@@ -55,10 +55,6 @@ class GenConfig:
 
     def rng(self):
         return np.random.default_rng(np.random.SeedSequence(self.seed))
-
-
-DESK_SCALE = {"n_range": (5, 10)}
-PAPER_SCALE = {"n_range": (10, 20)}
 
 
 def gen_dag(config, rng) -> Dag:

@@ -20,7 +20,6 @@ def run(argv):
 def reference_run_experiment(spec) -> list:
     """`run_experiment` generating and analysing every set in full."""
     lines = [CSV_HEADER]
-    cfg = spec.gen_config()
     for p_idx, point in enumerate(spec.points):
         m = spec.processors if spec.sweep == "util" else int(point)
         total_util = float(point) if spec.sweep == "util" else spec.norm_util * m
@@ -29,7 +28,7 @@ def reference_run_experiment(spec) -> list:
         for s_idx in range(spec.sets_per_point):
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, p_idx, s_idx)))
-            ts = assign_priorities_dm(gen_taskset(total_util, m, cfg, rng))
+            ts = assign_priorities_dm(gen_taskset(total_util, m, spec, rng))
             for method in spec.methods:
                 t0 = time.perf_counter()
                 try:
@@ -96,6 +95,26 @@ class TestGenerateAnalyze:
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == printed.encode("utf-8")
 
+    def test_empty_config_matches_plain_generate(self, tmp_path, capsys):
+        # both start from GenConfig's defaults
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        argv = ["generate", "--util", "3.0", "--procs", "4"]
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run(argv + ["--config", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_flags_override_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3, "n_range": [3, 5]}))
+        assert run(["generate", "--util", "3.0", "--procs", "4", "--n-range", "3", "5",
+                    "--seed", "9"]) == 0
+        expect = capsys.readouterr().out
+        assert run(["generate", "--util", "3.0", "--procs", "4", "--config", str(path),
+                    "--seed", "9"]) == 0
+        assert capsys.readouterr().out == expect
+
     @pytest.mark.parametrize("procs", [2 ** 62, 10 ** 20])
     def test_huge_processor_count_matches_a_million(self, tmp_path, capsys, procs):
         # int64 tables are capped at min(m, work) * d, so no processor count
@@ -159,6 +178,7 @@ class TestMalformedInput:
         ["generate", "--util", "0", "--procs", "4"],
         ["generate", "--util", "1", "--procs", "4", "--edge-prob", "2"],
         ["sweep", "--points", "1.0", "--sets", "-1"],
+        ["sweep", "--points", "1.0", "--sets", "0"],
         ["sweep", "--points", "1.0", "--sets", "1", "--methods", "ilp,foo"],
         ["generate", "--util", "1", "--procs", "4", "--seed", "-1"],
         # a non-finite utilization must not yield an empty task set
@@ -175,7 +195,7 @@ class TestMalformedInput:
         ["generate", "--util", "5", "--procs", "4"],
         ["sweep", "--points", "2", "17", "--procs", "16", "--sets", "1"],
         ["sweep", "--sweep", "procs", "--points", "4", "--norm-util", "1.5", "--sets", "1"],
-    ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative",
+    ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative", "sweep-sets-0",
             "sweep-unknown-method", "generate-seed-negative", "generate-util-nan",
             "generate-util-inf", "sweep-procs-fractional",
             "sweep-point-nan", "sweep-point-inf", "sweep-duplicate-method",
@@ -194,8 +214,11 @@ class TestMalformedInput:
         (["generate", "--util", "1", "--procs", "2"], {"n_range": 5}),
         (["generate", "--util", "1", "--procs", "2"], {"edge_prob": "0.2"}),
         (["sweep"], {"points": [1.0], "sets_per_point": "3"}),
+        # dict.update would take a list of pairs
+        (["generate", "--util", "1", "--procs", "2"], [["seed", 3]]),
     ], ids=["sweep-unknown-key", "generate-unknown-key", "non-object", "missing-file",
-            "generate-n-range-scalar", "generate-edge-prob-string", "sweep-sets-string"])
+            "generate-n-range-scalar", "generate-edge-prob-string", "sweep-sets-string",
+            "list-of-pairs"])
     def test_bad_config_exit_2(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "config.json"
         if doc is not None:
@@ -357,14 +380,34 @@ class TestSweep:
         assert len(results) == len(spec.points) * spec.sets_per_point
         assert 0 < results.count(None) < len(results)
 
-    def test_spec_from_json(self, tmp_path):
+    def test_spec_from_json(self, tmp_path, capsys):
         cfgfile = tmp_path / "spec.json"
         cfgfile.write_text(json.dumps({
             "points": [1.0], "sets_per_point": 3, "seed": 9,
             "n_range": [3, 5], "zero_timing": True}))
-        spec = ExperimentSpec.from_json(cfgfile)
-        assert spec.sets_per_point == 3 and spec.n_range == (3, 5)
-        assert len(run_experiment(spec)) == 3
+        assert run(["sweep", "--config", str(cfgfile)]) == 0
+        spec = ExperimentSpec(points=[1.0], sets_per_point=3, seed=9, n_range=(3, 5),
+                              zero_timing=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == run_experiment(spec) and len(lines) == 3
+
+    @pytest.mark.parametrize("flags, merged", [
+        (["--sets", "2", "--seed", "4"], dict(sets_per_point=2, seed=4)),
+        (["--methods", "melani", "--n-range", "2", "4", "--zero-timing"],
+         dict(methods=("melani",), n_range=(2, 4))),
+        # --paper-scale sits below the config: its n_range loses, its 500 sets stay
+        (["--paper-scale"], dict(sets_per_point=500)),
+    ], ids=["sets-seed", "methods-n-range", "paper-scale"])
+    def test_flags_override_config(self, tmp_path, capsys, flags, merged):
+        """Defaults < --paper-scale < --config < the flags given."""
+        cfgfile = tmp_path / "spec.json"
+        cfgfile.write_text(json.dumps({
+            "points": [1.0, 2.0], "processors": 4, "seed": 9, "n_range": [3, 5],
+            "zero_timing": True}))
+        assert run(["sweep", "--config", str(cfgfile), *flags]) == 0
+        spec = ExperimentSpec(**{**dict(points=[1.0, 2.0], processors=4, seed=9,
+                                        n_range=(3, 5), zero_timing=True), **merged})
+        assert capsys.readouterr().out.splitlines() == run_experiment(spec)
 
 
 class TestSimulateCommand:

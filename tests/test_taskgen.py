@@ -88,9 +88,9 @@ def task_key(task):
 
 class TestGenDag:
     @pytest.mark.parametrize("fields", [
-        {}, {"n_range": (1, 1)}, {"n_range": (30, 60)}, {"edge_prob": 0.0},
-        {"edge_prob": 1.0}, {"wcet_range": (1, 1)},
-    ], ids=["default", "n-1", "n-30-60", "edge-prob-0", "edge-prob-1", "wcet-1"])
+        {}, {"n_range": (10, 20)}, {"n_range": (1, 1)}, {"n_range": (30, 60)},
+        {"edge_prob": 0.0}, {"edge_prob": 1.0}, {"wcet_range": (1, 1)},
+    ], ids=["default", "n-10-20", "n-1", "n-30-60", "edge-prob-0", "edge-prob-1", "wcet-1"])
     def test_matches_reference(self, fields):
         cfg = GenConfig(**fields)
         for seed in range(300):
