@@ -152,7 +152,7 @@ def build_model(dag, delta_co, formulation="edge-recursive",
         raise ValidationError("delta", f"the carry-out window must be an integer, got {delta_co!r}")
     if delta_co < 0:
         raise ValueError("delta_co must be non-negative")
-    sources, sinks = dag.sources(), dag.sinks()
+    sources, sinks = dag.sources, dag.sinks
     if len(sources) != 1 or len(sinks) != 1:
         raise ValidationError("normalize", "build_model requires a normalized DAG")
     if formulation not in ("edge-recursive", "path-enumerated"):
@@ -483,8 +483,8 @@ def _cover_penalties(dag):
     # per vertex a one-unit cover arc of cost -WCET before an uncapped one
     arcs = [(2 * v, 2 * v + 1, capacity, c) for v, w in enumerate(dag.wcets)
             for capacity, c in ((1, -w), (INF_CAP, 0))]
-    arcs += [(s, 2 * v, INF_CAP, 0) for v in dag.sources()]
-    arcs += [(2 * v + 1, t, INF_CAP, 0) for v in dag.sinks()]
+    arcs += [(s, 2 * v, INF_CAP, 0) for v in dag.sources]
+    arcs += [(2 * v + 1, t, INF_CAP, 0) for v in dag.sinks]
     arcs += [(2 * a + 1, 2 * b, INF_CAP, 0) for a, b in dag.edges]
     for u, v, capacity, c in arcs:  # each arc, then its residual twin at id ^ 1
         graph[u].append(len(head))

@@ -26,8 +26,9 @@ class Dag:
     (integer endpoints), "dangling-edge", "self-loop" and "cycle"; bools
     and floats are rejected, numpy integers stored as ints.  The derived
     facts are computed once, here too: ``order`` (the topological order
-    taking the smallest ready vertex id first), ``preds`` and ``succs``,
-    ``work``, ``span`` and ``starts`` (the ASAP start times at full WCETs).
+    taking the smallest ready vertex id first), ``preds`` and ``succs``
+    (ascending tuples), ``work``, ``span`` and ``starts`` (the ASAP start
+    times at full WCETs); ``sources`` and ``sinks`` on first use.
     """
 
     def __init__(self, wcets, edges):
@@ -84,18 +85,15 @@ class Dag:
         self.starts = tuple(starts)
         self.span = length
 
+    sources = cached_property(lambda self: tuple(v for v in range(self.n) if not self.preds[v]))
+    sinks = cached_property(lambda self: tuple(v for v in range(self.n) if not self.succs[v]))
+
     @cached_property
     def profile(self):
         """The per-DAG workload tables (`workload.DagProfile`), built on first use."""
         from .workload import DagProfile  # workload imports this module
 
         return DagProfile()
-
-    def sources(self):
-        return [v for v in range(self.n) if not self.preds[v]]
-
-    def sinks(self):
-        return [v for v in range(self.n) if not self.succs[v]]
 
     def __eq__(self, other):
         return (isinstance(other, Dag)
@@ -123,20 +121,15 @@ def normalize_source_sink(dag) -> Dag:
     the operation is idempotent and preserves work, span and start times
     of the original vertices.
     """
-    sources = dag.sources()
-    sinks = dag.sinks()
-    if len(sources) == 1 and len(sinks) == 1:
+    if len(dag.sources) == 1 and len(dag.sinks) == 1:
         return dag
-    wcets = list(dag.wcets)
-    edges = list(dag.edges)
-    if len(sources) > 1:
-        src = len(wcets)
+    wcets, edges = list(dag.wcets), list(dag.edges)
+    if len(dag.sources) > 1:  # a new source, vertex len(wcets)
+        edges += [(len(wcets), v) for v in dag.sources]
         wcets.append(0)
-        edges.extend((src, v) for v in sources)
-    if len(sinks) > 1:
-        snk = len(wcets)
+    if len(dag.sinks) > 1:
+        edges += [(v, len(wcets)) for v in dag.sinks]
         wcets.append(0)
-        edges.extend((v, snk) for v in sinks)
     return Dag(wcets, edges)
 
 

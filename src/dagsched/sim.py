@@ -3,26 +3,27 @@
 A task's priority is its index in the task set; at every instant the m
 highest-ranked ready subtasks run (rank = task index, then job index, in
 release order, then subtask id).  Events happen at integer releases and
-completions only.  One sorted ready queue spans all active jobs: a subtask
-enters it when it becomes ready and leaves it when it completes, and the
-first m entries run.  Every job's execution times are drawn before the run
-starts, in release order; the random policy takes one `rng.integers` call
-for the whole run.  A subtask drawn with zero execution time completes the
-instant it becomes ready without occupying a processor.
+completions only.  One sorted ready queue spans all active jobs, an entry
+[task, job, subtask, remaining time, job record, pending counts] per ready
+subtask, and its first m entries run.  Every job's execution times are
+drawn before the run, in release order; the random policy takes one
+`rng.integers` call for the whole run.  A subtask drawn with zero execution
+time completes the instant it becomes ready without occupying a processor.
 
-The trace records per-processor execution segments in time order, in one
-list and per job.  A segment is a plain tuple of six ints in
-``SEGMENT_FIELDS`` order, (proc, task, job, subtask, start, end): one tuple
-per running subtask per step, shared by both lists.  Critical chains are
-rebuilt by walking last-completing predecessors; critical interference is
-read from the job's own segments, and its split per interfering task takes
-one pass over the segments that overlap the blocked intervals.
-`audit_trace` numbers the ranks once per job, checks a trace in one time
-sweep and raises `AssertionError` on the first violation.
+The trace holds per-processor execution segments in time order, in one list
+and per job: tuples of six ints in ``SEGMENT_FIELDS`` order, (proc, task,
+job, subtask, start, end), one per running subtask per step.  Critical
+chains are rebuilt by walking last-completing predecessors; critical
+interference reads the job's segments grouped by subtask, and its split per
+task takes one pass over the segments that overlap the blocked intervals.
+`audit_trace` computes once per subtask its rank number and the earliest
+start that precedence allows (one comparison per segment), then checks the
+schedule in one time sweep, raising `AssertionError` at the first violation.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -35,6 +36,8 @@ from .errors import SimulationError, is_integer
 # the fields of a trace segment tuple, in order (also the `--trace-out` keys)
 SEGMENT_FIELDS = ("proc", "task", "job", "subtask", "start", "end")
 _START, _END = itemgetter(4), itemgetter(5)
+_REMAINING = itemgetter(3)  # of a ready-queue entry
+_NEVER = math.inf  # the time of an event that never happens
 
 
 @dataclass
@@ -53,9 +56,7 @@ class Job:
 
     @property
     def response(self):
-        if self.completion is None:
-            return None
-        return self.completion - self.release
+        return None if self.completion is None else self.completion - self.release
 
 
 @dataclass
@@ -111,57 +112,43 @@ def _exec_times(taskset, releases, policy, rng):
     in release order).
     """
     dags = [taskset.tasks[idx].dag for _, idx, _ in releases]
-    wcets = [w for dag in dags for w in dag.wcets]
     if isinstance(policy, dict):
-        rows = [policy.get((idx, j), dag.wcets) for (_, idx, j), dag in zip(releases, dags)]
-        if any(len(row) != dag.n for row, dag in zip(rows, dags)):
-            raise SimulationError(_EXEC_RANGE)
-        flat = [x for row in rows for x in row]
-        if not all(map(is_integer, flat)):
-            raise SimulationError(_EXEC_RANGE)
-    elif policy == "wcet":
-        flat = wcets
-    elif policy == "random":
-        flat = rng.integers(0, [w + 1 for w in wcets]).tolist()
-    else:
-        raise SimulationError(f"unknown execution policy {policy!r}")
-    if not all(0 <= x <= w for x, w in zip(flat, wcets)):
-        raise SimulationError(_EXEC_RANGE)
-    ends = accumulate(dag.n for dag in dags)
-    return [tuple(flat[end - dag.n:end]) for end, dag in zip(ends, dags)]
+        rows = [tuple(policy.get((idx, j), dag.wcets)) for (_, idx, j), dag in zip(releases, dags)]
+        for row, dag in zip(rows, dags):
+            if len(row) != dag.n or not all(is_integer(x) and 0 <= x <= w
+                                            for x, w in zip(row, dag.wcets)):
+                raise SimulationError(_EXEC_RANGE)
+        return rows
+    if policy == "wcet":
+        return [dag.wcets for dag in dags]
+    if policy == "random":
+        flat = rng.integers(0, [w + 1 for dag in dags for w in dag.wcets]).tolist()
+        ends = accumulate(dag.n for dag in dags)
+        return [tuple(flat[end - dag.n:end]) for end, dag in zip(ends, dags)]
+    raise SimulationError(f"unknown execution policy {policy!r}")
 
 
-class _ActiveJob:
-    __slots__ = ("job", "dag", "key", "remaining", "pending", "left")
-
-    def __init__(self, job, dag):
-        self.job = job
-        self.dag = dag
-        self.key = (job.task_index, job.job_index)
-        self.remaining = list(job.exec_times)
-        self.pending = [len(p) for p in dag.preds]
-        self.left = dag.n
-
-    def complete(self, v, now, newly_ready):
-        self.job.subtask_completion[v] = now
-        self.left -= 1
-        for b in self.dag.succs[v]:
-            self.pending[b] -= 1
-            if self.pending[b] == 0:
-                self.job.subtask_ready[b] = now
-                newly_ready.append(b)
-
-    def admit_ready(self, vs, now, queue):
-        """Queue subtasks that became ready; zero-length ones complete instantly."""
-        stack = list(vs)
-        while stack:
-            v = stack.pop()
-            if self.remaining[v] == 0:
-                self.complete(v, now, stack)
-            else:
-                insort(queue, (*self.key, v, self))
-        if self.left == 0:
-            self.job.completion = now
+def _finish(job, pending, done, now, queue, succs):
+    """Complete the subtasks `done` of `job` at `now`, and the job once none
+    is left.  A successor whose predecessors have all completed is ready: it
+    is queued, or completes at once if it has no execution time.  `pending`
+    holds each subtask's count of incomplete predecessors, then the job's
+    count of incomplete subtasks."""
+    times = job.exec_times
+    while done:
+        v = done.pop()
+        job.subtask_completion[v] = now
+        pending[-1] -= 1
+        for b in succs[v]:
+            pending[b] -= 1
+            if not pending[b]:
+                job.subtask_ready[b] = now
+                if times[b]:
+                    insort(queue, [job.task_index, job.job_index, b, times[b], job, pending])
+                else:
+                    done.append(b)
+    if not pending[-1]:
+        job.completion = now
 
 
 def simulate(taskset, m, horizon, release_policy="periodic",
@@ -176,65 +163,69 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         rng = np.random.default_rng(0)
 
     release_map = _release_times(taskset, horizon, release_policy, rng)
-    releases = sorted(
-        (time, idx, j)
-        for idx, times in release_map.items()
-        for j, time in enumerate(times))
+    releases = sorted((time, idx, j) for idx, times in release_map.items()
+                      for j, time in enumerate(times))
     exec_times = _exec_times(taskset, releases, exec_policy, rng)
+    if not releases:
+        return SimResult(taskset, m, horizon, [], [])
+    releases.append((_NEVER, None, None))  # no release after the last
+    # per task, read once: its DAG and a job's initial `pending` counts
+    dags = [t.dag for t in taskset.tasks]
+    counts = [[len(p) for p in dag.preds] + [dag.n] for dag in dags]
 
-    jobs = []
-    segments = []
-    # ready subtasks of all jobs as (task_index, job_index, v, state), best
-    # first; the first three fields are unique, so state is never compared
+    jobs, segments = [], []
+    add_segment = segments.append
+    # ready subtasks of all jobs, best first, as [task_index, job_index, v,
+    # remaining time, job, pending]; the first three fields are unique, so
+    # the rest is never compared
     queue = []
     ptr = 0
-    if not releases:
-        return SimResult(taskset, m, horizon, segments, jobs)
-    t = releases[0][0]
+    t = next_release = releases[0][0]
 
     while True:
-        while ptr < len(releases) and releases[ptr][0] == t:
+        while next_release == t:
             _, idx, jnum = releases[ptr]
-            task = taskset.tasks[idx]
-            job = Job(idx, jnum, t, t + task.deadline, exec_times[ptr],
-                      subtask_ready=[None] * task.dag.n,
-                      subtask_completion=[None] * task.dag.n)
+            dag, times = dags[idx], exec_times[ptr]
+            job = Job(idx, jnum, t, t + taskset.tasks[idx].deadline, times,
+                      subtask_ready=[None] * dag.n, subtask_completion=[None] * dag.n)
             ptr += 1
+            next_release = releases[ptr][0]
             jobs.append(job)
-            sources = task.dag.sources()
-            for v in sources:
+            pending = counts[idx][:]
+            for v in dag.sources:
                 job.subtask_ready[v] = t
-            _ActiveJob(job, task.dag).admit_ready(sources, t, queue)
+                if times[v]:
+                    insort(queue, [idx, jnum, v, times[v], job, pending])
+            _finish(job, pending, [v for v in dag.sources if not times[v]], t, queue, dag.succs)
 
         running = queue[:m]
-        next_release = releases[ptr][0] if ptr < len(releases) else None
         if not running:
-            if next_release is None:
+            if next_release == _NEVER:
                 break
             t = next_release
             continue
-        dt = min(state.remaining[v] for _, _, v, state in running)
-        if next_release is not None and next_release - t < dt:
+        dt = min(map(_REMAINING, running))
+        if next_release - t < dt:
             dt = next_release - t
         t_next = t + dt
 
         finished = []
-        for slot, (task_index, job_index, v, state) in enumerate(running):
+        for slot, entry in enumerate(running):
+            task_index, job_index, v, remaining, job, _ = entry
             seg = (slot, task_index, job_index, v, t, t_next)
-            segments.append(seg)
-            state.job.segments.append(seg)
-            state.remaining[v] -= dt
-            if state.remaining[v] == 0:
+            add_segment(seg)
+            job.segments.append(seg)
+            if remaining == dt:
                 finished.append(slot)
+            else:
+                entry[3] = remaining - dt
         # the running entries are the queue's head, so drop the finished
         # ones by position before their successors are queued
         for slot in reversed(finished):
             del queue[slot]
         for slot in finished:
-            _, _, v, state = running[slot]
-            newly = []
-            state.complete(v, t_next, newly)
-            state.admit_ready(newly, t_next, queue)
+            task_index, _, v, _, job, pending = running[slot]
+            _finish(job, pending, [v], t_next, queue, dags[task_index].succs)
         t = t_next
 
     return SimResult(taskset, m, horizon, segments, jobs)
@@ -250,30 +241,34 @@ def extract_critical_chain(sim, job):
     """
     if job.completion is None:
         raise SimulationError("job did not complete within the trace")
-    dag = sim.taskset.tasks[job.task_index].dag
+    preds = sim.taskset.tasks[job.task_index].dag.preds
     comp = job.subtask_completion
-    last = min(v for v in range(dag.n) if comp[v] == max(comp))
-    chain = [last]
-    while dag.preds[chain[0]]:
-        preds = dag.preds[chain[0]]
-        best = max(comp[p] for p in preds)
-        chain.insert(0, min(p for p in preds if comp[p] == best))
+    # max returns the first maximal item: the lowest id, as each preds
+    # tuple is ascending
+    v = comp.index(max(comp))
+    chain = [v]
+    while preds[v]:
+        v = max(preds[v], key=comp.__getitem__)
+        chain.append(v)
+    chain.reverse()
     return chain
 
 
 def _blocked_intervals(sim, job, chain):
     """Intervals where the current critical subtask is ready but not running."""
     comp = job.subtask_completion
+    runs = {}  # subtask -> its segments' (start, end), in time order
+    for _, _, _, v, start, end in job.segments:
+        runs.setdefault(v, []).append((start, end))
     cur = job.release
     blocked = []
     for v in chain:
         if job.subtask_ready[v] != cur:
             raise SimulationError("chain/trace mismatch: ready times do not chain")
-        for _, _, _, subtask, start, end in job.segments:
-            if subtask == v:
-                if start > cur:
-                    blocked.append((cur, start))
-                cur = end
+        for start, end in runs.get(v, ()):
+            if start > cur:
+                blocked.append((cur, start))
+            cur = end
         if cur < comp[v]:
             blocked.append((cur, comp[v]))
         cur = comp[v]
@@ -318,51 +313,63 @@ def audit_trace(sim) -> None:
             if a[5] > b[4]:
                 raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
-    # rank numbers: the jobs in rank order (task index, job index), computed
-    # once per job, each followed by its subtask ids; a smaller number is a
-    # higher rank, and a number names one subtask of one job
+    # per job, in rank order (task index, job index): its first rank number,
+    # then one per subtask id (a smaller number is a higher rank); per
+    # subtask the latest of its ready time and its predecessors' completions,
+    # the earliest start precedence allows (_NEVER stands for a missing time)
     tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
-    base, number = {}, 0
+    info, readies, number = {}, [], 0
     for key in sorted(job_map):
-        base[key] = number
-        number += len(job_map[key].exec_times)
+        job = job_map[key]
+        comp = [_NEVER if c is None else c for c in job.subtask_completion]
+        release, times = job.release, job.exec_times
+        limits = []
+        for v, (r, preds) in enumerate(zip(job.subtask_ready, tasks[key[0]].dag.preds)):
+            limit = _NEVER if r is None else r
+            for p in preds:
+                if comp[p] > limit:
+                    limit = comp[p]
+            limits.append(limit)
+            if r is not None and times[v] > 0:
+                readies.append((r if r > release else release, comp[v], number + v))
+        info[key] = number, limits
+        number += len(times)
 
     spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:
         _, task, jnum, v, start, end = seg
-        key = (task, jnum)
-        job = job_map[key]
-        ready = job.subtask_ready[v]
-        if ready is None or start < ready:
-            raise AssertionError(f"segment {seg} starts before readiness {ready}")
-        for p in tasks[task].dag.preds[v]:
-            comp = job.subtask_completion[p]
-            if comp is None or start < comp:
-                raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
-        spans.append((start, end, base[key] + v))
+        first, limits = info[task, jnum]
+        if start < limits[v]:
+            job = job_map[task, jnum]
+            ready = job.subtask_ready[v]
+            if ready is None or start < ready:
+                raise AssertionError(f"segment {seg} starts before readiness {ready}")
+            p = next(p for p in tasks[task].dag.preds[v]
+                     if job.subtask_completion[p] is None or start < job.subtask_completion[p])
+            raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
+        spans.append((start, end, first + v))
 
     # priority correctness + work conservation between event points, in one
     # sweep that keeps the running segments and the ready subtasks
-    points = sorted({s[0] for s in spans} | {s[1] for s in spans}
-                    | {j.release for j in sim.jobs})
+    points = set(map(_START, sim.segments))
+    points.update(map(_END, sim.segments), [j.release for j in sim.jobs])
+    points = sorted(points)
     spans.sort(key=itemgetter(0))
-    readies = sorted(((max(job.release, r), job.subtask_completion[v], base[key] + v)
-                      for key, job in job_map.items() for v, r in enumerate(job.subtask_ready)
-                      if r is not None and job.exec_times[v] > 0),
-                     key=itemgetter(0))
+    readies.sort(key=itemgetter(0))
+    spans.append((_NEVER,))  # stops the scans below
+    readies.append((_NEVER,))
     live, ready = [], []
     i = j = 0
-    n_spans, n_readies = len(spans), len(readies)
     for lo, hi in zip(points, points[1:]):
-        while i < n_spans and spans[i][0] <= lo:
+        while spans[i][0] <= lo:
             live.append(spans[i])
             i += 1
-        while j < n_readies and readies[j][0] <= lo:
+        while readies[j][0] <= lo:
             ready.append(readies[j])
             j += 1
         live = [s for s in live if s[1] > lo]
-        ready = [e for e in ready if e[1] is None or e[1] > lo]
+        ready = [e for e in ready if e[1] > lo]
         running = {s[2] for s in live}
         waiting = [e[2] for e in ready if e[2] not in running]
         if waiting:

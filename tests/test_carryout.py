@@ -150,7 +150,7 @@ def bellman_ford_penalties(dag):
     paths with a full Bellman-Ford over the residual network per
     augmentation."""
     n = dag.n
-    source, sink = dag.sources()[0], dag.sinks()[0]
+    source, sink = dag.sources[0], dag.sinks[0]
     graph = [[] for _ in range(2 * n)]
     arcs = []  # [to, cap, cost]
 
@@ -281,7 +281,7 @@ class TestWorkCurve:
             shapes[0] += n == 0
             shapes[1] += n > 0 and dag.span == 0
             shapes[2] += 0 in wcets
-            shapes[3] += len(dag.sources()) > 1 and len(dag.sinks()) > 1
+            shapes[3] += len(dag.sources) > 1 and len(dag.sinks) > 1
             assert _cover_penalties(dag) == reference_cover_penalties(dag)
         assert min(shapes) >= 20
 
@@ -292,7 +292,7 @@ class TestWorkCurve:
         for k in range(150):
             dag = random_dag(rng, n_max=(8, 20)[k % 2], wcet_max=(3, 50)[k % 2],
                              p=float(rng.uniform(0.05, 0.3)))
-            if len(dag.sources()) < 2 or len(dag.sinks()) < 2:
+            if len(dag.sources) < 2 or len(dag.sinks) < 2:
                 continue
             assert WorkCurve(dag).penalties == WorkCurve(normalize_source_sink(dag)).penalties
             checked += 1

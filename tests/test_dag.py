@@ -64,7 +64,8 @@ class TestNormalize:
         dag = Dag([1, 2, 3], [(0, 2), (1, 2)])
         norm = normalize_source_sink(dag)
         assert norm.n == 4  # one dummy source, no dummy sink
-        assert len(norm.sources()) == 1 and len(norm.sinks()) == 1
+        assert (dag.sources, dag.sinks) == ((0, 1), (2,))
+        assert (norm.sources, norm.sinks) == ((3,), (2,))
         assert norm.wcets[3] == 0
 
     def test_chain_unchanged(self):
@@ -109,6 +110,8 @@ class TestWorkSpan:
         for _ in range(100):
             dag = random_dag(rng)
             assert span(dag) <= work(dag)
+            assert dag.sources == tuple(v for v in range(dag.n) if not dag.preds[v])
+            assert dag.sinks == tuple(v for v in range(dag.n) if not dag.succs[v])
 
 
 class TestAsap:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -73,6 +74,121 @@ def reference_audit(res):
             worst_running = max(rank(job_map[(ti, ji)], v) for ti, ji, v in running)
             assert worst_running < min(waiting), \
                 f"priority inversion in [{lo},{hi})"
+
+
+# Kept versions of the critical chain (a maximum over all completions per
+# vertex), the blocked intervals (a scan of all the job's segments per chain
+# subtask) and the audit (a check per predecessor per segment): `sim`'s
+# versions must give the same results and messages.
+_START = itemgetter(4)
+
+
+def kept_extract_critical_chain(sim, job):
+    """Chain of subtask ids rebuilt through last-completing predecessors.
+
+    Ties among equal completion times break toward the lowest subtask id.
+    """
+    if job.completion is None:
+        raise SimulationError("job did not complete within the trace")
+    dag = sim.taskset.tasks[job.task_index].dag
+    comp = job.subtask_completion
+    last = min(v for v in range(dag.n) if comp[v] == max(comp))
+    chain = [last]
+    while dag.preds[chain[0]]:
+        preds = dag.preds[chain[0]]
+        best = max(comp[p] for p in preds)
+        chain.insert(0, min(p for p in preds if comp[p] == best))
+    return chain
+
+
+def kept_blocked_intervals(sim, job, chain):
+    """Intervals where the current critical subtask is ready but not running."""
+    comp = job.subtask_completion
+    cur = job.release
+    blocked = []
+    for v in chain:
+        if job.subtask_ready[v] != cur:
+            raise SimulationError("chain/trace mismatch: ready times do not chain")
+        for _, _, _, subtask, start, end in job.segments:
+            if subtask == v:
+                if start > cur:
+                    blocked.append((cur, start))
+                cur = end
+        if cur < comp[v]:
+            blocked.append((cur, comp[v]))
+        cur = comp[v]
+    if cur != job.completion:
+        raise SimulationError("chain/trace mismatch: chain does not end the job")
+    return blocked
+
+
+def kept_audit_trace(sim) -> None:
+    """Check work conservation, precedence and priority rules on a trace.
+
+    Raises AssertionError on the first violation.
+    """
+    by_proc = {}
+    for seg in sim.segments:
+        by_proc.setdefault(seg[0], []).append(seg)
+    for proc, segs in by_proc.items():
+        segs.sort(key=_START)
+        for a, b in zip(segs, segs[1:]):
+            if a[5] > b[4]:
+                raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
+
+    # rank numbers: the jobs in rank order (task index, job index), computed
+    # once per job, each followed by its subtask ids; a smaller number is a
+    # higher rank, and a number names one subtask of one job
+    tasks = sim.taskset.tasks
+    job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
+    base, number = {}, 0
+    for key in sorted(job_map):
+        base[key] = number
+        number += len(job_map[key].exec_times)
+
+    spans = []  # (start, end, rank number) of every segment
+    for seg in sim.segments:
+        _, task, jnum, v, start, end = seg
+        key = (task, jnum)
+        job = job_map[key]
+        ready = job.subtask_ready[v]
+        if ready is None or start < ready:
+            raise AssertionError(f"segment {seg} starts before readiness {ready}")
+        for p in tasks[task].dag.preds[v]:
+            comp = job.subtask_completion[p]
+            if comp is None or start < comp:
+                raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
+        spans.append((start, end, base[key] + v))
+
+    # priority correctness + work conservation between event points, in one
+    # sweep that keeps the running segments and the ready subtasks
+    points = sorted({s[0] for s in spans} | {s[1] for s in spans}
+                    | {j.release for j in sim.jobs})
+    spans.sort(key=itemgetter(0))
+    readies = sorted(((max(job.release, r), job.subtask_completion[v], base[key] + v)
+                      for key, job in job_map.items() for v, r in enumerate(job.subtask_ready)
+                      if r is not None and job.exec_times[v] > 0),
+                     key=itemgetter(0))
+    live, ready = [], []
+    i = j = 0
+    n_spans, n_readies = len(spans), len(readies)
+    for lo, hi in zip(points, points[1:]):
+        while i < n_spans and spans[i][0] <= lo:
+            live.append(spans[i])
+            i += 1
+        while j < n_readies and readies[j][0] <= lo:
+            ready.append(readies[j])
+            j += 1
+        live = [s for s in live if s[1] > lo]
+        ready = [e for e in ready if e[1] is None or e[1] > lo]
+        running = {s[2] for s in live}
+        waiting = [e[2] for e in ready if e[2] not in running]
+        if waiting:
+            if len(running) != sim.processors:
+                raise AssertionError(
+                    f"work conservation violated in [{lo},{hi}): {len(running)} running")
+            if not max(running) < min(waiting):
+                raise AssertionError(f"priority inversion in [{lo},{hi})")
 
 
 def reference_draw_exec(task, task_index, job_index, policy, rng):
@@ -324,6 +440,30 @@ class TestCriticalChain:
         with pytest.raises(SimulationError):
             sim.extract_critical_chain(res, job)
 
+    def test_same_chain_and_blocked_intervals_as_kept_versions(self):
+        # on every job of the random mixes, and on each job's chain with its
+        # first subtask dropped, which the blocked intervals must refuse
+        # with the same message
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except SimulationError as exc:
+                return str(exc)
+
+        checked = refused = 0
+        for res in random_mixes(range(12)):
+            for job in res.jobs:
+                chain = outcome(sim.extract_critical_chain, res, job)
+                assert chain == outcome(kept_extract_critical_chain, res, job)
+                if isinstance(chain, str):
+                    continue
+                for c in (chain, chain[1:]):
+                    got = outcome(sim._blocked_intervals, res, job, c)
+                    assert got == outcome(kept_blocked_intervals, res, job, c)
+                    refused += isinstance(got, str)
+                checked += 1
+        assert checked > 100 and refused > 50
+
     def test_scripted_scenario_chain_and_interference(self):
         ts, m, releases, execs, k = interference_scenario()
         res = sim.simulate(ts, m, 120, release_policy=releases, exec_policy=execs)
@@ -441,13 +581,22 @@ class TestAudit:
             sim.audit_trace(with_segments(res, swapped))
 
     def test_same_verdict_as_reference_on_mutated_traces(self):
+        # kinds 0-3 mutate a segment, kinds 4-7 the record of a segment's
+        # job: a subtask's ready time (4) or completion time (5) shifted by
+        # 1..3 either way, one of them dropped (6), or its execution time
+        # zeroed (7); the audit must give the reference's verdict and the
+        # kept audit's message
         rng = np.random.default_rng(47)
         verdicts = {True: 0, False: 0}
-        for res in random_mixes(range(6)):
+        violations = ("overlaps", "before readiness", "before predecessor",
+                      "work conservation", "priority inversion")
+        seen = set()
+        for res in random_mixes(range(12)):
             for _ in range(15):
                 segs = list(res.segments)
                 i = int(rng.integers(len(segs)))
-                kind = int(rng.integers(4))
+                kind = int(rng.integers(8))
+                jobs = res.jobs
                 if kind == 0:
                     del segs[i]
                 elif kind == 1:
@@ -456,13 +605,47 @@ class TestAudit:
                     segs[i] = segs[i][:4] + (start + d, end + d)
                 elif kind == 2:
                     segs[i] = (int(rng.integers(res.processors)),) + segs[i][1:]
-                else:
+                elif kind == 3:
                     segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
-                bad = with_segments(res, segs)
+                else:
+                    jobs = self._mutated_jobs(res, segs[i], kind, rng)
+                bad = sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
                 expect = self._passes(reference_audit, bad)
                 assert self._passes(sim.audit_trace, bad) == expect
+                message = self._message(sim.audit_trace, bad)
+                assert message == self._message(kept_audit_trace, bad)
+                assert (message is None) == expect
                 verdicts[expect] += 1
+                seen.update(v for v in violations if v in (message or ""))
         assert verdicts[True] > 20 and verdicts[False] > 100
+        assert seen == set(violations)
+
+    @staticmethod
+    def _mutated_jobs(res, seg, kind, rng):
+        """res.jobs with a copy of seg's job whose record is mutated."""
+        _, task, jnum, _, _, _ = seg
+        k = next(k for k, j in enumerate(res.jobs) if (j.task_index, j.job_index) == (task, jnum))
+        job = res.jobs[k]
+        job = replace(job, subtask_ready=list(job.subtask_ready),
+                      subtask_completion=list(job.subtask_completion))
+        v = int(rng.integers(len(job.exec_times)))
+        if kind == 7:
+            job.exec_times = job.exec_times[:v] + (0,) + job.exec_times[v + 1:]
+        elif kind == 6:  # ready or completion time dropped
+            (job.subtask_ready, job.subtask_completion)[int(rng.integers(2))][v] = None
+        else:
+            times = job.subtask_ready if kind == 4 else job.subtask_completion
+            if times[v] is not None:
+                times[v] += int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        return res.jobs[:k] + [job] + res.jobs[k + 1:]
+
+    @staticmethod
+    def _message(audit, res):
+        try:
+            audit(res)
+        except AssertionError as exc:
+            return str(exc)
+        return None
 
     @staticmethod
     def _passes(audit, res):
