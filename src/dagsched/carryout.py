@@ -40,11 +40,11 @@ from math import floor, inf, prod
 import numpy as np
 
 from . import simplex
-from .dag import DEFAULT_PATH_CAP, Dag, asap_start_times, enumerate_paths
+from .dag import Dag, asap_start_times, enumerate_paths
 from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
-DEFAULT_NODE_LIMIT = 100_000
+NODE_LIMIT = 100_000
 
 
 # --------------------------------------------------------------------------
@@ -72,14 +72,14 @@ def trim_to_window(dag, exec_times, delta):
     return trimmed
 
 
-def brute_force_oracle(dag, delta_co, guard=ORACLE_GUARD) -> int:
+def brute_force_oracle(dag, delta_co) -> int:
     """Maximum window workload by exhaustive execution-vector enumeration."""
     if delta_co <= 0:
         return 0
     space = prod(c + 1 for c in dag.wcets)
-    if space > guard:
+    if space > ORACLE_GUARD:
         raise OracleLimitError(
-            f"{space} execution vectors exceed the enumeration guard {guard}")
+            f"{space} execution vectors exceed the enumeration guard {ORACLE_GUARD}")
     best = 0
     chunk = 100_000
     ranges = [range(c + 1) for c in dag.wcets]
@@ -139,8 +139,7 @@ class CarryOutModel:
         return np.repeat(np.array([kind == "W" for kind in KINDS], dtype=np.int64), self.n)
 
 
-def build_model(dag, delta_co, formulation="edge-recursive",
-                path_cap=DEFAULT_PATH_CAP) -> CarryOutModel:
+def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
     """Linear model whose optimum bounds the carry-out workload.
 
     Requires a normalized (single-source, single-sink) DAG.  The
@@ -183,11 +182,11 @@ def build_model(dag, delta_co, formulation="edge-recursive",
     else:
         # the sink has the most source paths, so enumerating it first
         # refuses an explosion before any other vertex is enumerated
-        sink_paths = enumerate_paths(dag, sinks[0], path_cap)
+        sink_paths = enumerate_paths(dag, sinks[0])
         for a in range(n):
             if a == sources[0]:
                 continue
-            paths = sink_paths if a == sinks[0] else enumerate_paths(dag, a, path_cap)
+            paths = sink_paths if a == sinks[0] else enumerate_paths(dag, a)
             for idx, path in enumerate(paths):
                 add(f"dist_{a}_{idx}", [(S, a, 1)] + [(X, b, -1) for b in path[:-1]],
                     at_least=True)
@@ -340,7 +339,7 @@ def _assignment_from_exec(model, exec_times) -> dict:
     return asg
 
 
-def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
+def solve_exact(model) -> SolveResult:
     """Provably optimal integer solution by branch-and-bound on the binaries.
 
     Branches on A variables in topological order (A=1 explored first), solves
@@ -348,7 +347,8 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
     relaxation bound.  At A-complete nodes the relaxation optimum equals the
     node's integer optimum, so no branching on the remaining variables is
     needed; integer witnesses are recovered from the basic solution (with a
-    window-trimming repair, and exhaustive search as a last resort).
+    window-trimming repair).  If an A-complete bound still exceeds the best
+    witness after the search, the witness was missed: SolverLimitError.
     """
     dag = model.dag
     wcets = dag.wcets
@@ -375,13 +375,13 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
 
     nodes = 0
     pivots = 0
-    gap_nodes = 0
+    top_complete = -1  # the largest bound of an A-complete node
     stack = [base_fix]
     while stack:
         afix = stack.pop()
         nodes += 1
-        if nodes > node_limit:
-            raise SolverLimitError(f"branch-and-bound exceeded {node_limit} nodes")
+        if nodes > NODE_LIMIT:
+            raise SolverLimitError(f"branch-and-bound exceeded {NODE_LIMIT} nodes")
         c, rows, rhs, cols = _node_lp(model, afix)
         lp = simplex.solve_lp_max(c, rows, rhs)
         pivots += lp.pivots
@@ -398,26 +398,16 @@ def solve_exact(model, node_limit=DEFAULT_NODE_LIMIT) -> SolveResult:
         consider(xfloor)
         branch = next((a for a in order if a not in afix), None)
         if branch is None:
-            # A-complete: the relaxation optimum is the node optimum, so a
-            # leftover gap means the heuristics missed the optimal witness
-            if bound > best_val:
-                gap_nodes += 1
+            # A-complete: the relaxation optimum is the node optimum, which
+            # the best witness must reach by the end of the search
+            top_complete = max(top_complete, bound)
             continue
         stack.append({**afix, branch: 0})
         stack.append({**afix, branch: 1})  # popped first: optimistic A=1 branch
 
-    if gap_nodes:
-        # A witness for the optimum escaped the heuristics; recover it
-        # exhaustively when the instance is small enough.
-        space = prod(c + 1 for c in wcets)
-        if space <= ORACLE_GUARD:
-            for combo in itertools.product(*[range(c + 1) for c in wcets]):
-                v = asap_window_workload(dag, list(combo), delta)
-                if v > best_val:
-                    best_val, best_exec = v, list(combo)
-        else:
-            raise SolverLimitError(
-                "optimal witness not recovered (degenerate fractional optimum)")
+    if top_complete > best_val:
+        raise SolverLimitError(
+            f"optimal witness not recovered: bound {top_complete}, best witness {best_val}")
 
     assignment = _assignment_from_exec(model, best_exec)
     verify_assignment(model, assignment)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import PathExplosionError, ValidationError, as_int
 
-DEFAULT_PATH_CAP = 100_000
+PATH_CAP = 100_000
 
 
 class Dag:
@@ -170,15 +170,15 @@ def count_paths(dag, v) -> int:
     return counts[v]
 
 
-def enumerate_paths(dag, v, cap=DEFAULT_PATH_CAP):
+def enumerate_paths(dag, v):
     """All source-to-v paths of a normalized DAG, as vertex-id tuples.
 
-    Refuses with PathExplosionError when the path count exceeds ``cap``;
-    callers should fall back to the edge-recursive formulation then.
+    Refuses with PathExplosionError beyond ``PATH_CAP`` paths; callers
+    should fall back to the edge-recursive formulation then.
     """
-    if count_paths(dag, v) > cap:
+    if count_paths(dag, v) > PATH_CAP:
         raise PathExplosionError(
-            f"path explosion: more than {cap} paths to vertex {v}; "
+            f"path explosion: more than {PATH_CAP} paths to vertex {v}; "
             "use the edge-recursive formulation")
     paths = []
 

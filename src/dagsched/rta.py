@@ -64,76 +64,42 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=1)
 
 
-def response_time_bound(k, taskset, m, workload_fn):
-    """Least fixed point for task k, or (None, iterations) once it passes D_k.
-
-    workload_fn(i, delta) returns the interfering workload of task i, using
-    converged bounds for every higher-priority task.
-    """
-    task = taskset.tasks[k]
-    seed = seed_bound(task, m)
-    r = seed
-    iterations = 0
-    if r > task.deadline:
-        return None, iterations
-    while True:
-        iterations += 1
-        total = sum(workload_fn(i, r) for i in range(k))
-        nxt = task.span + _ceil_div(task.work - task.span + total, m)
-        if nxt == r:
-            return r, iterations
-        if nxt > task.deadline:
-            return None, iterations
-        assert nxt > r, "fixed-point iterate must be non-decreasing"
-        r = nxt
-
-
 def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     """Run the response-time test over a priority-ordered task set.
 
-    Bounds are computed in priority order; the test aborts unschedulable as
-    soon as any seed or converged bound exceeds its deadline; the bounds
-    not established by then are None ("not computed").
+    Every seed is checked first; then each task's bound is iterated to its
+    least fixed point in priority order, with the converged bounds of the
+    higher-priority tasks as their interferers' response bounds.  The test
+    aborts unschedulable as soon as any seed or iterate exceeds its
+    deadline; the bounds not established by then are None ("not computed").
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    workload = melani_workload if method == "melani" else interfering_workload
     if m is None:
         m = taskset.processors
     t0 = time.perf_counter()
-    n = len(taskset.tasks)
-    bounds = [seed_bound(t, m) for t in taskset.tasks]
-    iterations = [0] * n
-
-    def abort(failed_at, established):
-        # only the first `established` entries are converged bounds
-        for j in range(established, n):
-            bounds[j] = None
-        return AnalysisReport(method, m, bounds, iterations, False, failed_at,
-                              wall_time_s=time.perf_counter() - t0)
-
-    for k, task in enumerate(taskset.tasks):
-        if bounds[k] > task.deadline:
-            # the top-priority seed needs no interference term, so it is a
-            # valid bound even when a later task fails initialization
-            return abort(k, established=min(k, 1))
-
-    def workload_fn(i, delta):
-        interferer = taskset.tasks[i]
-        # only tasks already shown schedulable interfere during the analysis
-        if bounds[i] > interferer.deadline:
-            raise ValueError(
-                f"interferer response bound {bounds[i]} exceeds "
-                f"deadline {interferer.deadline}")
-        if method == "melani":
-            return melani_workload(interferer, delta, bounds[i], m)
-        return interfering_workload(interferer, delta, bounds[i], m)
-
-    for k in range(1, n):
-        bound, iters = response_time_bound(k, taskset, m, workload_fn)
-        iterations[k] = iters
-        if bound is None:
-            return abort(k, established=k)
-        bounds[k] = bound
-
-    return AnalysisReport(method, m, bounds, iterations, True,
+    tasks = taskset.tasks
+    bounds = [seed_bound(t, m) for t in tasks]
+    iterations = [0] * len(tasks)
+    failed_at = next((k for k, t in enumerate(tasks) if bounds[k] > t.deadline), None)
+    # the top-priority seed needs no interference term, so it stands even
+    # when a later seed fails; the bounds from `established` on are None
+    established = len(tasks) if failed_at is None else min(failed_at, 1)
+    for k in range(1, established):
+        task, r = tasks[k], bounds[k]
+        while True:
+            iterations[k] += 1
+            total = sum(workload(tasks[i], r, bounds[i], m) for i in range(k))
+            nxt = task.span + _ceil_div(task.work - task.span + total, m)
+            if nxt == r or nxt > task.deadline:
+                break
+            assert nxt > r, "fixed-point iterate must be non-decreasing"
+            r = nxt
+        if nxt > task.deadline:
+            failed_at = established = k
+            break
+        bounds[k] = r
+    bounds[established:] = [None] * (len(tasks) - established)
+    return AnalysisReport(method, m, bounds, iterations, failed_at is None, failed_at,
                           wall_time_s=time.perf_counter() - t0)

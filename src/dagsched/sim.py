@@ -339,7 +339,10 @@ def audit_trace(sim) -> None:
     spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:
         _, task, jnum, v, start, end = seg
-        first, limits = info[task, jnum]
+        entry = info.get((task, jnum))
+        if entry is None or not 0 <= v < len(entry[1]):
+            raise AssertionError(f"segment {seg} names no subtask of a simulated job")
+        first, limits = entry
         if start < limits[v]:
             job = job_map[task, jnum]
             ready = job.subtask_ready[v]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SolverLimitError
 
-DEFAULT_PIVOT_LIMIT = 20_000
+PIVOT_LIMIT = 20_000
 
 
 @dataclass
@@ -30,7 +30,7 @@ class Unbounded(SolverLimitError):
     """The LP is unbounded above (cannot happen for well-formed models)."""
 
 
-def solve_lp_max(c, rows, rhs, pivot_limit=DEFAULT_PIVOT_LIMIT) -> LpResult:
+def solve_lp_max(c, rows, rhs) -> LpResult:
     """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact arithmetic)."""
     m = len(rows)
     n = len(c)
@@ -82,8 +82,8 @@ def solve_lp_max(c, rows, rhs, pivot_limit=DEFAULT_PIVOT_LIMIT) -> LpResult:
                 row, best_num, best_den = int(i), num, a
 
         pivots += 1
-        if pivots > pivot_limit:
-            raise SolverLimitError(f"simplex exceeded {pivot_limit} pivots")
+        if pivots > PIVOT_LIMIT:
+            raise SolverLimitError(f"simplex exceeded {PIVOT_LIMIT} pivots")
 
         piv = tab[row, col]
         pivot_row = tab[row].copy()

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from conftest import curve_obj, random_dag
+from dagsched import carryout
 from dagsched.carryout import (
     INF_CAP, A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
 from dagsched.workload import DagProfile, interfering_workload
-from dagsched.errors import OracleLimitError, PathExplosionError, ValidationError
+from dagsched.errors import (
+    OracleLimitError, PathExplosionError, SolverLimitError, ValidationError,
+)
 from dagsched.instances import antimonotone_task
 
 
@@ -115,6 +118,14 @@ class TestSolveExact:
         res = solve_exact(build_model(dag, 3))
         assert res.objective >= 7
         assert res.objective == 7
+
+    def test_missed_witness_refused(self, monkeypatch):
+        # every witness valued 0 leaves the A-complete bounds above the
+        # incumbent, so the search must refuse rather than return 0
+        monkeypatch.setattr(carryout, "asap_window_workload", lambda *args: 0)
+        dag = normalize_source_sink(antimonotone_task().dag)
+        with pytest.raises(SolverLimitError, match="witness not recovered"):
+            solve_exact(build_model(dag, 3))
 
     def test_matches_oracle_on_random_instances(self, rng):
         for _ in range(60):

@@ -9,7 +9,7 @@ import pytest
 from dagsched import cli, rta
 from dagsched.cli import CSV_HEADER, ExperimentSpec, check_dominance, run_experiment
 from dagsched.dag import load_taskset
-from dagsched.errors import SolverLimitError
+from dagsched.errors import SolverLimitError, ValidationError
 from dagsched.taskgen import assign_priorities_dm, gen_taskset
 
 
@@ -235,6 +235,12 @@ class TestMalformedInput:
         assert run(argv[:1] + [str(path)] + argv[1:]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [{"sweep": "x"}, {"points": []}],
+                             ids=["sweep-kind", "points-empty"])
+    def test_bad_spec_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(**fields)
+
     def test_analyze_negative_procs_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ts.json"
         path.write_text(json.dumps(one_task_doc()))
@@ -282,6 +288,12 @@ class TestDumpModel:
         path = self._write_set(tmp_path)
         assert run(["dump-model", str(path), "--task-index", "99",
                     "--delta", "1"]) == 2
+
+    def test_negative_delta_exit_2(self, tmp_path, capsys):
+        path = self._write_set(tmp_path)
+        assert run(["dump-model", str(path), "--task-index", "0",
+                    "--delta", "-1"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_mps_format(self, tmp_path):
         path = self._write_set(tmp_path)

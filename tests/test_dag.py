@@ -185,6 +185,12 @@ class TestTaskTypes:
         with pytest.raises(ValidationError):
             DagTask(Dag([5], []), deadline=12, period=10)  # deadline > period
 
+    def test_non_positive_counts_rejected(self):
+        with pytest.raises(ValidationError, match="positive"):
+            DagTask(Dag([0], []), deadline=0, period=0)
+        with pytest.raises(ValidationError, match="positive"):
+            TaskSet([antimonotone_task()], 0)
+
     def test_derived_fields(self):
         task = antimonotone_task()
         assert (task.work, task.span) == (13, 8)

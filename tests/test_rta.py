@@ -64,6 +64,10 @@ class TestSchedulabilityTest:
         assert rep.iterations == [0]
         assert rep.to_dict()["bounds"] == ["exceeded"]
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            rta.schedulability_test(two_task_set(), method="bogus")
+
     def test_single_feasible_task(self):
         task = DagTask(Dag([5, 5], []), 10, 10)  # seed on m=2: 5 + ceil(5/2)=8
         rep = rta.schedulability_test(TaskSet([task], 2), method="ilp")

@@ -407,6 +407,23 @@ class TestSimulate:
             assert got_rng.integers(2**62) == want_rng.integers(2**62)
         assert zero_wcets > 60
 
+    def test_scripted_releases_respect_the_period(self):
+        task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
+        with pytest.raises(SimulationError, match="violate the period"):
+            sim.simulate(single_task_set(task, 1), 1, 30, release_policy={0: [9, 0]})
+        res = sim.simulate(single_task_set(task, 1), 1, 30, release_policy={0: [10, 0]})
+        assert [j.release for j in res.jobs] == [0, 10]
+
+    @pytest.mark.parametrize("m, policies, message", [
+        (1, {"release_policy": "bursty"}, "unknown release policy"),
+        (1, {"exec_policy": "bogus"}, "unknown execution policy"),
+        (0, {}, "at least one processor"),
+    ], ids=["release-policy", "exec-policy", "no-processors"])
+    def test_bad_run_settings_rejected(self, m, policies, message):
+        task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
+        with pytest.raises(SimulationError, match=message):
+            sim.simulate(single_task_set(task, 1), m, 30, **policies)
+
     def test_exec_times_outside_wcet_rejected(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         for times in ((0, 4), (-1, 0), (1,), (1, 2, 3), (2.7, 3.9), (True, 3)):
@@ -550,6 +567,16 @@ class TestAudit:
         proc, task, jnum, v, _, end = res.segments[0]
         bad = with_segments(res, res.segments + [(proc, task, jnum, v, end - 1, end + 1)])
         with pytest.raises(AssertionError, match="overlaps"):
+            sim.audit_trace(bad)
+
+    @pytest.mark.parametrize("ids", [(0, 0, -1), (0, 0, 3), (0, 5, 0), (1, 0, 0)])
+    def test_rejects_segment_naming_no_simulated_subtask(self, ids):
+        # subtask -1 must not read as the job's last subtask through
+        # negative indexing, and an unknown job must not end in a KeyError
+        res = self._chain_trace()
+        last = res.segments[-1]
+        bad = with_segments(res, res.segments[:-1] + [last[:1] + ids + last[4:]])
+        with pytest.raises(AssertionError, match="names no subtask of a simulated job"):
             sim.audit_trace(bad)
 
     def test_rejects_segment_before_ready(self):
