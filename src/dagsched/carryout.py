@@ -419,9 +419,6 @@ def solve_exact(model) -> SolveResult:
 # --------------------------------------------------------------------------
 # Polynomial exact bound used by the analysis pipeline
 
-INF_CAP = 10**9
-
-
 class WorkCurve:
     """Exact carry-out workload optimum as a function of the window length.
 
@@ -432,7 +429,7 @@ class WorkCurve:
     penalty(phi),  where penalty(phi) is the total WCET left uncovered by
     phi source-to-sink unit flows; covering a vertex rewards its WCET.
     The penalties come from a small min-cost flow on the DAG as given
-    (`_cover_penalties`: a virtual source and sink, no normalized copy) and
+    (`_cover_penalties`, which keeps the flow per vertex and per edge) and
     are the only per-DAG array kept; the envelope is concave and piecewise
     linear with integer slopes, and `values` tabulates it on demand.
     """
@@ -452,60 +449,53 @@ class WorkCurve:
 def _cover_penalties(dag):
     """penalty[phi] = total WCET not covered by a cheapest phi-unit flow.
 
-    The flow runs on the DAG itself (no normalized copy): a virtual source
-    feeds each source and each sink feeds a virtual sink, by uncapped
-    zero-cost arcs.  Successive shortest paths with Johnson potentials,
+    The flow runs on the DAG itself, each vertex v split into an in-node 2v
+    and an out-node 2v+1, with a virtual source feeding every source and
+    every sink feeding a virtual sink.  Its state is the flow through each
+    vertex and along each edge (as repeats in the move lists), so the
+    residual moves are read off it: one forward move per vertex, costing
+    -WCET while the vertex is uncovered and 0 after, and one backward move,
+    costing 0 while two or more units pass and +WCET for the last one;
+    edges and the virtual ends cost 0, and an edge can be walked back once
+    per unit it carries.  Successive shortest paths with Johnson potentials,
     first the shortest distances from the virtual source on the acyclic
     split graph: minus the ASAP start (in-node) and finish (out-node) of
     each vertex, 0 and minus the span at the virtual ends.  A critical path
     has reduced cost 0, so the first augmentation reads one off
     `dag.starts`.  Each later one runs a Dijkstra on the reduced costs that
     stops at the virtual sink; each potential adds the smaller of its
-    node's distance and the sink's, which keeps them non-negative.  The
-    flow stops once the penalty reaches 0, its least value.
+    node's distance and the sink's, which keeps them non-negative.  The flow
+    stops once the penalty reaches 0, its least value.
     """
     if dag.span == 0:  # nothing to cover (an empty DAG has no path at all)
         return [dag.work]
-    n = dag.n
-    s, t = 2 * n, 2 * n + 1  # vertex split: node 2v = in, 2v+1 = out
-    graph = [[] for _ in range(2 * n + 2)]  # node -> list of arc ids
-    head, cap, cost = [], [], []
-    # per vertex a one-unit cover arc of cost -WCET before an uncapped one
-    arcs = [(2 * v, 2 * v + 1, capacity, c) for v, w in enumerate(dag.wcets)
-            for capacity, c in ((1, -w), (INF_CAP, 0))]
-    arcs += [(s, 2 * v, INF_CAP, 0) for v in dag.sources]
-    arcs += [(2 * v + 1, t, INF_CAP, 0) for v in dag.sinks]
-    arcs += [(2 * a + 1, 2 * b, INF_CAP, 0) for a, b in dag.edges]
-    for u, v, capacity, c in arcs:  # each arc, then its residual twin at id ^ 1
-        graph[u].append(len(head))
-        graph[v].append(len(head) + 1)
-        head += (v, u)
-        cap += (capacity, 0)
-        cost += (c, -c)
+    n, wcets = dag.n, dag.wcets
+    s, t = 2 * n, 2 * n + 1
+    # per node, the nodes its open zero-cost moves reach: the sources' in-nodes
+    # from s, each successor's in-node (and t from a sink) from an out-node,
+    # and from an in-node each predecessor's out-node once per unit of flow
+    # on their edge
+    opened = [[] for _ in range(2 * n + 2)]
+    opened[s] = [2 * v for v in dag.sources]
+    for a, b in dag.edges:
+        opened[2 * a + 1].append(2 * b)
+    for v in dag.sinks:
+        opened[2 * v + 1].append(t)
+    through = [0] * n  # flow units through each vertex
     # the first augmentation: a critical path traced back from a sink that
     # finishes at the span; it costs -span and keeps the potentials exact
-    finish = [start + c for start, c in zip(dag.starts, dag.wcets)]
+    finish = [start + c for start, c in zip(dag.starts, wcets)]
     v = next(v for v in range(n) if not dag.succs[v] and finish[v] == dag.span)
-    path = [t]
     while v is not None:
-        path += (2 * v + 1, 2 * v)
-        v = next((u for u in dag.preds[v] if finish[u] == dag.starts[v]), None)
-    parent = [-1] * (2 * n + 2)
-    for v, u in zip(path, path[1:] + [s]):  # the first arc u -> v is a cover arc
-        parent[v] = next(aid for aid in graph[u] if head[aid] == v)
+        through[v] = 1
+        u = next((u for u in dag.preds[v] if finish[u] == dag.starts[v]), None)
+        if u is not None:
+            opened[2 * v].append(2 * u + 1)
+        v = u
     pot = [-x for start, f in zip(dag.starts, finish) for x in (start, f)] + [0, -dag.span]
-    penalties, path_cost = [dag.work], -dag.span
-    for _ in range(dag.work):  # each augmentation lowers the penalty by at least 1
-        node = t
-        while node != s:
-            aid = parent[node]
-            cap[aid] -= 1
-            cap[aid ^ 1] += 1
-            node = head[aid ^ 1]
-        penalties.append(penalties[-1] + path_cost)
-        if penalties[-1] == 0:  # every vertex is covered
-            break
-        dist = [inf] * (2 * n + 2)  # every node stays reachable by uncapped arcs
+    penalties = [dag.work, dag.work - dag.span]
+    while penalties[-1]:  # each augmentation lowers the penalty by at least 1
+        dist = [inf] * (2 * n + 2)  # every node stays reachable by open moves
         parent = [-1] * (2 * n + 2)
         dist[s] = 0
         heap = [(0, s)]
@@ -516,17 +506,38 @@ def _cover_penalties(dag):
             if d > dist[u]:
                 continue
             base = d + pot[u]
-            for aid in graph[u]:
-                if cap[aid]:
-                    to = head[aid]
-                    nd = base + cost[aid] - pot[to]
-                    if nd < dist[to]:
-                        dist[to] = nd
-                        parent[to] = aid
-                        heapq.heappush(heap, (nd, to))
+            v = u >> 1
+            if u & 1:  # back through v while flow passes, +WCET for the last unit
+                cost = None if not through[v] else wcets[v] if through[v] == 1 else 0
+            else:  # forward through v, -WCET while it is uncovered (s has no v)
+                cost = None if u == s else 0 if through[v] else -wcets[v]
+            if cost is not None:
+                to = u ^ 1
+                nd = base + cost - pot[to]
+                if nd < dist[to]:
+                    dist[to] = nd
+                    parent[to] = u
+                    heapq.heappush(heap, (nd, to))
+            for to in opened[u]:
+                nd = base - pot[to]
+                if nd < dist[to]:
+                    dist[to] = nd
+                    parent[to] = u
+                    heapq.heappush(heap, (nd, to))
         path_cost = dist[t] + pot[t]  # reduced back to true cost; pot[s] stays 0
         if path_cost >= 0:
             break
         reach = dist[t]  # no settled node lies farther
         pot = [p + (d if d < reach else reach) for p, d in zip(pot, dist)]
+        node = parent[t]  # the move into t changes no flow
+        while node != s:
+            u = parent[node]
+            if u >> 1 == node >> 1:  # through a vertex: forward into an out-node
+                through[node >> 1] += 1 if node & 1 else -1
+            elif node & 1:  # back along an edge, from its in-node u
+                opened[u].remove(node)
+            elif u != s:  # forward along an edge, from its out-node u
+                opened[node].append(u)
+            node = u
+        penalties.append(penalties[-1] + path_cost)
     return penalties

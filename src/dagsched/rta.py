@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 
+from .dag import TaskSet
 from .workload import interfering_workload, melani_workload
 
 METHODS = ("ilp", "melani")
@@ -76,8 +77,9 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     workload = melani_workload if method == "melani" else interfering_workload
-    if m is None:
-        m = taskset.processors
+    if m is not None:  # an explicit count obeys the rule of `TaskSet.processors`
+        taskset = TaskSet(taskset.tasks, m)
+    m = taskset.processors
     t0 = time.perf_counter()
     tasks = taskset.tasks
     bounds = [seed_bound(t, m) for t in tasks]

@@ -80,9 +80,15 @@ _EXEC_RANGE = "execution times must be integers in [0, WCET] per subtask"
 
 def _release_times(taskset, horizon, policy, rng):
     if isinstance(policy, dict):
+        if any(not is_integer(k) or not 0 <= k < len(taskset.tasks) for k in policy):
+            raise SimulationError("scripted releases name a task outside the set")
         out = {}
         for idx, task in enumerate(taskset.tasks):
-            times = sorted(policy.get(idx, []))
+            times = list(policy.get(idx, []))
+            if not all(is_integer(x) and 0 <= x < horizon for x in times):
+                raise SimulationError(
+                    f"scripted releases of task {idx} must be integers in [0, horizon)")
+            times.sort()
             for a, b in zip(times, times[1:]):
                 if b - a < task.period:
                     raise SimulationError(
@@ -154,9 +160,10 @@ def _finish(job, pending, done, now, queue, succs):
 def simulate(taskset, m, horizon, release_policy="periodic",
              exec_policy="wcet", rng=None) -> SimResult:
     """Run the task set for `horizon` time units (releases stop at horizon;
-    released jobs run to completion)."""
-    if m <= 0:
-        raise SimulationError("need at least one processor")
+    released jobs run to completion).  A dict `release_policy` scripts the
+    releases: task index -> integer release times in [0, horizon)."""
+    if not is_integer(m) or m <= 0:
+        raise SimulationError("need at least one processor, as an integer count")
     if horizon < max(t.period for t in taskset.tasks):
         raise SimulationError("horizon must cover at least the largest period")
     if rng is None:

@@ -65,27 +65,19 @@ def gen_dag(config, rng) -> Dag:
     hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
     pairs = list(compress(combinations(range(n), 2), hits))
 
-    # neighbour bit masks; one flood from each component's earliest position
-    # h, which gets the link (h - 1, h): every position before h is connected
-    adj = [0] * n
+    # union-find whose root is the smallest position of its component; each
+    # root h > 0 gets the link (h - 1, h): every position before h is connected
+    root = list(range(n))
     for i, j in pairs:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    seen = 0
-    for h in range(n):
-        if seen >> h & 1:
-            continue
-        if h:
-            pairs.append((h - 1, h))
-        seen |= 1 << h
-        stack = [h]
-        while stack:
-            new = adj[stack.pop()] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                stack.append(low.bit_length() - 1)
-                new ^= low
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        if i < j:
+            root[j] = i
+        elif j < i:
+            root[i] = j
+    pairs += [(h - 1, h) for h in range(1, n) if root[h] == h]
     edges = [(order[i], order[j]) for i, j in pairs]
 
     wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()

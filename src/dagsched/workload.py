@@ -6,7 +6,8 @@ the window) and a carry-out job (head of a job released inside it).
 Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
 one job; carry-out workload is bounded by the exact optimum from
 `carryout`.  Both are tabulated, capped at min(work, m*len), once per DAG
-and processor count m in the DAG's `DagProfile`.  The total bound
+and processor count m in the DAG's `DagProfile`, when a term first reads
+them (past the span both are the cap).  The total bound
 maximizes over the number of releases inside the window and, for each
 count, over the carry-in/carry-out split of the window.  The baseline
 `melani_workload` is computed in integers scaled by the processor count.
@@ -25,12 +26,13 @@ __all__ = ["DagProfile", "melani_workload", "interfering_workload"]
 class DagProfile:
     """Per-DAG tables of the interfering-workload bound.
 
-    Per processor count m, built on first use, one pair of int64 tables
-    over window lengths d = 0..span: min(carry-in workload, m*d) and
-    min(carry-out optimum, m*d).  Neither workload exceeds the work, so
-    both are capped at min(work, m*d).  Every m shares the `WorkCurve`.  A
-    `Dag` owns its profile (`Dag.profile`), so `tables` takes the DAG as an
-    argument.  Concurrent first uses may build a pair twice; both are equal.
+    Per processor count m, built when a workload term first reads it, a
+    pair of int64 tables over window lengths d = 0..span: min(carry-in
+    workload, m*d) and min(carry-out optimum, m*d).  Neither workload
+    exceeds the work, so both are capped at min(work, m*d).  Every m shares
+    the `WorkCurve`.  A `Dag` owns its profile (`Dag.profile`), so `tables`
+    takes the DAG as an argument.  Concurrent first uses may build a pair
+    twice; both are equal.
     """
 
     def __init__(self):
@@ -75,22 +77,23 @@ def melani_workload(task, delta, r_i, m) -> int:
     return jobs * task.work + min(task.work, rem)
 
 
-def _split_peak(ci_table, co_table, C, m, budget):
+def _split_peak(dag, m, budget):
     """max carry-in + carry-out over window lengths summing to budget, read
-    from a profile's table pair; lengths past the span L take min(C, m*len)."""
-    L = len(ci_table) - 1
+    from the DAG's table pair at m; lengths past the span L take min(C, m*len)."""
+    C, L = dag.work, dag.span
     if budget <= 0:
         return 0
-    if budget <= L:
-        return int((ci_table[:budget + 1] + co_table[budget::-1]).max())
     if budget > 2 * L:
         # beyond the span both bounds saturate at the work, so only the
         # concave cap line min(C, m*ci) + min(C, m*co) binds; its maximum
         # sits at the balanced split (inside [L, budget-L] here), and
         # sweeping either end below L never beats it (the workload values
-        # stay below the cap line there)
+        # stay below the cap line there); no table is read
         half = budget // 2
         return min(C, m * half) + min(C, m * (budget - half))
+    ci_table, co_table = dag.profile.tables(dag, m)
+    if budget <= L:
+        return int((ci_table[:budget + 1] + co_table[budget::-1]).max())
     tail = np.minimum(min(m, C) * np.arange(L + 1, budget + 1, dtype=np.int64), C)
     ci_ext = np.concatenate((ci_table, tail))
     co_ext = np.concatenate((co_table, tail))
@@ -115,25 +118,27 @@ def interfering_workload(task, delta, r_i, m) -> int:
     addend is capped at min(work, m * window-part) and the result at
     m * delta.  Each end term is one lookup in the profile's table pair of
     this m, with min(C, m*len) past the span, and `_split_peak` adds the
-    pair over all splits of a budget in one slice sum.  The bound is
-    non-decreasing in delta.
+    pair over all splits of a budget in one slice sum.  Only the carry-in
+    term at delta <= span, a carry-out head <= span and a split budget in
+    (0, 2*span] read the pair, so an interferer whose terms read none never
+    builds it.  The bound is non-decreasing in delta.
     """
     if delta <= 0:
         return 0
-    C, L, T = task.work, task.span, task.period
-    ci_table, co_table = task.dag.profile.tables(task.dag, m)
+    dag, C, L, T = task.dag, task.work, task.span, task.period
     # no release inside the window at all
-    best = int(ci_table[delta]) if delta <= L else min(C, m * delta)
+    best = int(dag.profile.tables(dag, m)[0][delta]) if delta <= L else min(C, m * delta)
     s = 1
     while True:
         head = delta - (s - 1) * T   # window left of the s-th release at worst
         base = (s - 1) * C
         if head <= 0 or base >= m * delta:
             break
-        cand = base + (int(co_table[head]) if head <= L else min(C, m * head))
+        cand = base + (int(dag.profile.tables(dag, m)[1][head]) if head <= L
+                       else min(C, m * head))
         budget = delta + r_i - s * T
         if budget > 0:
-            cand = max(cand, base + _split_peak(ci_table, co_table, C, m, budget))
+            cand = max(cand, base + _split_peak(dag, m, budget))
         best = max(best, cand)
         s += 1
     return min(best, m * delta)

@@ -12,7 +12,7 @@ import pytest
 from conftest import curve_obj, random_dag
 from dagsched import carryout
 from dagsched.carryout import (
-    INF_CAP, A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
+    A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
@@ -154,6 +154,10 @@ class TestSolveExact:
             edge = solve_exact(build_model(dag, delta, "edge-recursive"))
             path = solve_exact(build_model(dag, delta, "path-enumerated"))
             assert edge.objective == path.objective
+
+
+# the capacity of the uncapped arcs of the reference flows
+INF_CAP = 10**9
 
 
 def bellman_ford_penalties(dag):

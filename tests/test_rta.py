@@ -5,6 +5,7 @@ import pytest
 
 from dagsched import rta, sim
 from dagsched.dag import Dag, DagTask, TaskSet
+from dagsched.errors import ValidationError
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
@@ -67,6 +68,24 @@ class TestSchedulabilityTest:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method must be one of"):
             rta.schedulability_test(two_task_set(), method="bogus")
+
+    @pytest.mark.parametrize("m", [0, 2.5, -1, True], ids=["zero", "float", "negative", "bool"])
+    @pytest.mark.parametrize("method", rta.METHODS)
+    def test_explicit_processor_count_checked_like_a_task_set(self, m, method):
+        # the rule of TaskSet.processors: m=0 used to divide by zero, and
+        # 2.5, -1 and True gave bounds
+        with pytest.raises(ValidationError) as info:
+            rta.schedulability_test(two_task_set(), method=method, m=m)
+        assert info.value.rule == "processors"
+        with pytest.raises(ValidationError) as info:
+            TaskSet(two_task_set().tasks, m)
+        assert info.value.rule == "processors"
+
+    def test_explicit_processor_count_may_be_a_numpy_integer(self):
+        ts = two_task_set()
+        got = rta.schedulability_test(ts, m=np.int64(2))
+        assert got.processors == 2 and type(got.processors) is int
+        assert got.bounds == rta.schedulability_test(ts, m=2).bounds
 
     def test_single_feasible_task(self):
         task = DagTask(Dag([5, 5], []), 10, 10)  # seed on m=2: 5 + ceil(5/2)=8

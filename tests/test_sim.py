@@ -418,7 +418,16 @@ class TestSimulate:
         (1, {"release_policy": "bursty"}, "unknown release policy"),
         (1, {"exec_policy": "bogus"}, "unknown execution policy"),
         (0, {}, "at least one processor"),
-    ], ids=["release-policy", "exec-policy", "no-processors"])
+        (2.5, {}, "integer count"),
+        (1, {"release_policy": {0: [2.5]}}, r"integers in \[0, horizon\)"),
+        (1, {"release_policy": {0: [-5]}}, r"integers in \[0, horizon\)"),
+        (1, {"release_policy": {0: [100]}}, r"integers in \[0, horizon\)"),
+        (1, {"release_policy": {0: [30]}}, r"integers in \[0, horizon\)"),
+        (1, {"release_policy": {5: [0]}}, "task outside the set"),
+        (1, {"release_policy": {"0": [0]}}, "task outside the set"),
+    ], ids=["release-policy", "exec-policy", "no-processors", "float-processors",
+            "float-release", "negative-release", "release-past-horizon", "release-at-horizon",
+            "unknown-task", "string-task"])
     def test_bad_run_settings_rejected(self, m, policies, message):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         with pytest.raises(SimulationError, match=message):

@@ -1,5 +1,7 @@
 """Random task and task-set generation."""
 
+from itertools import combinations, compress
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,37 @@ def reference_gen_dag(config, rng):
     wcets = [int(w) for w in rng.integers(config.wcet_range[0],
                                           config.wcet_range[1] + 1, size=n)]
     return tuple(wcets), tuple(sorted(set(edges)))
+
+
+def kept_gen_dag(config, rng):
+    """`gen_dag` as it was before union-find: one bit-mask flood from each
+    component's earliest position h, which gets the link (h - 1, h)."""
+    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+    order = rng.permutation(n).tolist()
+    hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
+    pairs = list(compress(combinations(range(n), 2), hits))
+    adj = [0] * n
+    for i, j in pairs:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    seen = 0
+    for h in range(n):
+        if seen >> h & 1:
+            continue
+        if h:
+            pairs.append((h - 1, h))
+        seen |= 1 << h
+        stack = [h]
+        while stack:
+            new = adj[stack.pop()] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                stack.append(low.bit_length() - 1)
+                new ^= low
+    edges = [(order[i], order[j]) for i, j in pairs]
+    wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()
+    return Dag(wcets, edges)
 
 
 def reference_gen_taskset(total_util, m, config, rng):
@@ -99,6 +132,17 @@ class TestGenDag:
             assert (dag.wcets, dag.edges) == reference_gen_dag(cfg, ref_rng)
             assert rng.random() == ref_rng.random()  # same number of draws
 
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"n_range": (10, 20)}, {"n_range": (1, 1)}, {"edge_prob": 0.0},
+        {"edge_prob": 1.0}, {"n_range": (30, 60), "edge_prob": 0.05},
+    ], ids=["desk", "paper", "n-1", "edge-prob-0", "edge-prob-1", "n-30-60-sparse"])
+    def test_same_dags_as_kept_flood_fill(self, fields):
+        cfg = GenConfig(**fields)
+        rng, kept_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(400):
+            assert gen_dag(cfg, rng) == kept_gen_dag(cfg, kept_rng)
+        assert rng.random() == kept_rng.random()  # the same draws
 
     def test_full_probability_gives_complete_dag(self, rng):
         cfg = GenConfig(edge_prob=1.0, n_range=(5, 5), seed=0)

@@ -318,7 +318,7 @@ class TestSplitPeak:
                 co_ref = np.minimum(np.minimum(curve, m * lengths), C)
                 assert co_table.tolist() == co_ref.tolist()
                 for budget in range(1, 2 * L + 3):
-                    assert (_split_peak(ci_table, co_table, C, m, budget)
+                    assert (_split_peak(dag, m, budget)
                             == reference_split_peak(ci_raw, co_ref, C, m, budget)), (k, m, budget)
         assert wide >= 50
 
@@ -335,8 +335,7 @@ class TestSplitPeak:
             assert ci_table.tolist() == ref_ci.tolist()
             assert co_table.tolist() == ref_co.tolist()
             for budget in range(1, 2 * L + 3):
-                assert (_split_peak(ci_table, co_table, C, huge, budget)
-                        == _split_peak(ref_ci, ref_co, C, m, budget)), budget
+                assert _split_peak(dag, huge, budget) == _split_peak(dag, m, budget), budget
 
     def test_profile_holds_one_table_pair_per_processor_count(self, rng):
         # two span+1 int64 tables per m, owning their memory (no view into
@@ -387,6 +386,58 @@ class TestInterfering:
         for task, delta, r_i, m in cases:
             got = interfering_workload(task, delta, r_i, m)
             assert got == scalar_interfering_workload(task, delta, r_i, m)
+
+    @staticmethod
+    def _reads_a_table(task, delta, r_i, m):
+        """Whether some term of the bound reads the profile's tables: the
+        carry-in term at delta <= span, a carry-out head <= span or a split
+        budget in (0, 2*span]."""
+        L, T = task.span, task.period
+        if delta <= L:
+            return True
+        s = 1
+        while delta - (s - 1) * T > 0 and (s - 1) * task.work < m * delta:
+            if delta - (s - 1) * T <= L or 0 < delta + r_i - s * T <= 2 * L:
+                return True
+            s += 1
+        return False
+
+    def test_tables_built_only_when_a_term_reads_them(self, rng):
+        # a chain of span 5 in a window longer than its span: no term reads
+        # a table when the one budget is <= 0 or above 2 * span
+        for delta, r_i in ((10, 5), (19, 15)):
+            dag = Dag([2, 3], [(0, 1)])
+            assert interfering_workload(DagTask(dag, 20, 20), delta, r_i, 2) > 0
+            assert "profile" not in vars(dag)
+        cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 12), seed=0)
+        seen = {False: 0, True: 0}
+        for _ in range(400):
+            task = gen_task(gen_dag(cfg, rng), cfg, rng)
+            m = int(rng.integers(1, 9))
+            delta = int(rng.integers(1, 3 * task.period))
+            r_i = int(rng.integers(task.span, task.deadline + 1))
+            reads = self._reads_a_table(task, delta, r_i, m)
+            interfering_workload(task, delta, r_i, m)
+            seen[reads] += 1
+            assert ("profile" in vars(task.dag)) == reads
+            assert (m in task.dag.profile.pairs) == reads
+        assert min(seen.values()) >= 30, seen
+
+    def test_matches_direct_evaluation_past_twice_the_span(self, rng):
+        # long windows over short spans, so that many budgets exceed 2 * span
+        # and take the balanced split with no table
+        cfg = GenConfig(n_range=(1, 6), wcet_range=(1, 6), seed=0)
+        beyond = 0
+        for _ in range(150):
+            task = gen_task(gen_dag(cfg, rng), cfg, rng)
+            m = int(rng.integers(1, 9))
+            delta = int(rng.integers(1, 4 * task.period))
+            r_i = int(rng.integers(task.span, task.deadline + 1))
+            beyond += any(delta + r_i - s * task.period > 2 * task.span
+                          for s in range(1, delta // task.period + 2))
+            got = interfering_workload(task, delta, r_i, m)
+            assert got == scalar_interfering_workload(task, delta, r_i, m)
+        assert beyond >= 50
 
     def test_monotone_in_delta(self, rng):
         cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 20), seed=0)
