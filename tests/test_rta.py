@@ -77,9 +77,6 @@ class TestSchedulabilityTest:
         with pytest.raises(ValidationError) as info:
             rta.schedulability_test(two_task_set(), method=method, m=m)
         assert info.value.rule == "processors"
-        with pytest.raises(ValidationError) as info:
-            TaskSet(two_task_set().tasks, m)
-        assert info.value.rule == "processors"
 
     def test_explicit_processor_count_may_be_a_numpy_integer(self):
         ts = two_task_set()
