@@ -25,6 +25,7 @@ REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade
 TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
 MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1f31b92ad"
 EXACT_SOLVES_SHA256 = "f8888df3c758cfd9cfede8be942e5a3e2311165c8d7f4e7f050df9b3b5e6fbd1"
+EXACT_OBJECTIVES_SHA256 = "8ade0fd304f2ff4e88340de98d1b818e268e4a6162c39f9a0357e79425c8729e"
 TRACE_OUT_SHA256 = "228f13f89a3870d185903400300931f538da394ee0379cf086fc1142d2d76cd7"
 
 FORMULATIONS = ("edge-recursive", "path-enumerated")
@@ -134,15 +135,25 @@ def test_model_export_digest():
     assert _sha256("".join(texts)) == MODEL_EXPORTS_SHA256
 
 
-def test_exact_solve_digest():
-    # objective, search effort and witness of solve_exact, including zero
-    # WCETs, span 0 and window 0
+def _exact_solves():
+    # solve_exact on small random DAGs, including zero WCETs, span 0 and window 0
     rng = np.random.default_rng(18)
-    docs = []
+    solves = []
     for k in range(40):
         dag = normalize_source_sink(random_dag(rng, n_max=5, wcet_max=4))
         delta = 0 if k % 5 == 0 else int(rng.integers(1, dag.span + 2))
-        res = solve_exact(build_model(dag, delta, FORMULATIONS[k % 2]))
-        docs.append([res.objective, res.nodes, res.pivots,
-                     [res.assignment[a] for a in range(dag.n)]])
+        solves.append((dag.n, solve_exact(build_model(dag, delta, FORMULATIONS[k % 2]))))
+    return solves
+
+
+def test_exact_solve_digest():
+    # objective, search effort and witness of each solve
+    docs = [[res.objective, res.nodes, res.pivots, [res.assignment[a] for a in range(n)]]
+            for n, res in _exact_solves()]
     assert _sha256(json.dumps(docs, sort_keys=True)) == EXACT_SOLVES_SHA256
+
+
+def test_exact_objectives_digest():
+    # the optima alone, which no change to the search may move
+    objectives = [res.objective for _, res in _exact_solves()]
+    assert _sha256(json.dumps(objectives, sort_keys=True)) == EXACT_OBJECTIVES_SHA256
