@@ -20,14 +20,15 @@ activation binary A_a, with
 coefficient matrix over the columns kind*n + a (kinds X, W, S, M, A), a
 per-row `>=` flag and right-hand side, and per-column upper bounds (every
 lower bound is 0).  Variable and row names are built only for LP and MPS
-export.  `solve_exact` solves the model by branch-and-bound on the binaries with an
-exact rational simplex per node.  `brute_force_oracle` enumerates execution
-vectors directly.  `WorkCurve` computes the same optimum for every window
-length through an equivalent reformulation (maximum total work whose
-makespan fits the window), solved in polynomial time by a small min-cost
-flow on the DAG itself, with a virtual source and sink instead of a
-normalized copy; the analysis reads it through `workload.DagProfile`.  All
-three routes are cross-checked exactly in the test suite.
+export.  `solve_exact` fixes some binaries in a presolve and branches on the
+rest, with an exact rational simplex per node.  `brute_force_oracle`
+enumerates execution vectors directly.  `WorkCurve` computes the same
+optimum for every window length through an equivalent reformulation
+(maximum total work whose makespan fits the window), solved in polynomial
+time by a small min-cost flow on the DAG itself, with a virtual source and
+sink instead of a normalized copy; the analysis reads it through
+`workload.DagProfile`.  All three routes are cross-checked exactly in the
+test suite.
 """
 
 from __future__ import annotations
@@ -48,21 +49,15 @@ NODE_LIMIT = 100_000
 
 
 # --------------------------------------------------------------------------
-# ASAP window evaluation (shared by the oracle, heuristics and tests)
-
-def asap_window_workload(dag, exec_times, delta) -> int:
-    """Workload the unrestricted ASAP schedule places in [0, delta)."""
-    starts = asap_start_times(dag, exec_times)
-    return sum(min(x, max(delta - s, 0))
-               for x, s in zip(exec_times, starts))
-
+# Window trimming (the solver's witness scoring)
 
 def trim_to_window(dag, exec_times, delta):
-    """Shrink execution times so the whole schedule fits in [0, delta).
+    """Each vertex's in-window contribution under the unrestricted ASAP schedule.
 
-    Processing vertices in topological order and capping each execution at
-    the remaining window never loses in-window workload, so the trimmed
-    vector's total equals at least the original in-window workload.
+    Entry v is min(x_v, max(delta - S_v, 0)) with S_v the ASAP start under
+    `exec_times`: a vertex capped at the window's end finishes at delta, so
+    its successors start at delta or later either way.  The trimmed
+    schedule fits in [0, delta), and its sum is the window workload.
     """
     trimmed = [0] * dag.n
     dist = [0] * dag.n
@@ -147,10 +142,9 @@ def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
     the path-enumerated form writes one distance constraint per source
     path and may refuse with a path-explosion error.
     """
-    if not is_integer(delta_co):
-        raise ValidationError("delta", f"the carry-out window must be an integer, got {delta_co!r}")
-    if delta_co < 0:
-        raise ValueError("delta_co must be non-negative")
+    if not is_integer(delta_co) or delta_co < 0:
+        raise ValidationError(
+            "delta", f"the carry-out window must be a non-negative integer, got {delta_co!r}")
     sources, sinks = dag.sources, dag.sinks
     if len(sources) != 1 or len(sinks) != 1:
         raise ValidationError("normalize", "build_model requires a normalized DAG")
@@ -342,36 +336,37 @@ def _assignment_from_exec(model, exec_times) -> dict:
 def solve_exact(model) -> SolveResult:
     """Provably optimal integer solution by branch-and-bound on the binaries.
 
-    Branches on A variables in topological order (A=1 explored first), solves
-    the exact-rational LP relaxation at every node, and prunes on the floored
-    relaxation bound.  At A-complete nodes the relaxation optimum equals the
-    node's integer optimum, so no branching on the remaining variables is
-    needed; integer witnesses are recovered from the basic solution (with a
-    window-trimming repair).  If an A-complete bound still exceeds the best
-    witness after the search, the witness was missed: SolverLimitError.
+    A presolve fixes A = 0 for every zero-WCET vertex and A = 1 for every
+    other vertex whose full-WCET ASAP start lies inside the window.  The
+    search branches on the remaining A variables in topological order (A=1
+    explored first), solves the exact-rational LP relaxation at every node,
+    and prunes on the floored relaxation bound.  At A-complete nodes the
+    relaxation optimum equals the node's integer optimum, so no branching on
+    the remaining variables is needed.  Witnesses are the floored execution
+    times of each node's LP point, trimmed to the window, starting from the
+    trimmed WCETs.  If an A-complete bound still exceeds the best witness
+    after the search, the witness was missed: SolverLimitError.
     """
     dag = model.dag
     wcets = dag.wcets
     delta = model.delta_co
     order = [v for v in dag.order if wcets[v] > 0]
     base_fix = {a: 0 for a in range(model.n) if wcets[a] == 0}
+    # presolve: a solution with A_a = 0 (so W_a = 0) keeps its objective with
+    # A_a = 1, every S lowered to the ASAP distances of X (S_a <= dag.starts[a]
+    # < delta, as X <= C) and M_a = delta - S_a
+    base_fix.update((a, 1) for a in order if dag.starts[a] < delta)
 
     best_val = -1
     best_exec = None
 
     def consider(exec_times):
         nonlocal best_val, best_exec
-        v = asap_window_workload(dag, exec_times, delta)
-        if v > best_val:
-            best_val, best_exec = v, list(exec_times)
+        trimmed = trim_to_window(dag, exec_times, delta)
+        if sum(trimmed) > best_val:
+            best_val, best_exec = sum(trimmed), trimmed
 
-    consider(trim_to_window(dag, list(wcets), delta))
-    consider(list(wcets))
-    for v in order:
-        # zeroing one early vertex often unlocks more parallel work
-        probe = list(wcets)
-        probe[v] = 0
-        consider(trim_to_window(dag, probe, delta))
+    consider(wcets)
 
     nodes = 0
     pivots = 0
@@ -388,13 +383,12 @@ def solve_exact(model) -> SolveResult:
         bound = floor(lp.value)
         if bound <= best_val:
             continue
-        # integer candidates from the LP point: its floored execution times
-        # (the X columns come first), trimmed to the window and as they are
+        # the integer candidate from the LP point: its floored execution
+        # times (the X columns come first)
         xfloor = [0] * model.n
         for j, x in zip(cols.tolist(), lp.x):
             if j < model.n:
                 xfloor[j] = floor(x)
-        consider(trim_to_window(dag, xfloor, delta))
         consider(xfloor)
         branch = next((a for a in order if a not in afix), None)
         if branch is None:

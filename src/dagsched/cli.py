@@ -177,8 +177,6 @@ def _cmd_dump_model(args):
     ts = load_taskset(args.taskset)
     if not 0 <= args.task_index < len(ts.tasks):
         raise ValidationError("task-index", f"task index {args.task_index} out of range")
-    if args.delta < 0:
-        raise ValidationError("delta", "delta must be non-negative")
     dag = normalize_source_sink(ts.tasks[args.task_index].dag)
     model = carryout.build_model(dag, args.delta, formulation=args.formulation)
     _write(carryout.export_model(model, fmt=args.format), args.out)

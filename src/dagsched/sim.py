@@ -119,6 +119,8 @@ def _exec_times(taskset, releases, policy, rng):
     """
     dags = [taskset.tasks[idx].dag for _, idx, _ in releases]
     if isinstance(policy, dict):
+        if not policy.keys() <= {(idx, j) for _, idx, j in releases}:
+            raise SimulationError("scripted execution times name no released (task, job)")
         rows = [tuple(policy.get((idx, j), dag.wcets)) for (_, idx, j), dag in zip(releases, dags)]
         for row, dag in zip(rows, dags):
             if len(row) != dag.n or not all(is_integer(x) and 0 <= x <= w
@@ -161,11 +163,12 @@ def simulate(taskset, m, horizon, release_policy="periodic",
              exec_policy="wcet", rng=None) -> SimResult:
     """Run the task set for `horizon` time units (releases stop at horizon;
     released jobs run to completion).  A dict `release_policy` scripts the
-    releases: task index -> integer release times in [0, horizon)."""
+    releases: task index -> integer release times in [0, horizon).  A dict
+    `exec_policy` scripts execution times: released (task, job) -> times."""
     if not is_integer(m) or m <= 0:
         raise SimulationError("need at least one processor, as an integer count")
-    if horizon < max(t.period for t in taskset.tasks):
-        raise SimulationError("horizon must cover at least the largest period")
+    if not is_integer(horizon) or horizon < max(t.period for t in taskset.tasks):
+        raise SimulationError("horizon must be an integer covering at least the largest period")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -56,7 +56,7 @@ def test_criterion_2_scenario_reproduction():
     task = antimonotone_task()
     assert (task.work, task.span) == (13, 8)
     dag = normalize_source_sink(task.dag)
-    full = carryout.asap_window_workload(dag, list(dag.wcets), 3)
+    full = sum(carryout.trim_to_window(dag, dag.wcets, 3))
     assert full == 4
     oracle = carryout.brute_force_oracle(dag, 3)
     solved = carryout.solve_exact(carryout.build_model(dag, 3)).objective

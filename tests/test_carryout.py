@@ -12,10 +12,10 @@ import pytest
 from conftest import curve_obj, random_dag
 from dagsched import carryout
 from dagsched.carryout import (
-    A, X, WorkCurve, _cover_penalties, asap_window_workload, brute_force_oracle,
+    A, X, WorkCurve, _cover_penalties, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
-from dagsched.dag import Dag, DagTask, normalize_source_sink, span, work
+from dagsched.dag import Dag, DagTask, asap_start_times, normalize_source_sink, span, work
 from dagsched.workload import DagProfile, interfering_workload
 from dagsched.errors import (
     OracleLimitError, PathExplosionError, SolverLimitError, ValidationError,
@@ -47,9 +47,10 @@ class TestBuildModel:
     def test_requires_normalized(self):
         with pytest.raises(ValidationError):
             build_model(Dag([1, 1], []), 1)
-        for delta in (2.7, True):  # and an integer window
-            with pytest.raises(ValidationError):
+        for delta in (2.7, True, -1):  # and a non-negative integer window
+            with pytest.raises(ValidationError) as err:
                 build_model(Dag([5], []), delta)
+            assert err.value.rule == "delta"
 
     def test_single_vertex_structure(self):
         model = build_model(Dag([5], []), 3)
@@ -113,7 +114,7 @@ class TestSolveExact:
         # all-WCET ASAP workload 4 in a window of 3, but the optimum is 7
         task = antimonotone_task()
         dag = normalize_source_sink(task.dag)
-        assert asap_window_workload(dag, list(dag.wcets), 3) == 4
+        assert sum(trim_to_window(dag, dag.wcets, 3)) == 4
         assert brute_force_oracle(dag, 3) == 7
         res = solve_exact(build_model(dag, 3))
         assert res.objective >= 7
@@ -122,7 +123,7 @@ class TestSolveExact:
     def test_missed_witness_refused(self, monkeypatch):
         # every witness valued 0 leaves the A-complete bounds above the
         # incumbent, so the search must refuse rather than return 0
-        monkeypatch.setattr(carryout, "asap_window_workload", lambda *args: 0)
+        monkeypatch.setattr(carryout, "trim_to_window", lambda dag, x, delta: [0] * dag.n)
         dag = normalize_source_sink(antimonotone_task().dag)
         with pytest.raises(SolverLimitError, match="witness not recovered"):
             solve_exact(build_model(dag, 3))
@@ -513,11 +514,14 @@ class TestExport:
 
 class TestTrim:
     def test_trim_fits_window(self, rng):
+        # entry v is min(x_v, max(delta - S_v, 0)) with S the ASAP starts of
+        # x, zero WCETs included, and the trimmed schedule ends by delta
         for _ in range(50):
             dag = random_dag(rng)
-            delta = int(rng.integers(0, span(dag) + 2))
             x = [int(rng.integers(0, c + 1)) for c in dag.wcets]
-            trimmed = trim_to_window(dag, x, delta)
-            # trimmed schedule lies inside the window, value never drops
-            assert sum(trimmed) == asap_window_workload(dag, trimmed, delta)
-            assert sum(trimmed) >= asap_window_workload(dag, x, delta)
+            starts = asap_start_times(dag, x)
+            for delta in range(span(dag) + 3):
+                trimmed = trim_to_window(dag, x, delta)
+                assert trimmed == [min(xv, max(delta - sv, 0)) for xv, sv in zip(x, starts)]
+                finishes = map(sum, zip(asap_start_times(dag, trimmed), trimmed))
+                assert max(finishes) <= delta

@@ -191,6 +191,12 @@ class TestTaskTypes:
         with pytest.raises(ValidationError, match="positive"):
             TaskSet([antimonotone_task()], 0)
 
+    @pytest.mark.parametrize("m", [-1, 2.5, True])
+    def test_bad_processor_count_rejected(self, m):
+        with pytest.raises(ValidationError) as info:
+            TaskSet([antimonotone_task()], m)
+        assert info.value.rule == "processors"
+
     def test_derived_fields(self):
         task = antimonotone_task()
         assert (task.work, task.span) == (13, 8)

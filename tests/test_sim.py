@@ -425,13 +425,23 @@ class TestSimulate:
         (1, {"release_policy": {0: [30]}}, r"integers in \[0, horizon\)"),
         (1, {"release_policy": {5: [0]}}, "task outside the set"),
         (1, {"release_policy": {"0": [0]}}, "task outside the set"),
+        (1, {"exec_policy": {5: [1, 1]}}, r"no released \(task, job\)"),
+        (1, {"exec_policy": {0: [[1, 1]]}}, r"no released \(task, job\)"),
+        (1, {"exec_policy": {(0, 7): (1, 1)}}, r"no released \(task, job\)"),
     ], ids=["release-policy", "exec-policy", "no-processors", "float-processors",
             "float-release", "negative-release", "release-past-horizon", "release-at-horizon",
-            "unknown-task", "string-task"])
+            "unknown-task", "string-task", "exec-bare-key", "exec-task-key",
+            "exec-unreleased-job"])
     def test_bad_run_settings_rejected(self, m, policies, message):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         with pytest.raises(SimulationError, match=message):
             sim.simulate(single_task_set(task, 1), m, 30, **policies)
+
+    def test_non_integer_horizon_rejected(self):
+        task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
+        for horizon in (30.5, True):
+            with pytest.raises(SimulationError, match="horizon must be an integer"):
+                sim.simulate(single_task_set(task, 1), 1, horizon)
 
     def test_exec_times_outside_wcet_rejected(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
