@@ -1,5 +1,6 @@
-"""Golden outputs: desk- and paper-scale sweep CSVs, per-set analysis reports,
-simulation traces, carry-out model exports and exact carry-out solves.
+"""Golden outputs: desk- and paper-scale sweep CSVs, generated task sets,
+per-set analysis reports, simulation traces, carry-out model exports and
+exact carry-out solves.
 
 Any change that alters a bound, a verdict or a CSV byte fails here.  A
 change meant to alter these outputs re-pins the digests and says why.
@@ -16,7 +17,7 @@ from conftest import random_dag
 from dagsched import rta, sim
 from dagsched.carryout import build_model, export_model, solve_exact
 from dagsched.cli import ExperimentSpec, main as cli_main, run_experiment
-from dagsched.dag import Dag, TaskSet, normalize_source_sink
+from dagsched.dag import Dag, TaskSet, normalize_source_sink, taskset_to_dict
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_dag, gen_taskset
 
 SWEEP_SHA256 = "57ec116d5d69a206421c2ae0d965ba266896d97acca60df1de2515ec382f6ac2"
@@ -27,6 +28,7 @@ MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1
 EXACT_SOLVES_SHA256 = "35ae4f379f492726d42add49c8d7560a76513959c7a4799332bd47c06b77f7ca"
 EXACT_OBJECTIVES_SHA256 = "8ade0fd304f2ff4e88340de98d1b818e268e4a6162c39f9a0357e79425c8729e"
 TRACE_OUT_SHA256 = "228f13f89a3870d185903400300931f538da394ee0379cf086fc1142d2d76cd7"
+GENERATED_SETS_SHA256 = "36c6220b7df4f472cdd71e3d2d7f68a94e5a35634d43dd1ffe90172fd6f419ed"
 
 FORMULATIONS = ("edge-recursive", "path-enumerated")
 
@@ -59,6 +61,18 @@ def test_paper_scale_sweep_csv_digest():
     spec = ExperimentSpec(sets_per_point=5, n_range=(10, 20), seed=0, zero_timing=True)
     text = "\n".join(run_experiment(spec)) + "\n"
     assert _sha256(text) == PAPER_SWEEP_SHA256
+
+
+def test_generated_sets_digest():
+    # every DAG, period and deadline of the paper-scale util grid at m = 16,
+    # drawn in full (no stop), one seeded stream per set as in a sweep
+    spec = ExperimentSpec(n_range=(10, 20))
+    docs = []
+    for p_idx, util in enumerate(spec.points):
+        for s_idx in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence((0, p_idx, s_idx)))
+            docs.append(taskset_to_dict(gen_taskset(util, spec.processors, spec, rng)))
+    assert _sha256(json.dumps(docs)) == GENERATED_SETS_SHA256
 
 
 def test_analysis_reports_digest():
