@@ -3,7 +3,9 @@
 Time is integral everywhere.  A task's *work* is the sum of its subtask
 WCETs, its *span* the length of a longest precedence chain; constrained
 deadlines require span <= deadline <= period.  A task set lists its tasks
-in priority order: a task's priority is its index, 0 the highest.
+in priority order: a task's priority is its index, 0 the highest.  A `Dag`
+computes work, span and start times when built; edge lists, adjacency and
+topological order on first read (most generated DAGs never need them).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 from .errors import PathExplosionError, ValidationError, as_int
 
@@ -23,16 +26,20 @@ class Dag:
 
     The input is checked once, here: a ValidationError names the first
     broken rule of "wcet" (non-negative integers, work below 2^63), "edge"
-    (integer endpoints), "dangling-edge", "self-loop" and "cycle"; bools
-    and floats are rejected, numpy integers stored as ints.  The derived
-    facts are computed once, here too: ``order`` (the topological order
-    taking the smallest ready vertex id first), ``preds`` and ``succs``
-    (ascending tuples), ``work``, ``span`` and ``starts`` (the ASAP start
-    times at full WCETs); ``sources`` and ``sinks`` on first use.
+    (integer endpoint pairs), "dangling-edge", "self-loop" and "cycle";
+    bools and floats are rejected, numpy integers stored as ints.  Every task
+    reads ``work``, ``span`` and ``starts`` (the ASAP start times at full
+    WCETs), computed here; the rest is built on first read: ``edges``
+    (sorted, no duplicates), ``preds`` and ``succs`` (ascending tuples),
+    ``order`` (the topological order taking the smallest ready vertex id
+    first), ``sources`` and ``sinks``.
     """
 
     def __init__(self, wcets, edges):
-        wcets = tuple(wcets)
+        try:
+            wcets = tuple(wcets)
+        except TypeError as exc:
+            raise ValidationError("wcet", f"WCETs must be a sequence: {exc}") from None
         if not {int}.issuperset(map(type, wcets)):  # bools, floats, numpy integers
             wcets = tuple(as_int(w, "wcet", f"WCET of vertex {v}") for v, w in enumerate(wcets))
         self.wcets = wcets
@@ -41,52 +48,67 @@ class Dag:
         if (wcets and min(wcets) < 0) or self.work >= 2**63:
             raise ValidationError("wcet", "subtask WCETs must be non-negative, their sum below 2^63")
         self.n = n = len(wcets)
-        pairs = set()
-        for a, b in edges:
-            if type(a) is not int or type(b) is not int:
-                a, b = as_int(a, "edge", "edge endpoint"), as_int(b, "edge", "edge endpoint")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError("dangling-edge", f"edge ({a},{b}) references a vertex outside 0..{n - 1}")
-            if a == b:
-                raise ValidationError("self-loop", f"vertex {a} has a self-loop")
-            pairs.add((a, b))
-        # sorted, so the edges, preds and succs have one canonical order
-        self.edges = tuple(sorted(pairs))
-        preds = [[] for _ in range(n)]
-        succs = [[] for _ in range(n)]
-        for a, b in self.edges:
-            preds[b].append(a)
-            succs[a].append(b)
-        # Kahn's algorithm taking the smallest ready vertex id first; a popped
-        # vertex's ASAP start is final, so its finish updates its successors
-        indeg = [len(p) for p in preds]
-        heap = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
-        order = []
+        # a repeated edge counts twice here, which Kahn's pass tolerates and `succs` drops
+        succ = [[] for _ in range(n)]
+        indeg = [0] * n
+        try:
+            for a, b in edges:
+                if type(a) is not int or type(b) is not int:
+                    a, b = as_int(a, "edge", "edge endpoint"), as_int(b, "edge", "edge endpoint")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValidationError("dangling-edge", f"edge ({a},{b}) references a vertex outside 0..{n - 1}")
+                if a == b:
+                    raise ValidationError("self-loop", f"vertex {a} has a self-loop")
+                succ[a].append(b)
+                indeg[b] += 1
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("edge", f"edges must be (src, dst) pairs: {exc}") from None
+        # Kahn's algorithm in any ready order: a vertex's ASAP start is final
+        # once it is ready, so its finish updates its successors
+        ready = [v for v in range(n) if not indeg[v]]
         starts = [0] * n
-        length = 0
-        while heap:
-            v = heapq.heappop(heap)
-            order.append(v)
+        for v in ready:  # the list grows while it is read
             finish = starts[v] + wcets[v]
-            if finish > length:
-                length = finish
-            for b in succs[v]:
+            for b in succ[v]:
                 if finish > starts[b]:
                     starts[b] = finish
                 indeg[b] -= 1
-                if indeg[b] == 0:
-                    heapq.heappush(heap, b)
+                if not indeg[b]:
+                    ready.append(b)
         # leftovers mean a cycle
-        if len(order) != n:
+        if len(ready) != n:
             raise ValidationError("cycle", "edge set contains a directed cycle")
-        self.order = tuple(order)
-        self.preds = tuple(map(tuple, preds))
-        self.succs = tuple(map(tuple, succs))
+        self._succ = succ
         self.starts = tuple(starts)
-        self.span = length
+        self.span = max(map(add, starts, wcets), default=0)
 
+    # the constructor's lists go once read, so a DAG holds its adjacency once
+    succs = cached_property(lambda self: tuple(tuple(sorted(set(s))) for s in vars(self).pop("_succ")))
+    # sorted, so the edges, preds and succs have one canonical order
+    edges = cached_property(lambda self: tuple((a, b) for a, s in enumerate(self.succs) for b in s))
     sources = cached_property(lambda self: tuple(v for v in range(self.n) if not self.preds[v]))
     sinks = cached_property(lambda self: tuple(v for v in range(self.n) if not self.succs[v]))
+
+    @cached_property
+    def preds(self):
+        preds = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            preds[b].append(a)
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def order(self):
+        indeg = [len(p) for p in self.preds]
+        heap = [v for v in range(self.n) if not indeg[v]]  # ascending, so a heap
+        order = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for b in self.succs[v]:
+                indeg[b] -= 1
+                if not indeg[b]:
+                    heapq.heappush(heap, b)
+        return tuple(order)
 
     @cached_property
     def profile(self):

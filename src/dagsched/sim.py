@@ -167,6 +167,8 @@ def simulate(taskset, m, horizon, release_policy="periodic",
     `exec_policy` scripts execution times: released (task, job) -> times."""
     if not is_integer(m) or m <= 0:
         raise SimulationError("need at least one processor, as an integer count")
+    if not taskset.tasks:
+        raise SimulationError("the task set is empty: nothing to simulate")
     if not is_integer(horizon) or horizon < max(t.period for t in taskset.tasks):
         raise SimulationError("horizon must be an integer covering at least the largest period")
     if rng is None:

@@ -124,8 +124,9 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     a task in its final form, about to be appended, the set is abandoned
     and the result is None; the draws before it are those of the full set.
     """
-    if not 0 < total_util < float("inf"):  # nan and inf would give an empty set
-        raise ValidationError("util", "total utilization must be positive and finite")
+    if not (is_number(total_util) and 0 < total_util < float("inf")):  # nan, inf: an empty set
+        raise ValidationError("util", "total utilization must be a positive finite number")
+    m = TaskSet([], m).processors  # the processor rule, before the first draw
     if total_util > m:
         raise ValidationError("util", f"total utilization {total_util} exceeds {m} processors")
     if rng is None:

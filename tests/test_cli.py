@@ -115,6 +115,11 @@ class TestGenerateAnalyze:
                     "--seed", "9"]) == 0
         assert capsys.readouterr().out == expect
 
+    def test_generate_zero_processors_exit_2(self, capsys):
+        assert run(["generate", "--util", "0.5", "--procs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "processor count must be positive" in err and "exceeds" not in err
+
     @pytest.mark.parametrize("procs", [2 ** 62, 10 ** 20])
     def test_huge_processor_count_matches_a_million(self, tmp_path, capsys, procs):
         # int64 tables are capped at min(m, work) * d, so no processor count

@@ -1,11 +1,14 @@
 """Task-model structure, DAG algorithms and serialization."""
 
+import heapq
 import json
 
 import numpy as np
 import pytest
 
 from conftest import diamond, random_dag
+from dagsched import dag as dag_module
+from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
     Dag, DagTask, TaskSet, asap_start_times, count_paths, enumerate_paths,
     load_taskset, normalize_source_sink, save_taskset, span, taskset_from_dict,
@@ -13,6 +16,39 @@ from dagsched.dag import (
 )
 from dagsched.errors import PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task
+from dagsched.taskgen import GenConfig, gen_dag
+
+LAZY_FACTS = ("edges", "preds", "succs", "order", "sources", "sinks")
+
+
+def eager_facts(wcets, edges):
+    """The facts of a valid input as `Dag` computed them in its constructor
+    before they were built on first read: the sorted edge set, ascending
+    adjacency, the topological order by smallest ready id (a heap-based Kahn
+    pass) and the ASAP starts and span that pass accumulates."""
+    n = len(wcets)
+    edges = tuple(sorted(set(edges)))
+    preds = [[] for _ in range(n)]
+    succs = [[] for _ in range(n)]
+    for a, b in edges:
+        preds[b].append(a)
+        succs[a].append(b)
+    indeg = [len(p) for p in preds]
+    heap = [v for v in range(n) if indeg[v] == 0]
+    order, starts, length = [], [0] * n, 0
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        finish = starts[v] + wcets[v]
+        length = max(length, finish)
+        for b in succs[v]:
+            starts[b] = max(starts[b], finish)
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, b)
+    return {"edges": edges, "preds": tuple(map(tuple, preds)),
+            "succs": tuple(map(tuple, succs)), "order": tuple(order),
+            "starts": tuple(starts), "span": length}
 
 
 class TestValidate:
@@ -57,6 +93,79 @@ class TestValidate:
     def test_negative_wcet_rejected(self):
         with pytest.raises(ValidationError):
             Dag([-1], [])
+
+    @pytest.mark.parametrize("wcets, edges, rule", [
+        ([1, 2, 3], [(0, 1, 2)], "edge"),
+        ([1, 2, 3], [5], "edge"),
+        ([1, 2], None, "edge"),
+        (None, [], "wcet"),
+    ], ids=["edge-triple", "edge-scalar", "edges-none", "wcets-none"])
+    def test_malformed_argument_rejected(self, wcets, edges, rule):
+        with pytest.raises(ValidationError) as err:
+            Dag(wcets, edges)
+        assert err.value.rule == rule
+
+    @pytest.mark.parametrize("wcets, edges, rule", [
+        ([-1, 1], [(0, 5)], "wcet"),
+        ([1.5, 1], [(0, 1, 2)], "wcet"),
+        ([1, 1], [(0, 1), (1, 0), (0, 5)], "dangling-edge"),
+        ([1, 1], [(0, 5), (0, 1, 2)], "dangling-edge"),
+        ([1, 1], [(0, 1, 2), (0, 5)], "edge"),
+        ([1, 1], [(1, 0), (0, 1), (1, 1)], "self-loop"),
+        ([1, 1, 1], [(0, 1), (1, 0), (2, 2.5)], "edge"),
+    ], ids=["wcet-then-dangling", "wcet-then-edge", "cycle-then-dangling",
+            "dangling-then-edge", "edge-then-dangling", "cycle-then-self-loop",
+            "cycle-then-edge"])
+    def test_first_broken_rule_reported(self, wcets, edges, rule):
+        with pytest.raises(ValidationError) as err:
+            Dag(wcets, edges)
+        assert err.value.rule == rule
+
+
+class TestLazyFacts:
+    def test_built_only_when_read(self):
+        dag = Dag([1, 2, 3], [(1, 2), (0, 1), (0, 2), (0, 1)])
+        assert not set(LAZY_FACTS) & vars(dag).keys()
+        assert (dag.work, dag.span, dag.starts) == (6, 6, (0, 1, 3))
+        assert dag.order == (0, 1, 2)
+        assert dag.edges == ((0, 1), (0, 2), (1, 2))
+        assert set(LAZY_FACTS) - {"sources", "sinks"} <= vars(dag).keys()
+
+    def test_same_facts_as_eager_constructor(self, rng):
+        # generated DAGs, the same with zero WCETs, their normalized forms,
+        # and small random DAGs with repeated edges
+        inputs = []
+        for fields in ({}, {"n_range": (10, 20)}, {"n_range": (1, 4), "edge_prob": 0.0},
+                       {"n_range": (5, 30), "edge_prob": 0.6}):
+            for _ in range(40):
+                dag = gen_dag(GenConfig(**fields), rng)
+                zeroed = Dag([0 if v % 3 == 0 else w for v, w in enumerate(dag.wcets)],
+                             dag.edges)
+                inputs += [(d.wcets, d.edges) for d in (dag, zeroed)]
+                inputs += [(d.wcets, d.edges) for d in map(normalize_source_sink, (dag, zeroed))]
+        for _ in range(200):
+            dag = random_dag(rng, n_max=8)
+            inputs.append((dag.wcets, list(dag.edges) * 2 + list(dag.edges[::-1])))
+        for wcets, edges in inputs:
+            dag, expect = Dag(wcets, edges), eager_facts(wcets, edges)
+            assert {name: getattr(dag, name) for name in expect} == expect
+
+    def test_sweep_builds_adjacency_only_for_profiled_dags(self, monkeypatch):
+        built = []
+        init = dag_module.Dag.__init__
+
+        def recording_init(self, wcets, edges):
+            init(self, wcets, edges)
+            built.append(self)
+
+        monkeypatch.setattr(dag_module.Dag, "__init__", recording_init)
+        run_experiment(ExperimentSpec(sets_per_point=20, seed=0, zero_timing=True))
+        profiled = [d for d in built if "profile" in vars(d)]
+        assert 0 < len(profiled) < len(built)
+        for d in built:
+            facts = vars(d).keys() & set(LAZY_FACTS)
+            assert "order" not in facts
+            assert "profile" in vars(d) or not facts
 
 
 class TestNormalize:

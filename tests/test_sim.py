@@ -437,6 +437,10 @@ class TestSimulate:
         with pytest.raises(SimulationError, match=message):
             sim.simulate(single_task_set(task, 1), m, 30, **policies)
 
+    def test_empty_task_set_rejected(self):
+        with pytest.raises(SimulationError, match="task set is empty"):
+            sim.simulate(TaskSet([], 2), 2, 10)
+
     def test_non_integer_horizon_rejected(self):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         for horizon in (30.5, True):

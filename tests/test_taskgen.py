@@ -235,6 +235,26 @@ class TestGenTaskset:
                 gen_taskset(util, 4, cfg)
             assert err.value.rule == "util"
 
+    @pytest.mark.parametrize("util, m, rule", [
+        ("2", 4, "util"), (None, 4, "util"), (True, 4, "util"), (float("nan"), 4, "util"),
+        (0.5, 0, "processors"), (0.5, -1, "processors"), (0.5, 4.5, "processors"),
+        (0.5, True, "processors"), (0.5, "4", "processors"),
+    ])
+    def test_bad_arguments_refused_before_the_first_draw(self, util, m, rule):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError) as err:
+            gen_taskset(util, m, GenConfig(), rng)
+        assert err.value.rule == rule
+        assert "exceeds" not in str(err.value)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_processor_count_draws_the_same_set(self):
+        cfg = GenConfig(seed=4)
+        ts = gen_taskset(3.0, np.int64(4), cfg)
+        assert type(ts.processors) is int
+        assert taskset_to_dict(ts) == taskset_to_dict(gen_taskset(3.0, 4, cfg))
+
 
     def test_stop_cuts_at_the_first_stopping_task(self):
         """On seeded (util, m, config) draws, `stop` sees the full set's
