@@ -4,8 +4,7 @@ Time is integral everywhere.  A task's *work* is the sum of its subtask
 WCETs, its *span* the length of a longest precedence chain; constrained
 deadlines require span <= deadline <= period.  A task set lists its tasks
 in priority order: a task's priority is its index, 0 the highest.  A `Dag`
-computes work, span and start times when built; edge lists, adjacency and
-topological order on first read (most generated DAGs never need them).
+computes work, span and starts when built, edges, adjacency and order when read.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ class Dag:
     The input is checked once, here: a ValidationError names the first
     broken rule of "wcet" (non-negative integers, work below 2^63), "edge"
     (integer endpoint pairs), "dangling-edge", "self-loop" and "cycle";
-    bools and floats are rejected, numpy integers stored as ints.  Every task
-    reads ``work``, ``span`` and ``starts`` (the ASAP start times at full
-    WCETs), computed here; the rest is built on first read: ``edges``
-    (sorted, no duplicates), ``preds`` and ``succs`` (ascending tuples),
-    ``order`` (the topological order taking the smallest ready vertex id
-    first), ``sources`` and ``sinks``.
+    bools and floats are rejected, numpy integers stored as ints.  ``work``,
+    ``span`` and ``starts`` (ASAP start times at full WCETs) are computed
+    here, the rest on first read: ``edges`` (sorted, no duplicates), ``preds``
+    and ``succs`` (ascending tuples), ``order`` (the topological order taking
+    the smallest ready id first), ``sources`` and ``sinks``.
     """
 
     def __init__(self, wcets, edges):
@@ -75,15 +73,17 @@ class Dag:
                 indeg[b] -= 1
                 if not indeg[b]:
                     ready.append(b)
-        # leftovers mean a cycle
-        if len(ready) != n:
+        if len(ready) != n:  # leftovers mean a cycle
             raise ValidationError("cycle", "edge set contains a directed cycle")
         self._succ = succ
         self.starts = tuple(starts)
         self.span = max(map(add, starts, wcets), default=0)
 
-    # the constructor's lists go once read, so a DAG holds its adjacency once
-    succs = cached_property(lambda self: tuple(tuple(sorted(set(s))) for s in vars(self).pop("_succ")))
+    @cached_property
+    def succs(self):  # replaces the constructor's lists: held once, and a rerun agrees
+        self._succ = succs = tuple(tuple(sorted(set(s))) for s in self._succ)
+        return succs
+
     # sorted, so the edges, preds and succs have one canonical order
     edges = cached_property(lambda self: tuple((a, b) for a, s in enumerate(self.succs) for b in s))
     sources = cached_property(lambda self: tuple(v for v in range(self.n) if not self.preds[v]))

@@ -2,6 +2,8 @@
 
 import heapq
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -149,6 +151,39 @@ class TestLazyFacts:
         for wcets, edges in inputs:
             dag, expect = Dag(wcets, edges), eager_facts(wcets, edges)
             assert {name: getattr(dag, name) for name in expect} == expect
+
+    def test_concurrent_first_reads(self, rng):
+        # from Python 3.12 on, cached_property holds no lock: threads that read a
+        # fact first at once each run its getter, so every getter must give the
+        # same result when run again; the threads also call the getters directly
+        # so that a getter that works only once fails on every Python
+        inputs = [(d.wcets, d.edges) for d in (gen_dag(GenConfig(), rng) for _ in range(30))]
+        dags = [Dag(*i) for i in inputs]
+        expect = [[getattr(Dag(*i), name) for name in LAZY_FACTS] for i in inputs]
+        getters = [getattr(Dag, name).func for name in LAZY_FACTS]
+        barrier, out, errors = threading.Barrier(4), [], []
+
+        def worker():
+            try:
+                barrier.wait()
+                out.append([[getattr(d, name) for name in LAZY_FACTS] for d in dags])
+                out.append([[get(d) for get in getters] for d in dags])
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often during the first reads
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(out) == 8 and all(o == expect for o in out)
 
     def test_sweep_builds_adjacency_only_for_profiled_dags(self, monkeypatch):
         built = []
