@@ -149,7 +149,7 @@ def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
     if len(sources) != 1 or len(sinks) != 1:
         raise ValidationError("normalize", "build_model requires a normalized DAG")
     if formulation not in ("edge-recursive", "path-enumerated"):
-        raise ValueError(f"unknown formulation {formulation!r}")
+        raise ValidationError("formulation", f"unknown formulation {formulation!r}")
 
     n, length, delta = dag.n, dag.span, int(delta_co)
     # every row's left-hand side stays within delta + 2 * work at any point in bounds
@@ -200,7 +200,7 @@ def export_model(model, fmt="lp") -> str:
         return _export_lp(model)
     if fmt == "mps":
         return _export_mps(model)
-    raise ValueError(f"unknown export format {fmt!r}")
+    raise ValidationError("format", f"unknown export format {fmt!r}")
 
 
 def _export_lp(model) -> str:

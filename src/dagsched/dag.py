@@ -226,6 +226,8 @@ class DagTask:
     span: int = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.dag, Dag):
+            raise ValidationError("dag", f"a task's graph must be a Dag, got {self.dag!r}")
         self.deadline = as_int(self.deadline, "deadline", "deadline")
         self.period = as_int(self.period, "deadline", "period")
         self.work = self.dag.work
@@ -250,6 +252,11 @@ class TaskSet:
         self.processors = as_int(self.processors, "processors", "processor count")
         if self.processors <= 0:
             raise ValidationError("processors", "processor count must be positive")
+        if not isinstance(self.tasks, (list, tuple)):
+            raise ValidationError("tasks", f"tasks must be a list of DagTask, got {self.tasks!r}")
+        for idx, task in enumerate(self.tasks):
+            if not isinstance(task, DagTask):
+                raise ValidationError("tasks", f"tasks[{idx}] must be a DagTask, got {task!r}")
 
 
 # --- JSON schema -----------------------------------------------------------

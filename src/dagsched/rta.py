@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .dag import TaskSet
+from .errors import ValidationError
 from .workload import interfering_workload, melani_workload
 
 METHODS = ("ilp", "melani")
@@ -75,7 +76,7 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     deadline; the bounds not established by then are None ("not computed").
     """
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+        raise ValidationError("method", f"method must be one of {METHODS}, got {method!r}")
     workload = melani_workload if method == "melani" else interfering_workload
     if m is not None:  # an explicit count obeys the rule of `TaskSet.processors`
         taskset = TaskSet(taskset.tasks, m)

@@ -16,9 +16,15 @@ job, subtask, start, end), one per running subtask per step.  Critical
 chains are rebuilt by walking last-completing predecessors; critical
 interference reads the job's segments grouped by subtask, and its split per
 task takes one pass over the segments that overlap the blocked intervals.
-`audit_trace` computes once per subtask its rank number and the earliest
-start that precedence allows (one comparison per segment), then checks the
-schedule in one time sweep, raising `AssertionError` at the first violation.
+`audit_trace` checks that every segment names a processor in 0..m-1, and
+that no processor runs two segments at once, so at most m subtasks run at
+any instant.  It computes once per subtask its rank number and the earliest
+start that precedence allows (one comparison per segment).  The priority and
+work-conservation rules have something to check only where a subtask waits:
+per subtask, its ready interval minus its own segments, mapped to event
+points by bisection.  The audit visits just those points in time order and
+reads the running subtasks with one bisection per processor, raising
+`AssertionError` at the first violation.
 """
 
 from __future__ import annotations
@@ -312,13 +318,18 @@ def interference_by_task(sim, job, chain) -> dict:
 # Trace auditor
 
 def audit_trace(sim) -> None:
-    """Check work conservation, precedence and priority rules on a trace.
+    """Check processor ids, work conservation, precedence and priority rules
+    on a trace.
 
     Raises AssertionError on the first violation.
     """
+    m = sim.processors
     by_proc = {}
     for seg in sim.segments:
         by_proc.setdefault(seg[0], []).append(seg)
+    for proc in by_proc:
+        if proc not in range(m):
+            raise AssertionError(f"processor {proc} outside 0..{m - 1}")
     for proc, segs in by_proc.items():
         segs.sort(key=_START)
         for a, b in zip(segs, segs[1:]):
@@ -348,7 +359,7 @@ def audit_trace(sim) -> None:
         info[key] = number, limits
         number += len(times)
 
-    spans = []  # (start, end, rank number) of every segment
+    runs = {}  # rank number -> its segments, in trace order
     for seg in sim.segments:
         _, task, jnum, v, start, end = seg
         entry = info.get((task, jnum))
@@ -363,33 +374,49 @@ def audit_trace(sim) -> None:
             p = next(p for p in tasks[task].dag.preds[v]
                      if job.subtask_completion[p] is None or start < job.subtask_completion[p])
             raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
-        spans.append((start, end, first + v))
+        runs.setdefault(first + v, []).append(seg)
 
-    # priority correctness + work conservation between event points, in one
-    # sweep that keeps the running segments and the ready subtasks
+    # the rules hold in each interval [lo, hi) between consecutive event
+    # points, and have something to check only where a subtask waits: ready
+    # in [max(ready, release), completion) but running in none of its own
+    # segments.  Per event-point index, the highest-ranked waiting subtask:
     points = set(map(_START, sim.segments))
     points.update(map(_END, sim.segments), [j.release for j in sim.jobs])
     points = sorted(points)
-    spans.sort(key=itemgetter(0))
-    readies.sort(key=itemgetter(0))
-    spans.append((_NEVER,))  # stops the scans below
-    readies.append((_NEVER,))
-    live, ready = [], []
-    i = j = 0
-    for lo, hi in zip(points, points[1:]):
-        while spans[i][0] <= lo:
-            live.append(spans[i])
-            i += 1
-        while readies[j][0] <= lo:
-            ready.append(readies[j])
-            j += 1
-        live = [s for s in live if s[1] > lo]
-        ready = [e for e in ready if e[1] > lo]
-        running = {s[2] for s in live}
-        waiting = [e[2] for e in ready if e[2] not in running]
-        if waiting:
-            if len(running) != sim.processors:
-                raise AssertionError(
-                    f"work conservation violated in [{lo},{hi}): {len(running)} running")
-            if not max(running) < min(waiting):
-                raise AssertionError(f"priority inversion in [{lo},{hi})")
+    last = len(points) - 1  # the index of the last point, where no interval starts
+    waits = {}
+
+    def wait(a, b, number):  # the subtask `number` waits in [a, b)
+        for i in range(bisect_left(points, a), min(bisect_left(points, b), last)):
+            waits.setdefault(i, number)
+
+    for cur, comp, number in readies:  # in rank order, so setdefault keeps the best
+        own = runs.get(number, ())
+        if len(own) > 1:
+            own = sorted(own, key=_START)
+        for _, _, _, _, start, end in own:
+            if start >= comp:
+                break
+            if start > cur:
+                wait(cur, start, number)
+            if end > cur:
+                cur = end
+        if cur < comp:
+            wait(cur, comp, number)
+
+    # a processor's segments do not overlap, so the one running at lo, if
+    # any, is the last to start by lo
+    for i in sorted(waits):
+        lo = points[i]
+        running = set()
+        for lane in by_proc.values():
+            k = bisect_right(lane, lo, key=_START)
+            if k:
+                _, task, jnum, v, _, end = lane[k - 1]
+                if end > lo:
+                    running.add(info[task, jnum][0] + v)
+        if len(running) != m:
+            raise AssertionError(
+                f"work conservation violated in [{lo},{points[i + 1]}): {len(running)} running")
+        if not max(running) < waits[i]:
+            raise AssertionError(f"priority inversion in [{lo},{points[i + 1]})")

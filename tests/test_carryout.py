@@ -52,6 +52,11 @@ class TestBuildModel:
                 build_model(Dag([5], []), delta)
             assert err.value.rule == "delta"
 
+    def test_unknown_formulation_rejected(self):
+        with pytest.raises(ValidationError, match="unknown formulation") as err:
+            build_model(Dag([5], []), 3, "bogus")
+        assert err.value.rule == "formulation"
+
     def test_single_vertex_structure(self):
         model = build_model(Dag([5], []), 3)
         assert sorted(model.variables) == ["A0", "M0", "S0", "W0", "X0"]
@@ -492,6 +497,11 @@ class TestExport:
         text = export_model(build_model(Dag([5], []), 3), fmt="lp")
         assert "Maximize" in text and "obj: W0" in text
         assert "Binaries" in text and "A0" in text
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValidationError, match="unknown export format") as err:
+            export_model(build_model(Dag([5], []), 3), fmt="xml")
+        assert err.value.rule == "format"
 
     def test_chain_lp_mentions_edge(self):
         text = export_model(build_model(Dag([3, 4], [(0, 1)]), 5), fmt="lp")

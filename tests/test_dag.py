@@ -341,6 +341,20 @@ class TestTaskTypes:
             TaskSet([antimonotone_task()], m)
         assert info.value.rule == "processors"
 
+    @pytest.mark.parametrize("tasks", [None, [5], "ab", [antimonotone_task(), None]],
+                             ids=["none", "int-task", "string", "none-task"])
+    def test_malformed_tasks_rejected(self, tasks):
+        with pytest.raises(ValidationError) as info:
+            TaskSet(tasks, 2)
+        assert info.value.rule == "tasks"
+
+    @pytest.mark.parametrize("dag", [None, [1, 2], (Dag([1], []),)],
+                             ids=["none", "wcet-list", "tuple"])
+    def test_malformed_dag_rejected(self, dag):
+        with pytest.raises(ValidationError) as info:
+            DagTask(dag, 5, 5)
+        assert info.value.rule == "dag"
+
     def test_derived_fields(self):
         task = antimonotone_task()
         assert (task.work, task.span) == (13, 8)

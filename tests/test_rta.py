@@ -66,8 +66,11 @@ class TestSchedulabilityTest:
         assert rep.to_dict()["bounds"] == ["exceeded"]
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method must be one of"):
+        with pytest.raises(ValidationError, match="method must be one of"):
             rta.schedulability_test(two_task_set(), method="bogus")
+        with pytest.raises(ValidationError) as err:
+            rta.schedulability_test(two_task_set(), method=None)
+        assert err.value.rule == "method"
 
     @pytest.mark.parametrize("m", [0, 2.5, -1, True], ids=["zero", "float", "negative", "bool"])
     @pytest.mark.parametrize("method", rta.METHODS)

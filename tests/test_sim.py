@@ -347,6 +347,22 @@ def random_mixes(seeds):
                                    rng=np.random.default_rng(seed + 1))
 
 
+def loaded_mixes(seeds):
+    """Simulated traces of small random task sets whose utilization is near
+    or above the processor count m (1 to 3), so that many subtasks wait."""
+    for seed in seeds:
+        cfg = GenConfig(n_range=(3, 6), wcet_range=(1, 9), seed=seed)
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 3
+        # gen_taskset refuses a utilization above its processor count
+        tasks = gen_taskset(float(rng.uniform(0.9, 1.4)) * m, m + 1, cfg, rng).tasks
+        ts = assign_priorities_dm(TaskSet(tasks, m))
+        yield sim.simulate(ts, m, 2 * max(t.period for t in ts.tasks),
+                           release_policy=("periodic", "sporadic")[seed % 2],
+                           exec_policy=("wcet", "random")[seed % 3 > 0],
+                           rng=np.random.default_rng(seed + 1))
+
+
 class TestSimulate:
     def test_unrestricted_processors_give_span(self):
         task = antimonotone_task(deadline=15, period=20)
@@ -704,6 +720,135 @@ class TestAudit:
         except AssertionError:
             return False
         return True
+
+    @pytest.mark.parametrize("proc", [1, 5, -1])
+    def test_rejects_processor_outside_the_count(self, proc):
+        # two subtasks at once on one processor's trace: both segments are
+        # fine on their own, but the second names no processor of m = 1
+        task = DagTask(Dag([2, 2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, 2), 2, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2), (1, 0, 0, 1, 0, 2)]
+        segs = [res.segments[0], (proc,) + res.segments[1][1:]]
+        bad = sim.SimResult(single_task_set(task, 1), 1, 10, segs, res.jobs)
+        with pytest.raises(AssertionError, match=rf"^processor {proc} outside 0\.\.0$"):
+            sim.audit_trace(bad)
+
+    def test_processor_checked_before_any_other_rule(self):
+        res = self._chain_trace()
+        first = res.segments[0]
+        segs = [first, first[:4] + (first[4] + 1, first[5]), (3,) + res.segments[-1][1:]]
+        with pytest.raises(AssertionError, match=r"processor 3 outside 0\.\.0"):
+            sim.audit_trace(with_segments(res, segs))
+        with pytest.raises(AssertionError, match="processor 0 overlaps"):
+            sim.audit_trace(with_segments(res, segs[:2]))
+
+    def test_same_verdict_as_reference_on_loaded_traces(self):
+        # utilization near or above m: many subtasks wait, so the priority
+        # and work-conservation checks run often; each trace and a few
+        # mutations of it (the kinds of the test above) get the reference's
+        # verdict and the kept audit's message
+        rng = np.random.default_rng(53)
+        waits = traces = 0
+        verdicts = {True: 0, False: 0}
+        for res in loaded_mixes(range(9)):
+            self._same_as_kept(res)
+            waits += sum(job.subtask_completion[v] - max(r, job.release) > x
+                         for job in res.jobs for v, (r, x) in enumerate(
+                             zip(job.subtask_ready, job.exec_times))
+                         if x > 0 and job.subtask_completion[v] is not None)
+            traces += 1
+            for _ in range(8):
+                segs, jobs = list(res.segments), res.jobs
+                i = int(rng.integers(len(segs)))
+                kind = int(rng.integers(6))
+                if kind == 0:
+                    del segs[i]
+                elif kind == 1:
+                    d = int(rng.choice([-2, -1, 1, 2]))
+                    segs[i] = segs[i][:4] + (segs[i][4] + d, segs[i][5] + d)
+                elif kind == 2:
+                    segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
+                else:
+                    jobs = self._mutated_jobs(res, segs[i], kind + 2, rng)
+                bad = sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
+                verdicts[self._same_as_kept(bad)] += 1
+        assert traces == 9 and waits > 150
+        assert verdicts[True] > 5 and verdicts[False] > 30
+
+    @staticmethod
+    def _same_as_kept(res):
+        """Assert the audit's message equals the kept audit's and its verdict
+        the reference's; return the verdict."""
+        message = TestAudit._message(sim.audit_trace, res)
+        assert message == TestAudit._message(kept_audit_trace, res)
+        assert (message is None) == TestAudit._passes(reference_audit, res)
+        return message is None
+
+    @staticmethod
+    def _two_tasks_on_one_processor():
+        one = DagTask(Dag([2], []), 10, 10)
+        res = sim.simulate(TaskSet([one, one], 1), 1, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2), (0, 1, 0, 0, 2, 4)]
+        return res
+
+    def test_subtask_that_never_completes_waits_to_the_end(self):
+        res = self._two_tasks_on_one_processor()
+        high, low = res.jobs
+        # the high-priority subtask waits from its segment's end to the
+        # trace's end, while the low-priority one runs
+        high = replace(high, subtask_completion=[None], completion=None)
+        bad = sim.SimResult(res.taskset, 1, 10, res.segments, [high, low])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == "priority inversion in [2,4)"
+        # the last subtask of the trace waits nowhere
+        low = replace(low, subtask_completion=[None], completion=None)
+        assert self._same_as_kept(sim.SimResult(res.taskset, 1, 10, res.segments,
+                                                [res.jobs[0], low]))
+
+    def test_zero_length_segment_runs_nothing(self):
+        task = DagTask(Dag([2, 2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, 2), 2, 10)
+        first, second = res.segments
+        assert self._same_as_kept(with_segments(res, res.segments + [first[:4] + (2, 2)]))
+        # subtask 1 ready at 0 but given [0, 0) only: it waits in [0, 2)
+        bad = with_segments(res, [first, second[:4] + (0, 0)])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "work conservation violated in [0,2): 1 running"
+
+    def test_one_subtask_on_two_processors_counts_once(self):
+        task = DagTask(Dag([2, 2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, 2), 2, 10)
+        first, second = res.segments
+        bad = with_segments(res, [first, second[:3] + first[3:]])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "work conservation violated in [0,2): 1 running"
+
+    def test_segment_of_zero_execution_subtask_occupies_its_processor(self):
+        res = self._two_tasks_on_one_processor()
+        low = replace(res.jobs[1], exec_times=(0,))
+        # the low-priority subtask has no execution time but holds the
+        # processor in [0, 2), while the high-priority one waits there
+        segs = [(0, 1, 0, 0, 0, 2)]
+        bad = sim.SimResult(res.taskset, 1, 10, segs, [res.jobs[0], low])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == "priority inversion in [0,2)"
+        ok = sim.SimResult(res.taskset, 1, 10, [res.segments[0], (0, 1, 0, 0, 2, 4)],
+                           [res.jobs[0], low])
+        assert self._same_as_kept(ok)
+
+    def test_empty_trace(self):
+        res = self._two_tasks_on_one_processor()
+        assert self._same_as_kept(sim.SimResult(res.taskset, 1, 10, [], []))
+        # jobs but no segments: the low-priority job's release at 0 is the
+        # only event point, so no interval is checked
+        assert self._same_as_kept(with_segments(res, []))
+        late = replace(res.jobs[1], release=3, subtask_ready=[3])
+        bad = sim.SimResult(res.taskset, 1, 10, [], [res.jobs[0], late])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "work conservation violated in [0,3): 0 running"
 
     def test_rejects_overlap_under_optimize_flag(self):
         # the checks raise explicitly, so they hold when asserts are stripped
