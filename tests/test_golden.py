@@ -25,7 +25,8 @@ PAPER_SWEEP_SHA256 = "b37b5340cfb766037a5a4aadb2a7b4f284d81879d566043d1f28d4c475
 REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade88"
 TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
 MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1f31b92ad"
-EXACT_SOLVES_SHA256 = "35ae4f379f492726d42add49c8d7560a76513959c7a4799332bd47c06b77f7ca"
+EXACT_SOLVES_SHA256 = "001aaa05a51f313d93db1d1543db0e3073adb689d1d099d42f0ff8eaa57dacd1"
+EXACT_WITNESSES_SHA256 = "53e85d0d966ac2030d1a76db4163c514f1206d97d62f94b70c88f9676572cdd9"
 EXACT_OBJECTIVES_SHA256 = "8ade0fd304f2ff4e88340de98d1b818e268e4a6162c39f9a0357e79425c8729e"
 TRACE_OUT_SHA256 = "228f13f89a3870d185903400300931f538da394ee0379cf086fc1142d2d76cd7"
 GENERATED_SETS_SHA256 = "36c6220b7df4f472cdd71e3d2d7f68a94e5a35634d43dd1ffe90172fd6f419ed"
@@ -161,10 +162,17 @@ def _exact_solves():
 
 
 def test_exact_solve_digest():
-    # objective, search effort and witness of each solve
-    docs = [[res.objective, res.nodes, res.pivots, [res.assignment[a] for a in range(n)]]
+    # objective, simplex effort and witness of each solve
+    docs = [[res.objective, res.pivots, [res.assignment[a] for a in range(n)]]
             for n, res in _exact_solves()]
     assert _sha256(json.dumps(docs, sort_keys=True)) == EXACT_SOLVES_SHA256
+
+
+def test_exact_witnesses_digest():
+    # objective and witness of each solve, which no change to the solver's
+    # effort may move
+    docs = [[res.objective, [res.assignment[a] for a in range(n)]] for n, res in _exact_solves()]
+    assert _sha256(json.dumps(docs, sort_keys=True)) == EXACT_WITNESSES_SHA256
 
 
 def test_exact_objectives_digest():
