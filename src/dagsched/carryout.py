@@ -20,8 +20,8 @@ activation binary A_a, with
 coefficient matrix over the columns kind*n + a (kinds X, W, S, M, A), a
 per-row `>=` flag and right-hand side, and per-column upper bounds (every
 lower bound is 0).  Variable and row names are built only for LP and MPS
-export.  `solve_exact` fixes some binaries in a presolve and branches on the
-rest, with an exact rational simplex per node.  `brute_force_oracle`
+export.  `solve_exact` fixes every binary and solves the one remaining LP
+with an exact rational simplex.  `brute_force_oracle`
 enumerates execution vectors directly.  `WorkCurve` computes the same
 optimum for every window length through an equivalent reformulation
 (maximum total work whose makespan fits the window), solved in polynomial
@@ -45,7 +45,6 @@ from .dag import Dag, asap_start_times, enumerate_paths
 from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
-NODE_LIMIT = 100_000
 
 
 # --------------------------------------------------------------------------
@@ -274,140 +273,95 @@ def verify_assignment(model, assignment) -> None:
 
 
 # --------------------------------------------------------------------------
-# Exact branch-and-bound solver
+# Exact solver: one LP with every activation fixed
 
 @dataclass
 class SolveResult:
     objective: int
     assignment: dict
-    nodes: int
     pivots: int
 
 
-def _node_lp(model, afix):
-    """Dense LP data (max form, x >= 0, b >= 0) for a node's A fixings.
+def _fixed_lp(model):
+    """Dense LP data (max form, x >= 0, b >= 0) with every A fixed.
 
-    `afix` maps a vertex to its fixed A.  The LP keeps the columns whose
-    upper bound is positive and that no fixing pins: A = 0 pins A, M and W
-    at 0 (W <= M), and A = 1 pins A and caps S at delta (M >= 0 needs it).
-    Returns the objective, the rows and their right-hand sides over the
-    kept columns, and those columns.  Every pinned W is 0, so the pinned
-    columns add nothing to the objective.
+    A zero-WCET vertex takes A = 0, which pins A, M and W at 0 (W <= M);
+    every other vertex takes A = 1, which pins A and caps S at delta (M >= 0
+    needs it).  The LP keeps the columns whose upper bound is positive and
+    that no fixing pins.  Returns the objective, the rows and their
+    right-hand sides over the kept columns, and those columns.  Every pinned
+    W is 0, so the pinned columns add nothing to the objective.
     """
     n = model.n
+    wcets = np.array(model.dag.wcets)
+    idle, busy = np.flatnonzero(wcets == 0), np.flatnonzero(wcets > 0)
     keep = model.ub > 0
+    keep[A * n:] = False
+    keep[M * n + idle] = keep[W * n + idle] = False
     ub = model.ub.copy()
+    ub[S * n + busy] = np.minimum(ub[S * n + busy], model.delta_co)
     value = np.zeros_like(ub)
-    for a, fixed in afix.items():
-        keep[A * n + a] = False
-        if fixed:
-            value[A * n + a] = 1
-            ub[S * n + a] = min(ub[S * n + a], model.delta_co)
-        else:
-            keep[[M * n + a, W * n + a]] = False
+    value[A * n + busy] = 1
     cols = np.flatnonzero(keep)
     sign = np.where(model.geq, -1, 1)
     rows = model.coeffs[:, cols] * sign[:, None]
     rhs = (model.rhs - model.coeffs @ value) * sign
     live = rows.any(axis=1)
     if (rhs[~live] < 0).any():
-        raise SolverLimitError("node LP infeasible after substitution")
+        raise SolverLimitError("LP infeasible after substitution")
     rows = np.vstack([rows[live], np.eye(len(cols), dtype=np.int64)])
     return model.objective[cols], rows, np.concatenate([rhs[live], ub[cols]]), cols
 
 
 def _assignment_from_exec(model, exec_times) -> dict:
-    starts = asap_start_times(model.dag, exec_times)
     delta = model.delta_co
     asg = {}
-    for a in range(model.n):
-        active = 1 if starts[a] < delta else 0
-        m_a = delta - starts[a] if active else 0
-        asg[a] = {
-            "X": exec_times[a],
-            "S": starts[a],
-            "A": active,
-            "M": m_a,
-            "W": min(exec_times[a], m_a),
-        }
+    for a, (x, s) in enumerate(zip(exec_times, asap_start_times(model.dag, exec_times))):
+        m_a = max(delta - s, 0)
+        asg[a] = {"X": x, "S": s, "A": int(s < delta), "M": m_a, "W": min(x, m_a)}
     return asg
 
 
 def solve_exact(model) -> SolveResult:
-    """Provably optimal integer solution by branch-and-bound on the binaries.
+    """Provably optimal integer solution from one exact LP.
 
-    A presolve fixes A = 0 for every zero-WCET vertex and A = 1 for every
-    other vertex whose full-WCET ASAP start lies inside the window.  The
-    search branches on the remaining A variables in topological order (A=1
-    explored first), solves the exact-rational LP relaxation at every node,
-    and prunes on the floored relaxation bound.  At A-complete nodes the
-    relaxation optimum equals the node's integer optimum, so no branching on
-    the remaining variables is needed.  Witnesses are the floored execution
-    times of each node's LP point, trimmed to the window, starting from the
-    trimmed WCETs.  If an A-complete bound still exceeds the best witness
-    after the search, the witness was missed: SolverLimitError.
+    `_fixed_lp` fixes A = 0 at each zero-WCET vertex and A = 1 at every
+    other one, and the exact rational simplex solves what remains:
+
+    - The fixings are safe.  Trimming an optimal execution vector to the
+      window (`trim_to_window`) keeps its window workload and ends its
+      schedule by delta, so each positive-WCET vertex can take A = 1 with S
+      its trimmed ASAP start (at most delta) and M = delta - S; a zero-WCET
+      vertex contributes nothing with A = 0.
+    - With every A fixed, the LP's optimum value is the integer optimum.  In
+      start/finish variables (S, F = S + X, and E = S + W, G = S + M) every
+      edge-recursive row and bound is a difference of two variables or a
+      bound on one, so the system is totally unimodular.  The
+      path-enumerated rows bound each S below by its ASAP start, which the
+      edge rows reach, and no larger S helps, so the optima agree.
+
+    The witness is the better of the trimmed WCETs and the trimmed floored
+    execution times of the LP point.  Integrality of that basic point is not
+    relied on: if the floored LP value exceeds the witness, SolverLimitError.
     """
     dag = model.dag
-    wcets = dag.wcets
-    delta = model.delta_co
-    order = [v for v in dag.order if wcets[v] > 0]
-    base_fix = {a: 0 for a in range(model.n) if wcets[a] == 0}
-    # presolve: a solution with A_a = 0 (so W_a = 0) keeps its objective with
-    # A_a = 1, every S lowered to the ASAP distances of X (S_a <= dag.starts[a]
-    # < delta, as X <= C) and M_a = delta - S_a
-    base_fix.update((a, 1) for a in order if dag.starts[a] < delta)
-
-    best_val = -1
-    best_exec = None
-
-    def consider(exec_times):
-        nonlocal best_val, best_exec
-        trimmed = trim_to_window(dag, exec_times, delta)
-        if sum(trimmed) > best_val:
-            best_val, best_exec = sum(trimmed), trimmed
-
-    consider(wcets)
-
-    nodes = 0
-    pivots = 0
-    top_complete = -1  # the largest bound of an A-complete node
-    stack = [base_fix]
-    while stack:
-        afix = stack.pop()
-        nodes += 1
-        if nodes > NODE_LIMIT:
-            raise SolverLimitError(f"branch-and-bound exceeded {NODE_LIMIT} nodes")
-        c, rows, rhs, cols = _node_lp(model, afix)
-        lp = simplex.solve_lp_max(c, rows, rhs)
-        pivots += lp.pivots
-        bound = floor(lp.value)
-        if bound <= best_val:
-            continue
-        # the integer candidate from the LP point: its floored execution
-        # times (the X columns come first)
-        xfloor = [0] * model.n
-        for j, x in zip(cols.tolist(), lp.x):
-            if j < model.n:
-                xfloor[j] = floor(x)
-        consider(xfloor)
-        branch = next((a for a in order if a not in afix), None)
-        if branch is None:
-            # A-complete: the relaxation optimum is the node optimum, which
-            # the best witness must reach by the end of the search
-            top_complete = max(top_complete, bound)
-            continue
-        stack.append({**afix, branch: 0})
-        stack.append({**afix, branch: 1})  # popped first: optimistic A=1 branch
-
-    if top_complete > best_val:
+    c, rows, rhs, cols = _fixed_lp(model)
+    lp = simplex.solve_lp_max(c, rows, rhs)
+    bound = floor(lp.value)
+    point = dict(zip(cols.tolist(), lp.x))  # column a < n is X_a
+    xfloor = [floor(point.get(a, 0)) for a in range(model.n)]
+    best_exec = max((trim_to_window(dag, x, model.delta_co) for x in (dag.wcets, xfloor)),
+                    key=sum)
+    best_val = sum(best_exec)
+    if bound > best_val:
         raise SolverLimitError(
-            f"optimal witness not recovered: bound {top_complete}, best witness {best_val}")
+            f"optimal witness not recovered: bound {bound}, best witness {best_val}")
 
     assignment = _assignment_from_exec(model, best_exec)
     verify_assignment(model, assignment)
     objective = sum(assignment[a]["W"] for a in range(model.n))
     assert objective == best_val
-    return SolveResult(best_val, assignment, nodes, pivots)
+    return SolveResult(best_val, assignment, lp.pivots)
 
 
 # --------------------------------------------------------------------------

@@ -55,7 +55,8 @@ class OracleLimitError(DagschedError):
 
 
 class SolverLimitError(DagschedError):
-    """Exact solver exceeded its node or pivot budget."""
+    """Exact solver exceeded its pivot budget or could not recover an
+    integer witness of its LP bound."""
 
 
 class SimulationError(DagschedError):

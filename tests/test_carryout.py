@@ -21,6 +21,7 @@ from dagsched.errors import (
     OracleLimitError, PathExplosionError, SolverLimitError, ValidationError,
 )
 from dagsched.instances import antimonotone_task
+from dagsched.taskgen import GenConfig, gen_dag
 
 
 def fork_5_5():
@@ -126,8 +127,8 @@ class TestSolveExact:
         assert res.objective == 7
 
     def test_missed_witness_refused(self, monkeypatch):
-        # every witness valued 0 leaves the A-complete bounds above the
-        # incumbent, so the search must refuse rather than return 0
+        # every witness valued 0 leaves the floored LP bound above the best
+        # witness, so the solver must refuse rather than return 0
         monkeypatch.setattr(carryout, "trim_to_window", lambda dag, x, delta: [0] * dag.n)
         dag = normalize_source_sink(antimonotone_task().dag)
         with pytest.raises(SolverLimitError, match="witness not recovered"):
@@ -520,6 +521,25 @@ class TestExport:
         dag = normalize_source_sink(antimonotone_task().dag)
         model = build_model(dag, 3)
         assert _solve_mps_with_milp(export_model(model, fmt="mps")) == 7
+
+
+def test_paper_scale_routes_agree():
+    # solve_exact, the work curve and scipy's MILP on the exported MPS agree
+    # on normalized paper-scale DAGs (n = 10-20), windows 1 and span // 10
+    # included, and every witness satisfies the model
+    rng = np.random.default_rng(19)
+    pairs = 0
+    for _ in range(3):
+        dag = normalize_source_sink(gen_dag(GenConfig(n_range=(10, 20)), rng))
+        curve = WorkCurve(dag).values()
+        for delta in sorted({1, dag.span // 10, dag.span // 2, dag.span}):
+            model = build_model(dag, delta)
+            res = solve_exact(model)
+            verify_assignment(model, res.assignment)
+            external = _solve_mps_with_milp(export_model(model, fmt="mps"))
+            assert res.objective == curve[delta] == external
+            pairs += 1
+    assert pairs == 12
 
 
 class TestTrim:

@@ -25,7 +25,7 @@ PAPER_SWEEP_SHA256 = "b37b5340cfb766037a5a4aadb2a7b4f284d81879d566043d1f28d4c475
 REPORTS_SHA256 = "b457d88704f7eafe6a9aae8e11c4e95f2a2384abc183173c943cad59165ade88"
 TRACES_SHA256 = "f838ba111b1bf1894fa3b1dd13b66302aa4852a313d1e64792d4dd0217c9db00"
 MODEL_EXPORTS_SHA256 = "ab6b3daa314c074f847f118e3239615afef0007da2e1fd48a5b68bc1f31b92ad"
-EXACT_SOLVES_SHA256 = "001aaa05a51f313d93db1d1543db0e3073adb689d1d099d42f0ff8eaa57dacd1"
+EXACT_SOLVES_SHA256 = "2d4c5fe073c69233e499d88933189684526d421674d957bd81e2754f93ed62cd"
 EXACT_WITNESSES_SHA256 = "53e85d0d966ac2030d1a76db4163c514f1206d97d62f94b70c88f9676572cdd9"
 EXACT_OBJECTIVES_SHA256 = "8ade0fd304f2ff4e88340de98d1b818e268e4a6162c39f9a0357e79425c8729e"
 TRACE_OUT_SHA256 = "228f13f89a3870d185903400300931f538da394ee0379cf086fc1142d2d76cd7"
