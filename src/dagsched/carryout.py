@@ -53,17 +53,13 @@ ORACLE_GUARD = 10**6
 def trim_to_window(dag, exec_times, delta):
     """Each vertex's in-window contribution under the unrestricted ASAP schedule.
 
-    Entry v is min(x_v, max(delta - S_v, 0)) with S_v the ASAP start under
-    `exec_times`: a vertex capped at the window's end finishes at delta, so
-    its successors start at delta or later either way.  The trimmed
-    schedule fits in [0, delta), and its sum is the window workload.
+    Entry v is min(x_v, max(delta - S_v, 0)) with S the `asap_start_times` of
+    `exec_times`, which checks them: a vertex capped at the window's end
+    finishes at delta, so its successors start at delta or later either way.
+    The trimmed schedule fits in [0, delta); its sum is the window workload.
     """
-    trimmed = [0] * dag.n
-    dist = [0] * dag.n
-    for v in dag.order:
-        dist[v] = max((dist[p] + trimmed[p] for p in dag.preds[v]), default=0)
-        trimmed[v] = min(exec_times[v], max(delta - dist[v], 0))
-    return trimmed
+    starts = asap_start_times(dag, exec_times)
+    return [min(x, max(delta - s, 0)) for x, s in zip(exec_times, starts)]
 
 
 def brute_force_oracle(dag, delta_co) -> int:

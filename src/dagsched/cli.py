@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import carryout, rta, sim
-from .dag import load_taskset, normalize_source_sink, save_taskset, taskset_to_dict
+from .dag import load_taskset, normalize_source_sink, taskset_to_dict
 from .errors import DagschedError, ValidationError, is_integer, is_number, require
 from .taskgen import GenConfig, assign_priorities_dm, gen_taskset
 
@@ -146,10 +146,7 @@ def _write(text, path):
 def _cmd_generate(args):
     cfg = _settings(GenConfig, args)
     ts = assign_priorities_dm(gen_taskset(args.util, args.procs, cfg))
-    if args.out:
-        save_taskset(ts, args.out)
-    else:
-        print(json.dumps(taskset_to_dict(ts), indent=1))
+    _write(json.dumps(taskset_to_dict(ts), indent=1) + "\n", args.out)
     return 0
 
 
@@ -185,11 +182,9 @@ def _cmd_dump_model(args):
 
 def _cmd_simulate(args):
     ts = load_taskset(args.taskset)
-    if not ts.tasks:
-        raise ValidationError("tasks", "the task set is empty: nothing to simulate")
     require(args.seed >= 0, "--seed", "a non-negative integer")
     rng = np.random.default_rng(args.seed)
-    horizon = args.horizon if args.horizon else 3 * max(t.period for t in ts.tasks)
+    horizon = args.horizon if args.horizon else 3 * max((t.period for t in ts.tasks), default=0)
     result = sim.simulate(ts, ts.processors, horizon,
                           release_policy=args.release, exec_policy=args.exec_policy,
                           rng=rng)

@@ -4,18 +4,18 @@ Time is integral everywhere.  A task's *work* is the sum of its subtask
 WCETs, its *span* the length of a longest precedence chain; constrained
 deadlines require span <= deadline <= period.  A task set lists its tasks
 in priority order: a task's priority is its index, 0 the highest.  A `Dag`
-computes work, span and starts when built, edges, adjacency and order when read.
+computes work, span, starts and one topological order when built, edges and
+adjacency when read.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
-from .errors import PathExplosionError, ValidationError, as_int
+from .errors import PathExplosionError, ValidationError, as_int, is_integer
 
 PATH_CAP = 100_000
 
@@ -27,10 +27,10 @@ class Dag:
     broken rule of "wcet" (non-negative integers, work below 2^63), "edge"
     (integer endpoint pairs), "dangling-edge", "self-loop" and "cycle";
     bools and floats are rejected, numpy integers stored as ints.  ``work``,
-    ``span`` and ``starts`` (ASAP start times at full WCETs) are computed
-    here, the rest on first read: ``edges`` (sorted, no duplicates), ``preds``
-    and ``succs`` (ascending tuples), ``order`` (the topological order taking
-    the smallest ready id first), ``sources`` and ``sinks``.
+    ``span``, ``starts`` (ASAP start times at full WCETs) and ``order`` (the
+    topological order of the constructor's pass; its readers accept any) are
+    computed here, the rest on first read: ``edges`` (sorted, no duplicates),
+    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``.
     """
 
     def __init__(self, wcets, edges):
@@ -76,6 +76,7 @@ class Dag:
         if len(ready) != n:  # leftovers mean a cycle
             raise ValidationError("cycle", "edge set contains a directed cycle")
         self._succ = succ
+        self.order = tuple(ready)
         self.starts = tuple(starts)
         self.span = max(map(add, starts, wcets), default=0)
 
@@ -95,20 +96,6 @@ class Dag:
         for a, b in self.edges:
             preds[b].append(a)
         return tuple(map(tuple, preds))
-
-    @cached_property
-    def order(self):
-        indeg = [len(p) for p in self.preds]
-        heap = [v for v in range(self.n) if not indeg[v]]  # ascending, so a heap
-        order = []
-        while heap:
-            v = heapq.heappop(heap)
-            order.append(v)
-            for b in self.succs[v]:
-                indeg[b] -= 1
-                if not indeg[b]:
-                    heapq.heappush(heap, b)
-        return tuple(order)
 
     @cached_property
     def profile(self):
@@ -159,14 +146,16 @@ def asap_start_times(dag, exec_times):
     """Start times of the unrestricted-processor schedule for given exec times.
 
     start[v] = max over predecessors b of (start[b] + exec_times[b]), i.e.
-    the longest distance from any source to v.  Rejects exec times outside
-    [0, wcet].
+    the longest distance from any source to v.  ValidationError ("exec")
+    unless `exec_times` holds one integer in [0, wcet] per vertex.
     """
     if len(exec_times) != dag.n:
-        raise ValueError("exec_times must cover every vertex")
+        raise ValidationError("exec", f"exec times must cover the {dag.n} vertices, "
+                                      f"got {len(exec_times)}")
     for v, (x, c) in enumerate(zip(exec_times, dag.wcets)):
-        if not (0 <= x <= c):
-            raise ValueError(f"exec time {x} of vertex {v} outside [0, {c}]")
+        if not (is_integer(x) and 0 <= x <= c):
+            raise ValidationError("exec", f"exec time {x!r} of vertex {v} must be an "
+                                          f"integer in [0, {c}]")
     start = [0] * dag.n
     preds = dag.preds
     for v in dag.order:

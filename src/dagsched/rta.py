@@ -38,9 +38,12 @@ class AnalysisReport:
     processors: int
     bounds: list          # per task: int, or None when no bound was established
     iterations: list      # fixed-point iterations per task
-    schedulable: bool
     failed_at: int | None = None   # priority index that exceeded its deadline
     wall_time_s: float = 0.0
+
+    @property
+    def schedulable(self) -> bool:
+        return self.failed_at is None
 
     @property
     def verdict(self) -> str:
@@ -104,5 +107,5 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
             break
         bounds[k] = r
     bounds[established:] = [None] * (len(tasks) - established)
-    return AnalysisReport(method, m, bounds, iterations, failed_at is None, failed_at,
+    return AnalysisReport(method, m, bounds, iterations, failed_at,
                           wall_time_s=time.perf_counter() - t0)

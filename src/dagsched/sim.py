@@ -19,7 +19,8 @@ task takes one pass over the segments that overlap the blocked intervals.
 `audit_trace` checks that every segment names a processor in 0..m-1, and
 that no processor runs two segments at once, so at most m subtasks run at
 any instant.  It computes once per subtask its rank number and the earliest
-start that precedence allows (one comparison per segment).  The priority and
+start that precedence allows; each segment's start is compared with that
+limit and with the segment's end.  The priority and
 work-conservation rules have something to check only where a subtask waits:
 per subtask, its ready interval minus its own segments, mapped to event
 points by bisection.  The audit visits just those points in time order and
@@ -362,6 +363,8 @@ def audit_trace(sim) -> None:
     runs = {}  # rank number -> its segments, in trace order
     for seg in sim.segments:
         _, task, jnum, v, start, end = seg
+        if end < start:
+            raise AssertionError(f"segment {seg} ends before it starts")
         entry = info.get((task, jnum))
         if entry is None or not 0 <= v < len(entry[1]):
             raise AssertionError(f"segment {seg} names no subtask of a simulated job")

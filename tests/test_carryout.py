@@ -4,7 +4,7 @@ import heapq
 import sys
 import threading
 from dataclasses import replace
-from math import inf
+from math import inf, prod
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from dagsched.carryout import (
     A, X, WorkCurve, _cover_penalties, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
-from dagsched.dag import Dag, DagTask, asap_start_times, normalize_source_sink, span, work
+from dagsched.dag import (
+    Dag, DagTask, asap_start_times, count_paths, normalize_source_sink, span, work,
+)
 from dagsched.workload import DagProfile, interfering_workload
 from dagsched.errors import (
     OracleLimitError, PathExplosionError, SolverLimitError, ValidationError,
@@ -555,3 +557,37 @@ class TestTrim:
                 assert trimmed == [min(xv, max(delta - sv, 0)) for xv, sv in zip(x, starts)]
                 finishes = map(sum, zip(asap_start_times(dag, trimmed), trimmed))
                 assert max(finishes) <= delta
+
+
+def test_readers_of_order_agree_under_two_orders():
+    # each DAG is built from its edge list sorted and reversed: the
+    # constructor's Kahn pass then takes a vertex's successors in opposite
+    # orders, so `order` differs, and no reader of it may tell
+    rng = np.random.default_rng(29)
+    built = differ = oracles = 0
+    for fields, count in (({"n_range": (3, 6), "wcet_range": (1, 3), "edge_prob": 0.4}, 12),
+                          ({}, 4), ({"n_range": (10, 20)}, 4)):
+        for _ in range(count):
+            dag = normalize_source_sink(gen_dag(GenConfig(**fields), rng))
+            zeroed = [0 if v % 3 == 0 else w for v, w in enumerate(dag.wcets)]
+            for wcets in (dag.wcets, zeroed):
+                one, two = Dag(wcets, dag.edges), Dag(wcets, dag.edges[::-1])
+                built += 1
+                differ += one.order != two.order
+                x = [int(rng.integers(0, c + 1)) for c in wcets]
+                assert asap_start_times(one, x) == asap_start_times(two, x)
+                assert [count_paths(one, v) for v in range(one.n)] == \
+                    [count_paths(two, v) for v in range(two.n)]
+                for delta in range(one.span + 2):
+                    assert trim_to_window(one, x, delta) == trim_to_window(two, x, delta)
+                if one.n > 10:  # the exact solves take about 0.1 s each here
+                    continue
+                small = prod(c + 1 for c in wcets) <= 10**4
+                for delta in sorted({1, one.span // 2}):
+                    a, b = (solve_exact(build_model(d, delta)) for d in (one, two))
+                    assert (a.objective, a.assignment) == (b.objective, b.assignment)
+                    if small:
+                        assert brute_force_oracle(one, delta) == brute_force_oracle(two, delta) \
+                            == a.objective
+                        oracles += 1
+    assert built == 40 and differ >= 30 and oracles >= 40

@@ -8,7 +8,7 @@ import pytest
 
 from dagsched import cli, rta
 from dagsched.cli import CSV_HEADER, ExperimentSpec, check_dominance, run_experiment
-from dagsched.dag import load_taskset
+from dagsched.dag import load_taskset, save_taskset
 from dagsched.errors import SolverLimitError, ValidationError
 from dagsched.taskgen import assign_priorities_dm, gen_taskset
 
@@ -94,6 +94,10 @@ class TestGenerateAnalyze:
         assert run(argv + ["--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == printed.encode("utf-8")
+        # the bytes `save_taskset` writes for the same set
+        saved = tmp_path / "saved.json"
+        save_taskset(load_taskset(path), saved)
+        assert saved.read_bytes() == path.read_bytes()
 
     def test_empty_config_matches_plain_generate(self, tmp_path, capsys):
         # both start from GenConfig's defaults
@@ -255,6 +259,7 @@ class TestMalformedInput:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"tasks": [], "processors": 2}))
         assert run(["simulate", str(path)]) == 2
+        assert "task set is empty" in capsys.readouterr().err
 
     def test_simulate_negative_seed_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ts.json"

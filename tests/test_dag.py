@@ -10,6 +10,7 @@ import pytest
 
 from conftest import diamond, random_dag
 from dagsched import dag as dag_module
+from dagsched.carryout import trim_to_window
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
     Dag, DagTask, TaskSet, asap_start_times, count_paths, enumerate_paths,
@@ -20,14 +21,14 @@ from dagsched.errors import PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag
 
-LAZY_FACTS = ("edges", "preds", "succs", "order", "sources", "sinks")
+LAZY_FACTS = ("edges", "preds", "succs", "sources", "sinks")
 
 
 def eager_facts(wcets, edges):
     """The facts of a valid input as `Dag` computed them in its constructor
     before they were built on first read: the sorted edge set, ascending
-    adjacency, the topological order by smallest ready id (a heap-based Kahn
-    pass) and the ASAP starts and span that pass accumulates."""
+    adjacency, and the ASAP starts and span that a Kahn pass (smallest ready
+    id first) accumulates."""
     n = len(wcets)
     edges = tuple(sorted(set(edges)))
     preds = [[] for _ in range(n)]
@@ -37,10 +38,9 @@ def eager_facts(wcets, edges):
         succs[a].append(b)
     indeg = [len(p) for p in preds]
     heap = [v for v in range(n) if indeg[v] == 0]
-    order, starts, length = [], [0] * n, 0
+    starts, length = [0] * n, 0
     while heap:
         v = heapq.heappop(heap)
-        order.append(v)
         finish = starts[v] + wcets[v]
         length = max(length, finish)
         for b in succs[v]:
@@ -49,8 +49,7 @@ def eager_facts(wcets, edges):
             if indeg[b] == 0:
                 heapq.heappush(heap, b)
     return {"edges": edges, "preds": tuple(map(tuple, preds)),
-            "succs": tuple(map(tuple, succs)), "order": tuple(order),
-            "starts": tuple(starts), "span": length}
+            "succs": tuple(map(tuple, succs)), "starts": tuple(starts), "span": length}
 
 
 class TestValidate:
@@ -129,8 +128,10 @@ class TestLazyFacts:
         dag = Dag([1, 2, 3], [(1, 2), (0, 1), (0, 2), (0, 1)])
         assert not set(LAZY_FACTS) & vars(dag).keys()
         assert (dag.work, dag.span, dag.starts) == (6, 6, (0, 1, 3))
-        assert dag.order == (0, 1, 2)
+        assert vars(dag)["order"] == (0, 1, 2)  # the constructor's pass keeps it
         assert dag.edges == ((0, 1), (0, 2), (1, 2))
+        assert vars(dag).keys() & set(LAZY_FACTS) == {"edges", "succs"}
+        assert dag.preds == ((), (0,), (0, 1))
         assert set(LAZY_FACTS) - {"sources", "sinks"} <= vars(dag).keys()
 
     def test_same_facts_as_eager_constructor(self, rng):
@@ -151,6 +152,10 @@ class TestLazyFacts:
         for wcets, edges in inputs:
             dag, expect = Dag(wcets, edges), eager_facts(wcets, edges)
             assert {name: getattr(dag, name) for name in expect} == expect
+            # any topological order: a permutation in which every edge points forward
+            place = {v: i for i, v in enumerate(dag.order)}
+            assert sorted(dag.order) == list(range(dag.n))
+            assert all(place[a] < place[b] for a, b in edges)
 
     def test_concurrent_first_reads(self, rng):
         # from Python 3.12 on, cached_property holds no lock: threads that read a
@@ -199,7 +204,6 @@ class TestLazyFacts:
         assert 0 < len(profiled) < len(built)
         for d in built:
             facts = vars(d).keys() & set(LAZY_FACTS)
-            assert "order" not in facts
             assert "profile" in vars(d) or not facts
 
 
@@ -273,8 +277,17 @@ class TestAsap:
             assert asap_start_times(dag, [0] * dag.n) == [0] * dag.n
 
     def test_exec_above_wcet_rejected(self):
-        with pytest.raises(ValueError):
+        # also a wrong length, a non-integer or bool entry and a negative one,
+        # through `trim_to_window` too
+        dag = Dag([3, 4], [(0, 1)])
+        for x in ([9, 4], [-2, 4], [1], [1, 2, 3], [1.5, 2], [True, 2], [2.0, 2]):
+            for call in (lambda: asap_start_times(dag, x), lambda: trim_to_window(dag, x, 5)):
+                with pytest.raises(ValidationError) as err:
+                    call()
+                assert err.value.rule == "exec"
+        with pytest.raises(ValidationError, match="exec time 4 of vertex 0"):
             asap_start_times(Dag([3], []), [4])
+        assert asap_start_times(dag, [np.int64(3), 4]) == [0, 3]
 
     def test_critical_path_endpoint(self, rng):
         # max over vertices of (start + wcet) recovers the span

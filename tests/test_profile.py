@@ -31,13 +31,10 @@ def test_derived_facts_and_profile(case):
     n = len(wcets)
     preds = [{a for a, b in edges if b == v} for v in range(n)]
 
-    # smallest ready id first
-    placed, order = set(), []
-    while len(order) < n:
-        v = min(v for v in range(n) if v not in placed and preds[v] <= placed)
-        order.append(v)
-        placed.add(v)
-    assert list(dag.order) == order
+    # a topological order: a permutation in which every edge points forward
+    place = {v: i for i, v in enumerate(dag.order)}
+    assert sorted(dag.order) == list(range(n))
+    assert all(place[a] < place[b] for a, b in edges)
     assert dag.edges == tuple(sorted(set(edges)))
     assert dag.preds == tuple(tuple(sorted(p)) for p in preds)
     assert dag.succs == tuple(tuple(sorted({b for a, b in edges if a == v})) for v in range(n))

@@ -96,6 +96,15 @@ class TestSchedulabilityTest:
         rep = rta.schedulability_test(TaskSet([], 4), method="ilp")
         assert rep.schedulable and rep.bounds == []
 
+    def test_schedulable_iff_no_task_failed(self):
+        # the verdict is read from failed_at, so the two cannot disagree
+        failed = rta.AnalysisReport("ilp", 1, [4, None], [0, 1], failed_at=1)
+        assert not failed.schedulable and failed.verdict == "unschedulable"
+        assert failed.to_dict()["bounds"] == [4, "exceeded"]
+        assert rta.AnalysisReport("ilp", 1, [4, 10], [0, 2]).schedulable
+        rep = rta.schedulability_test(two_task_set())
+        assert rep.schedulable and rep.failed_at is None and "schedulable" not in vars(rep)
+
     def test_determinism(self):
         cfg = GenConfig(n_range=(3, 6), seed=9)
         ts = assign_priorities_dm(gen_taskset(3.0, 4, cfg))

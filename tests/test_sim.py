@@ -733,6 +733,16 @@ class TestAudit:
         with pytest.raises(AssertionError, match=rf"^processor {proc} outside 0\.\.0$"):
             sim.audit_trace(bad)
 
+    def test_rejects_segment_that_ends_before_it_starts(self):
+        # a 2-unit subtask run in [0, 2), plus a segment from 4 back to 3
+        task = DagTask(Dag([2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, 1), 1, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2)]
+        bad = with_segments(res, res.segments + [(0, 0, 0, 0, 4, 3)])
+        with pytest.raises(AssertionError,
+                           match=r"^segment \(0, 0, 0, 0, 4, 3\) ends before it starts$"):
+            sim.audit_trace(bad)
+
     def test_processor_checked_before_any_other_rule(self):
         res = self._chain_trace()
         first = res.segments[0]
