@@ -41,7 +41,7 @@ from math import floor, inf, prod
 import numpy as np
 
 from . import simplex
-from .dag import Dag, asap_start_times, enumerate_paths
+from .dag import Dag, asap_start_times, source_paths
 from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
@@ -169,13 +169,9 @@ def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
         for b, a in dag.edges:
             add(f"prec_{b}_{a}", [(S, a, 1), (S, b, -1), (X, b, -1)], at_least=True)
     else:
-        # the sink has the most source paths, so enumerating it first
-        # refuses an explosion before any other vertex is enumerated
-        sink_paths = enumerate_paths(dag, sinks[0])
-        for a in range(n):
-            if a == sources[0]:
+        for a, paths in enumerate(source_paths(dag)):
+            if a == sources[0]:  # its one path is itself, and S of the source is 0
                 continue
-            paths = sink_paths if a == sinks[0] else enumerate_paths(dag, a)
             for idx, path in enumerate(paths):
                 add(f"dist_{a}_{idx}", [(S, a, 1)] + [(X, b, -1) for b in path[:-1]],
                     at_least=True)

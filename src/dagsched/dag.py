@@ -168,39 +168,33 @@ def asap_start_times(dag, exec_times):
     return start
 
 
-def count_paths(dag, v) -> int:
-    """Number of source-to-v paths (single-source DAG assumed)."""
-    counts = [0] * dag.n
-    for u in dag.order:
-        if not dag.preds[u]:
-            counts[u] = 1
-        else:
-            counts[u] = sum(counts[p] for p in dag.preds[u])
-        if u == v:
-            break
-    return counts[v]
+def count_paths(dag) -> list:
+    """Number of source-to-v paths of every vertex v; a source has one."""
+    counts = [1] * dag.n
+    for v in dag.order:
+        if dag.preds[v]:
+            counts[v] = sum(counts[p] for p in dag.preds[v])
+    return counts
 
 
-def enumerate_paths(dag, v):
-    """All source-to-v paths of a normalized DAG, as vertex-id tuples.
+def source_paths(dag) -> list:
+    """Every vertex's source-to-v paths as vertex-id tuples, in one pass.
 
-    Refuses with PathExplosionError beyond ``PATH_CAP`` paths; callers
-    should fall back to the edge-recursive formulation then.
+    ``paths[v]`` is each predecessor's paths, predecessors in ascending
+    order, each extended by v; a source's one path is itself.  Refuses with
+    PathExplosionError, before any path is built, when a vertex has more than
+    ``PATH_CAP`` paths; callers should fall back to the edge-recursive
+    formulation then.
     """
-    if count_paths(dag, v) > PATH_CAP:
+    counts = count_paths(dag)
+    if max(counts, default=0) > PATH_CAP:
         raise PathExplosionError(
-            f"path explosion: more than {PATH_CAP} paths to vertex {v}; "
+            f"path explosion: more than {PATH_CAP} paths to vertex "
+            f"{counts.index(max(counts))}; "
             "use the edge-recursive formulation")
-    paths = []
-
-    def walk(u, suffix):
-        if not dag.preds[u]:
-            paths.append((u, *suffix))
-            return
-        for p in dag.preds[u]:
-            walk(p, (u, *suffix))
-
-    walk(v, ())
+    paths = [None] * dag.n
+    for v in dag.order:
+        paths[v] = [path + (v,) for p in dag.preds[v] for path in paths[p]] or [(v,)]
     return paths
 
 

@@ -294,6 +294,24 @@ class TestDumpModel:
         for var in ("X0", "W0", "S0", "M0", "A0"):
             assert var in text
 
+    def test_path_enumerated_model_of_a_long_chain(self, tmp_path):
+        # a chain longer than the interpreter's recursion limit: one
+        # distance row per non-source vertex, over all its predecessors
+        n = 1100
+        doc = {"tasks": [{"period": n, "deadline": n, "vertices": [{"wcet": 1}] * n,
+                          "edges": [[v, v + 1] for v in range(n - 1)]}],
+               "processors": 1}
+        path, out = tmp_path / "chain.json", tmp_path / "chain.lp"
+        path.write_text(json.dumps(doc))
+        assert run(["dump-model", str(path), "--task-index", "0", "--delta", "3",
+                    "--formulation", "path-enumerated", "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines()
+                if line.startswith(" dist_")]
+        assert [row[0] for row in rows] == [f"dist_{a}_0:" for a in range(1, n)]
+        last = rows[-1]
+        assert last[1:3] + last[-2:] == ["1", f"S{n - 1}", ">=", "0"]
+        assert sorted(last[3:-2]) == sorted(["-", "1"] * (n - 1) + [f"X{b}" for b in range(n - 1)])
+
     def test_bad_index_exit_2(self, tmp_path, capsys):
         path = self._write_set(tmp_path)
         assert run(["dump-model", str(path), "--task-index", "99",

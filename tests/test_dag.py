@@ -13,8 +13,8 @@ from dagsched import dag as dag_module
 from dagsched.carryout import trim_to_window
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
-    Dag, DagTask, TaskSet, asap_start_times, count_paths, enumerate_paths,
-    load_taskset, normalize_source_sink, save_taskset, span, taskset_from_dict,
+    Dag, DagTask, TaskSet, asap_start_times, count_paths, load_taskset,
+    normalize_source_sink, save_taskset, source_paths, span, taskset_from_dict,
     taskset_to_dict, work,
 )
 from dagsched.errors import PathExplosionError, ValidationError
@@ -297,14 +297,22 @@ class TestAsap:
             assert max(s + c for s, c in zip(starts, dag.wcets)) == span(dag)
 
 
+def walked_paths(dag, v):
+    """The source-to-v paths of a recursive walk back from v, each
+    predecessor in ascending order: the order `source_paths` keeps."""
+    if not dag.preds[v]:
+        return [(v,)]
+    return [path + (v,) for p in dag.preds[v] for path in walked_paths(dag, p)]
+
+
 class TestPaths:
     def test_chain_single_path(self):
         dag = Dag([1, 1, 1], [(0, 1), (1, 2)])
-        assert enumerate_paths(dag, 2) == [(0, 1, 2)]
+        assert source_paths(dag)[2] == [(0, 1, 2)]
 
     def test_diamond_two_paths(self):
         dag = normalize_source_sink(diamond())
-        assert sorted(enumerate_paths(dag, 3)) == [(0, 1, 3), (0, 2, 3)]
+        assert sorted(source_paths(dag)[3]) == [(0, 1, 3), (0, 2, 3)]
 
     def test_layered_explosion(self):
         # 2-wide x 20-layer ladder: 2^20 paths exceeds the default cap
@@ -320,19 +328,34 @@ class TestPaths:
         snk = len(wcets) - 1
         edges += [(snk - 2, snk), (snk - 1, snk)]
         dag = Dag(wcets, edges)
-        assert count_paths(dag, snk) == 2 ** 20
-        with pytest.raises(PathExplosionError):
-            enumerate_paths(dag, snk)
+        assert count_paths(dag)[snk] == 2 ** 20
+        with pytest.raises(PathExplosionError, match=f"paths to vertex {snk};"):
+            source_paths(dag)
 
     def test_path_distances_match_asap(self, rng):
         # longest path-sum (excluding the endpoint) equals the ASAP start
         for _ in range(40):
             dag = normalize_source_sink(random_dag(rng, n_max=5))
             starts = asap_start_times(dag, list(dag.wcets))
-            for v in range(dag.n):
-                dists = [sum(dag.wcets[u] for u in path[:-1])
-                         for path in enumerate_paths(dag, v)]
+            for v, paths in enumerate(source_paths(dag)):
+                dists = [sum(dag.wcets[u] for u in path[:-1]) for path in paths]
                 assert max(dists) == starts[v]
+
+    def test_same_paths_in_the_same_order_as_a_recursive_walk(self):
+        rng = np.random.default_rng(61)
+        for k in range(120):
+            fields = {"n_range": (10, 20)} if k % 3 == 0 else {}
+            dag = normalize_source_sink(gen_dag(GenConfig(**fields), rng))
+            paths = source_paths(dag)
+            assert [len(p) for p in paths] == count_paths(dag)
+            assert paths == [walked_paths(dag, v) for v in range(dag.n)]
+
+    def test_long_chain_needs_no_recursion(self):
+        # deeper than the interpreter's recursion limit
+        n = sys.getrecursionlimit() + 200
+        paths = source_paths(Dag([1] * n, [(v, v + 1) for v in range(n - 1)]))
+        assert paths[-1] == [tuple(range(n))]
+        assert [len(p) for p in paths] == [1] * n
 
 
 class TestTaskTypes:
