@@ -47,6 +47,20 @@ def reference_audit(res):
             assert comp is not None and start >= comp, \
                 f"segment {seg} starts before predecessor {p} completes"
 
+    # the schedule certificate: per subtask, its segments do not overlap one
+    # another, their lengths sum to its execution time, and the last one
+    # ends at its completion
+    for job in res.jobs:
+        for v, x in enumerate(job.exec_times):
+            own = sorted((seg for seg in res.segments
+                          if seg[1:4] == (job.task_index, job.job_index, v)),
+                         key=lambda s: s[4])
+            for a, b in zip(own, own[1:]):
+                assert a[5] <= b[4], f"subtask runs twice at once: {a} / {b}"
+            assert sum(end - start for *_, start, end in own) == x
+            if x > 0:
+                assert own[-1][5] == job.subtask_completion[v]
+
     points = sorted({s[4] for s in res.segments} | {s[5] for s in res.segments}
                     | {j.release for j in res.jobs})
     m = res.processors
@@ -123,7 +137,9 @@ def kept_blocked_intervals(sim, job, chain):
 
 
 def kept_audit_trace(sim) -> None:
-    """Check work conservation, precedence and priority rules on a trace.
+    """Check precedence, the schedule certificate (per subtask: its segments
+    sum to its execution time, do not overlap one another and end at its
+    completion), work conservation and priority rules on a trace.
 
     Raises AssertionError on the first violation.
     """
@@ -159,6 +175,29 @@ def kept_audit_trace(sim) -> None:
             if comp is None or start < comp:
                 raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
         spans.append((start, end, base[key] + v))
+
+    # the certificate, in rank order: first every subtask's total, then the
+    # segments of every subtask that runs
+    own = {}
+    for seg in sim.segments:
+        own.setdefault(seg[1:4], []).append(seg)
+    for key in sorted(job_map):
+        for v, x in enumerate(job_map[key].exec_times):
+            ran = sum(end - start for *_, start, end in own.get(key + (v,), ()))
+            if ran != x:
+                raise AssertionError(
+                    f"subtask {v} of job {key} runs {ran} units, not its execution time {x}")
+    for key in sorted(job_map):
+        job = job_map[key]
+        for v, x in enumerate(job.exec_times):
+            if x > 0:
+                segs = sorted(own[key + (v,)], key=_START)
+                for a, b in zip(segs, segs[1:]):
+                    if a[5] > b[4]:
+                        raise AssertionError(f"subtask runs twice at once: {a} / {b}")
+                if segs[-1][5] != job.subtask_completion[v]:
+                    raise AssertionError(f"segment {segs[-1]} does not end at its "
+                                         f"subtask's completion {job.subtask_completion[v]}")
 
     # priority correctness + work conservation between event points, in one
     # sweep that keeps the running segments and the ready subtasks
@@ -631,11 +670,15 @@ class TestAudit:
             sim.audit_trace(res)
 
     def test_rejects_idle_processor_while_subtask_waits(self):
+        # subtask 1 runs after subtask 0 on processor 0, while processor 1
+        # idles in [0, 2)
         task = DagTask(Dag([2, 2], []), 10, 10)
         res = sim.simulate(single_task_set(task, 2), 2, 10)
-        assert len(res.segments) == 2
-        with pytest.raises(AssertionError, match="work conservation"):
-            sim.audit_trace(with_segments(res, res.segments[:1]))
+        first, second = res.segments
+        job = replace(res.jobs[0], subtask_completion=[2, 4], completion=4)
+        bad = sim.SimResult(res.taskset, 2, 10, [first, (0,) + second[1:4] + (2, 4)], [job])
+        with pytest.raises(AssertionError, match=r"work conservation violated in \[0,2\)"):
+            sim.audit_trace(bad)
 
     def test_rejects_priority_inversion(self):
         one = DagTask(Dag([2], []), 10, 10)
@@ -643,8 +686,10 @@ class TestAudit:
         high, low = res.segments
         assert (high[1], low[1]) == (0, 1)
         swapped = [low[:4] + high[4:], high[:4] + low[4:]]
+        jobs = [replace(job, subtask_completion=[end], completion=end)
+                for job, end in zip(res.jobs, (4, 2))]
         with pytest.raises(AssertionError, match="priority inversion"):
-            sim.audit_trace(with_segments(res, swapped))
+            sim.audit_trace(sim.SimResult(res.taskset, 1, 10, swapped, jobs))
 
     def test_same_verdict_as_reference_on_mutated_traces(self):
         # kinds 0-3 mutate a segment, kinds 4-7 the record of a segment's
@@ -655,6 +700,8 @@ class TestAudit:
         rng = np.random.default_rng(47)
         verdicts = {True: 0, False: 0}
         violations = ("overlaps", "before readiness", "before predecessor",
+                      "not its execution time", "runs twice at once",
+                      "does not end at its subtask's completion",
                       "work conservation", "priority inversion")
         seen = set()
         for res in random_mixes(range(12)):
@@ -755,8 +802,8 @@ class TestAudit:
     def test_same_verdict_as_reference_on_loaded_traces(self):
         # utilization near or above m: many subtasks wait, so the priority
         # and work-conservation checks run often; each trace and a few
-        # mutations of it (the kinds of the test above) get the reference's
-        # verdict and the kept audit's message
+        # mutations of it (the kinds of the test above but a processor
+        # change) get the reference's verdict and the kept audit's message
         rng = np.random.default_rng(53)
         waits = traces = 0
         verdicts = {True: 0, False: 0}
@@ -770,7 +817,7 @@ class TestAudit:
             for _ in range(8):
                 segs, jobs = list(res.segments), res.jobs
                 i = int(rng.integers(len(segs)))
-                kind = int(rng.integers(6))
+                kind = int(rng.integers(7))
                 if kind == 0:
                     del segs[i]
                 elif kind == 1:
@@ -779,7 +826,7 @@ class TestAudit:
                 elif kind == 2:
                     segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
                 else:
-                    jobs = self._mutated_jobs(res, segs[i], kind + 2, rng)
+                    jobs = self._mutated_jobs(res, segs[i], kind + 1, rng)
                 bad = sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
                 verdicts[self._same_as_kept(bad)] += 1
         assert traces == 9 and waits > 150
@@ -801,64 +848,96 @@ class TestAudit:
         assert res.segments == [(0, 0, 0, 0, 0, 2), (0, 1, 0, 0, 2, 4)]
         return res
 
-    def test_subtask_that_never_completes_waits_to_the_end(self):
+    def test_subtask_that_never_completes_is_rejected(self):
+        # a subtask that has run its whole execution time has completed, so
+        # a trace that records no completion for it certifies nothing
         res = self._two_tasks_on_one_processor()
-        high, low = res.jobs
-        # the high-priority subtask waits from its segment's end to the
-        # trace's end, while the low-priority one runs
-        high = replace(high, subtask_completion=[None], completion=None)
-        bad = sim.SimResult(res.taskset, 1, 10, res.segments, [high, low])
-        assert not self._same_as_kept(bad)
-        assert self._message(sim.audit_trace, bad) == "priority inversion in [2,4)"
-        # the last subtask of the trace waits nowhere
-        low = replace(low, subtask_completion=[None], completion=None)
-        assert self._same_as_kept(sim.SimResult(res.taskset, 1, 10, res.segments,
-                                                [res.jobs[0], low]))
+        for k, seg in enumerate(res.segments):
+            jobs = list(res.jobs)
+            jobs[k] = replace(jobs[k], subtask_completion=[None], completion=None)
+            bad = sim.SimResult(res.taskset, 1, 10, res.segments, jobs)
+            assert not self._same_as_kept(bad)
+            assert self._message(sim.audit_trace, bad) == \
+                f"segment {seg} does not end at its subtask's completion None"
 
     def test_zero_length_segment_runs_nothing(self):
         task = DagTask(Dag([2, 2], []), 10, 10)
         res = sim.simulate(single_task_set(task, 2), 2, 10)
         first, second = res.segments
         assert self._same_as_kept(with_segments(res, res.segments + [first[:4] + (2, 2)]))
-        # subtask 1 ready at 0 but given [0, 0) only: it waits in [0, 2)
+        # subtask 1 given [0, 0) only runs none of its 2 units
         bad = with_segments(res, [first, second[:4] + (0, 0)])
         assert not self._same_as_kept(bad)
         assert self._message(sim.audit_trace, bad) == \
-            "work conservation violated in [0,2): 1 running"
+            "subtask 1 of job (0, 0) runs 0 units, not its execution time 2"
 
-    def test_one_subtask_on_two_processors_counts_once(self):
+    def test_one_subtask_on_two_processors_runs_twice_its_time(self):
         task = DagTask(Dag([2, 2], []), 10, 10)
         res = sim.simulate(single_task_set(task, 2), 2, 10)
         first, second = res.segments
         bad = with_segments(res, [first, second[:3] + first[3:]])
         assert not self._same_as_kept(bad)
         assert self._message(sim.audit_trace, bad) == \
-            "work conservation violated in [0,2): 1 running"
+            "subtask 0 of job (0, 0) runs 4 units, not its execution time 2"
 
-    def test_segment_of_zero_execution_subtask_occupies_its_processor(self):
-        res = self._two_tasks_on_one_processor()
-        low = replace(res.jobs[1], exec_times=(0,))
+    def test_segment_of_zero_execution_subtask_is_rejected(self):
         # the low-priority subtask has no execution time but holds the
-        # processor in [0, 2), while the high-priority one waits there
-        segs = [(0, 1, 0, 0, 0, 2)]
-        bad = sim.SimResult(res.taskset, 1, 10, segs, [res.jobs[0], low])
+        # processor in [0, 2) while the high-priority one waits, or in
+        # [2, 4) after it
+        res = self._two_tasks_on_one_processor()
+        high, low = res.jobs
+        low = replace(low, exec_times=(0,))
+        late = replace(high, subtask_completion=[4], completion=4)
+        for segs, first in (([(0, 1, 0, 0, 0, 2), (0, 0, 0, 0, 2, 4)], late),
+                            ([res.segments[0], (0, 1, 0, 0, 2, 4)], high)):
+            bad = sim.SimResult(res.taskset, 1, 10, segs, [first, low])
+            assert not self._same_as_kept(bad)
+            assert self._message(sim.audit_trace, bad) == \
+                "subtask 0 of job (1, 0) runs 2 units, not its execution time 0"
+
+    @staticmethod
+    def _one_subtask_trace(m):
+        task = DagTask(Dag([2], []), 10, 10)
+        res = sim.simulate(single_task_set(task, m), m, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2)]
+        return res
+
+    @pytest.mark.parametrize("extra, ran", [((0, 0, 0, 0, 2, 5), 5), ((0, 0, 0, 0, 5, 6), 3)])
+    def test_rejects_subtask_run_beyond_its_execution_time(self, extra, ran):
+        # a 2-unit subtask run in [0, 2) on one processor, plus one segment
+        res = self._one_subtask_trace(1)
+        bad = with_segments(res, res.segments + [extra])
         assert not self._same_as_kept(bad)
-        assert self._message(sim.audit_trace, bad) == "priority inversion in [0,2)"
-        ok = sim.SimResult(res.taskset, 1, 10, [res.segments[0], (0, 1, 0, 0, 2, 4)],
-                           [res.jobs[0], low])
-        assert self._same_as_kept(ok)
+        assert self._message(sim.audit_trace, bad) == \
+            f"subtask 0 of job (0, 0) runs {ran} units, not its execution time 2"
+
+    def test_rejects_subtask_run_ending_after_its_completion(self):
+        # its 2 units, but the second one after its recorded completion 2
+        res = self._one_subtask_trace(1)
+        bad = with_segments(res, [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 5, 6)])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "segment (0, 0, 0, 0, 5, 6) does not end at its subtask's completion 2"
+
+    def test_rejects_subtask_on_two_processors_at_once(self):
+        # one unit on each of two processors with completion 1 would
+        # certify a response of 1, below the subtask's WCET of 2
+        res = self._one_subtask_trace(2)
+        job = replace(res.jobs[0], subtask_completion=[1], completion=1)
+        segs = [(0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1)]
+        bad = sim.SimResult(res.taskset, 2, 10, segs, [job])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "subtask runs twice at once: (0, 0, 0, 0, 0, 1) / (1, 0, 0, 0, 0, 1)"
 
     def test_empty_trace(self):
         res = self._two_tasks_on_one_processor()
         assert self._same_as_kept(sim.SimResult(res.taskset, 1, 10, [], []))
-        # jobs but no segments: the low-priority job's release at 0 is the
-        # only event point, so no interval is checked
-        assert self._same_as_kept(with_segments(res, []))
-        late = replace(res.jobs[1], release=3, subtask_ready=[3])
-        bad = sim.SimResult(res.taskset, 1, 10, [], [res.jobs[0], late])
+        # jobs but no segments: the first job's subtask runs none of its time
+        bad = with_segments(res, [])
         assert not self._same_as_kept(bad)
         assert self._message(sim.audit_trace, bad) == \
-            "work conservation violated in [0,3): 0 running"
+            "subtask 0 of job (0, 0) runs 0 units, not its execution time 2"
 
     def test_rejects_overlap_under_optimize_flag(self):
         # the checks raise explicitly, so they hold when asserts are stripped
