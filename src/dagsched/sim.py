@@ -20,12 +20,15 @@ task takes one pass over the segments that overlap the blocked intervals.
 that no processor runs two segments at once, so at most m subtasks run at
 any instant.  It computes once per subtask its rank number and the earliest
 start that precedence allows; each segment's start is compared with that
-limit and with the segment's end.  The priority and
-work-conservation rules have something to check only where a subtask waits:
-per subtask, its ready interval minus its own segments, mapped to event
-points by bisection.  The audit visits just those points in time order and
-reads the running subtasks with one bisection per processor, raising
-`AssertionError` at the first violation.
+limit and with the segment's end, and its length is taken from its
+subtask's execution time.  Per subtask, the lengths must sum to that time,
+the segments must not overlap one another and the last must end at the
+recorded completion, so a trace that passes certifies its response times.
+The priority and work-conservation rules have something to check only
+where a subtask waits: per subtask, its ready interval minus its own
+segments, mapped to event points by bisection.  The audit visits just those
+points in time order and reads the running subtasks with one bisection per
+processor, raising `AssertionError` at the first violation.
 """
 
 from __future__ import annotations
@@ -319,10 +322,14 @@ def interference_by_task(sim, job, chain) -> dict:
 # Trace auditor
 
 def audit_trace(sim) -> None:
-    """Check processor ids, work conservation, precedence and priority rules
-    on a trace.
+    """Check processor ids, precedence, the schedule certificate (per
+    subtask: its segments sum to its execution time, do not overlap one
+    another and end at its completion), work conservation and priority
+    rules on a trace.
 
-    Raises AssertionError on the first violation.
+    Raises AssertionError on the first violation, so a trace that passes is
+    a valid work-conserving G-FP schedule of its jobs and certifies their
+    response times.
     """
     m = sim.processors
     by_proc = {}
@@ -340,7 +347,8 @@ def audit_trace(sim) -> None:
     # per job, in rank order (task index, job index): its first rank number,
     # then one per subtask id (a smaller number is a higher rank); per
     # subtask the latest of its ready time and its predecessors' completions,
-    # the earliest start precedence allows (_NEVER stands for a missing time)
+    # the earliest start precedence allows (_NEVER stands for a missing time),
+    # and the execution time its segments have yet to run
     tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
     info, readies, number = {}, [], 0
@@ -356,8 +364,9 @@ def audit_trace(sim) -> None:
                     limit = comp[p]
             limits.append(limit)
             if r is not None and times[v] > 0:
-                readies.append((r if r > release else release, comp[v], number + v))
-        info[key] = number, limits
+                readies.append((r if r > release else release, job.subtask_completion[v],
+                                number + v))
+        info[key] = number, limits, list(times)
         number += len(times)
 
     runs = {}  # rank number -> its segments, in trace order
@@ -368,7 +377,8 @@ def audit_trace(sim) -> None:
         entry = info.get((task, jnum))
         if entry is None or not 0 <= v < len(entry[1]):
             raise AssertionError(f"segment {seg} names no subtask of a simulated job")
-        first, limits = entry
+        first, limits, left = entry
+        left[v] -= end - start
         if start < limits[v]:
             job = job_map[task, jnum]
             ready = job.subtask_ready[v]
@@ -378,10 +388,17 @@ def audit_trace(sim) -> None:
                      if job.subtask_completion[p] is None or start < job.subtask_completion[p])
             raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
         runs.setdefault(first + v, []).append(seg)
+    for key, (_, _, left) in info.items():
+        if any(left):
+            v = next(v for v, x in enumerate(left) if x)
+            x = job_map[key].exec_times[v]
+            raise AssertionError(
+                f"subtask {v} of job {key} runs {x - left[v]} units, not its execution time {x}")
 
-    # the rules hold in each interval [lo, hi) between consecutive event
-    # points, and have something to check only where a subtask waits: ready
-    # in [max(ready, release), completion) but running in none of its own
+    # so every subtask with execution time has segments; the rules hold in
+    # each interval [lo, hi) between consecutive event points, and have
+    # something to check only where a subtask waits: ready in
+    # [max(ready, release), completion) but running in none of its own
     # segments.  Per event-point index, the highest-ranked waiting subtask:
     points = set(map(_START, sim.segments))
     points.update(map(_END, sim.segments), [j.release for j in sim.jobs])
@@ -394,18 +411,21 @@ def audit_trace(sim) -> None:
             waits.setdefault(i, number)
 
     for cur, comp, number in readies:  # in rank order, so setdefault keeps the best
-        own = runs.get(number, ())
+        own = runs[number]
         if len(own) > 1:
             own = sorted(own, key=_START)
+            for a, b in zip(own, own[1:]):
+                if a[5] > b[4]:
+                    raise AssertionError(f"subtask runs twice at once: {a} / {b}")
+        if own[-1][5] != comp:
+            raise AssertionError(
+                f"segment {own[-1]} does not end at its subtask's completion {comp}")
+        # the last segment ends at the completion, so no wait follows it
         for _, _, _, _, start, end in own:
-            if start >= comp:
-                break
             if start > cur:
                 wait(cur, start, number)
             if end > cur:
                 cur = end
-        if cur < comp:
-            wait(cur, comp, number)
 
     # a processor's segments do not overlap, so the one running at lo, if
     # any, is the last to start by lo
