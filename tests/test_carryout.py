@@ -344,6 +344,32 @@ class TestWorkCurve:
             curve = WorkCurve(dag)
             assert curve_obj(curve, span(dag)) == work(dag)
 
+    @staticmethod
+    def _mixed_dags(rng):
+        """Random small DAGs with zero WCETs, and generated desk- and
+        paper-scale DAGs."""
+        for k in range(90):
+            if k % 3 == 0:
+                yield random_dag(rng, n_max=8, wcet_max=5)
+            else:
+                yield gen_dag(GenConfig(**({"n_range": (10, 20)} if k % 3 == 2 else {})), rng)
+
+    def test_same_values_with_every_edge_reversed(self, rng):
+        # the most work whose makespan fits in d does not depend on the
+        # edges' direction, so the curve also bounds the work a job does in
+        # the last d units before it finishes
+        for dag in self._mixed_dags(rng):
+            reversed_dag = Dag(dag.wcets, [(b, a) for a, b in dag.edges])
+            assert WorkCurve(reversed_dag).values().tolist() == WorkCurve(dag).values().tolist()
+
+    def test_uncapped_carry_in_below_the_curve(self, rng):
+        # at m >= n the carry-in table is the uncapped work of the full-WCET
+        # ASAP schedule in its last d units; those pieces keep precedence
+        # within d units, so the curve, the most such work, bounds it
+        for dag in self._mixed_dags(rng):
+            carry_in = DagProfile().tables(dag, max(dag.n, 1))[0]
+            assert (carry_in <= WorkCurve(dag).values()).all()
+
 
 def carry_out_bound(task, delta_co, m):
     """The analysis's carry-out bound: the DAG profile's table up to the
