@@ -178,13 +178,14 @@ def count_paths(dag) -> list:
 
 
 def source_paths(dag) -> list:
-    """Every vertex's source-to-v paths as vertex-id tuples, in one pass.
+    """Every vertex's source-to-v paths as vertex-id tuples, in one pass
+    over ``dag.order``.
 
     ``paths[v]`` is each predecessor's paths, predecessors in ascending
     order, each extended by v; a source's one path is itself.  Refuses with
-    PathExplosionError, before any path is built, when a vertex has more than
-    ``PATH_CAP`` paths; callers should fall back to the edge-recursive
-    formulation then.
+    PathExplosionError after `count_paths`, before any path is built, when a
+    vertex has more than ``PATH_CAP`` paths; callers should fall back to the
+    edge-recursive formulation then.
     """
     counts = count_paths(dag)
     if max(counts, default=0) > PATH_CAP:

@@ -20,7 +20,7 @@ task takes one pass over the segments that overlap the blocked intervals.
 that no processor runs two segments at once, so at most m subtasks run at
 any instant.  It computes once per subtask its rank number and the earliest
 start that precedence allows; each segment's start is compared with that
-limit and with the segment's end, and its length is taken from its
+limit and with the segment's end, and its length is subtracted from its
 subtask's execution time.  Per subtask, the lengths must sum to that time,
 the segments must not overlap one another and the last must end at the
 recorded completion, so a trace that passes certifies its response times.
@@ -390,12 +390,12 @@ def audit_trace(sim) -> None:
         runs.setdefault(first + v, []).append(seg)
     for key, (_, _, left) in info.items():
         if any(left):
-            v = next(v for v, x in enumerate(left) if x)
+            v = next(v for v, rest in enumerate(left) if rest)
             x = job_map[key].exec_times[v]
             raise AssertionError(
                 f"subtask {v} of job {key} runs {x - left[v]} units, not its execution time {x}")
 
-    # so every subtask with execution time has segments; the rules hold in
+    # now every subtask with execution time has segments.  The rules hold in
     # each interval [lo, hi) between consecutive event points, and have
     # something to check only where a subtask waits: ready in
     # [max(ready, release), completion) but running in none of its own
