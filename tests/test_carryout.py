@@ -16,7 +16,8 @@ from dagsched.carryout import (
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import (
-    Dag, DagTask, asap_start_times, count_paths, normalize_source_sink, span, work,
+    Dag, DagTask, asap_start_times, count_paths, normalize_source_sink, source_paths, span,
+    work,
 )
 from dagsched.workload import DagProfile, interfering_workload
 from dagsched.errors import (
@@ -603,6 +604,7 @@ def test_readers_of_order_agree_under_two_orders():
                 x = [int(rng.integers(0, c + 1)) for c in wcets]
                 assert asap_start_times(one, x) == asap_start_times(two, x)
                 assert count_paths(one) == count_paths(two)
+                assert source_paths(one) == source_paths(two)
                 for delta in range(one.span + 2):
                     assert trim_to_window(one, x, delta) == trim_to_window(two, x, delta)
                 if one.n > 10:  # the exact solves take about 0.1 s each here
