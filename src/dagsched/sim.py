@@ -347,11 +347,11 @@ def audit_trace(sim) -> None:
     # per job, in rank order (task index, job index): its first rank number,
     # then one per subtask id (a smaller number is a higher rank); per
     # subtask the latest of its ready time and its predecessors' completions,
-    # the earliest start precedence allows (_NEVER stands for a missing time),
-    # and the execution time its segments have yet to run
+    # the earliest start precedence allows (_NEVER stands for a missing time);
+    # per rank number the execution time its segments have yet to run
     tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
-    info, readies, number = {}, [], 0
+    info, readies, left, number = {}, [], [], 0
     for key in sorted(job_map):
         job = job_map[key]
         comp = [_NEVER if c is None else c for c in job.subtask_completion]
@@ -364,9 +364,9 @@ def audit_trace(sim) -> None:
                     limit = comp[p]
             limits.append(limit)
             if r is not None and times[v] > 0:
-                readies.append((r if r > release else release, job.subtask_completion[v],
-                                number + v))
-        info[key] = number, limits, list(times)
+                readies.append((r if r > release else release, comp[v], number + v))
+        info[key] = number, limits
+        left += times
         number += len(times)
 
     runs = {}  # rank number -> its segments, in trace order
@@ -377,8 +377,7 @@ def audit_trace(sim) -> None:
         entry = info.get((task, jnum))
         if entry is None or not 0 <= v < len(entry[1]):
             raise AssertionError(f"segment {seg} names no subtask of a simulated job")
-        first, limits, left = entry
-        left[v] -= end - start
+        first, limits = entry
         if start < limits[v]:
             job = job_map[task, jnum]
             ready = job.subtask_ready[v]
@@ -387,13 +386,16 @@ def audit_trace(sim) -> None:
             p = next(p for p in tasks[task].dag.preds[v]
                      if job.subtask_completion[p] is None or start < job.subtask_completion[p])
             raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
-        runs.setdefault(first + v, []).append(seg)
-    for key, (_, _, left) in info.items():
-        if any(left):
-            v = next(v for v, rest in enumerate(left) if rest)
-            x = job_map[key].exec_times[v]
-            raise AssertionError(
-                f"subtask {v} of job {key} runs {x - left[v]} units, not its execution time {x}")
+        k = first + v
+        left[k] -= end - start
+        runs.setdefault(k, []).append(seg)
+    if any(left):
+        k = next(k for k, rest in enumerate(left) if rest)
+        key = next(key for key, (first, _) in reversed(info.items()) if first <= k)
+        v = k - info[key][0]
+        x = job_map[key].exec_times[v]
+        raise AssertionError(
+            f"subtask {v} of job {key} runs {x - left[k]} units, not its execution time {x}")
 
     # now every subtask with execution time has segments.  The rules hold in
     # each interval [lo, hi) between consecutive event points, and have
@@ -418,8 +420,8 @@ def audit_trace(sim) -> None:
                 if a[5] > b[4]:
                     raise AssertionError(f"subtask runs twice at once: {a} / {b}")
         if own[-1][5] != comp:
-            raise AssertionError(
-                f"segment {own[-1]} does not end at its subtask's completion {comp}")
+            raise AssertionError(f"segment {own[-1]} does not end at its subtask's "
+                                 f"completion {None if comp == _NEVER else comp}")
         # the last segment ends at the completion, so no wait follows it
         for _, _, _, _, start, end in own:
             if start > cur:
