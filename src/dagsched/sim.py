@@ -416,18 +416,20 @@ def audit_trace(sim) -> None:
         own = runs[number]
         if len(own) > 1:
             own = sorted(own, key=_START)
-            for a, b in zip(own, own[1:]):
-                if a[5] > b[4]:
-                    raise AssertionError(f"subtask runs twice at once: {a} / {b}")
         if own[-1][5] != comp:
             raise AssertionError(f"segment {own[-1]} does not end at its subtask's "
                                  f"completion {None if comp == _NEVER else comp}")
         # the last segment ends at the completion, so no wait follows it
+        edge = -_NEVER  # the previous segment's end
         for _, _, _, _, start, end in own:
+            if start < edge:
+                a, b = next((a, b) for a, b in zip(own, own[1:]) if a[5] > b[4])
+                raise AssertionError(f"subtask runs twice at once: {a} / {b}")
             if start > cur:
                 wait(cur, start, number)
             if end > cur:
                 cur = end
+            edge = end
 
     # a processor's segments do not overlap, so the one running at lo, if
     # any, is the last to start by lo

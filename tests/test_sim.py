@@ -176,8 +176,8 @@ def kept_audit_trace(sim) -> None:
                 raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
         spans.append((start, end, base[key] + v))
 
-    # the certificate, in rank order: first every subtask's total, then the
-    # segments of every subtask that runs
+    # the certificate, in rank order: first every subtask's total, then for
+    # every subtask that runs, its last segment's end and its overlaps
     own = {}
     for seg in sim.segments:
         own.setdefault(seg[1:4], []).append(seg)
@@ -192,12 +192,12 @@ def kept_audit_trace(sim) -> None:
         for v, x in enumerate(job.exec_times):
             if x > 0:
                 segs = sorted(own[key + (v,)], key=_START)
-                for a, b in zip(segs, segs[1:]):
-                    if a[5] > b[4]:
-                        raise AssertionError(f"subtask runs twice at once: {a} / {b}")
                 if segs[-1][5] != job.subtask_completion[v]:
                     raise AssertionError(f"segment {segs[-1]} does not end at its "
                                          f"subtask's completion {job.subtask_completion[v]}")
+                for a, b in zip(segs, segs[1:]):
+                    if a[5] > b[4]:
+                        raise AssertionError(f"subtask runs twice at once: {a} / {b}")
 
     # priority correctness + work conservation between event points, in one
     # sweep that keeps the running segments and the ready subtasks
