@@ -10,12 +10,14 @@ drawn before the run, in release order; the random policy takes one
 `rng.integers` call for the whole run.  A subtask drawn with zero execution
 time completes the instant it becomes ready without occupying a processor.
 
-The trace holds per-processor execution segments in time order, in one list
-and per job: tuples of six ints in ``SEGMENT_FIELDS`` order, (proc, task,
-job, subtask, start, end), one per running subtask per step.  Critical
-chains are rebuilt by walking last-completing predecessors; critical
-interference reads the job's segments grouped by subtask, and its split per
-task takes one pass over the segments that overlap the blocked intervals.
+The trace holds per-processor execution segments in time order, in one
+list: tuples of six ints in ``SEGMENT_FIELDS`` order, (proc, task, job,
+subtask, start, end), one per running subtask per step.  Critical chains
+follow last-completing predecessors.  Critical interference reads the
+job's own segments among those that start in [release, completion), found
+by bisection, so its cost is linear in them; its split per task takes one
+pass over the segments that overlap the blocked intervals.
+
 `audit_trace` checks that every segment names a processor in 0..m-1, and
 that no processor runs two segments at once, so at most m subtasks run at
 any instant.  It computes once per subtask its rank number and the earliest
@@ -60,9 +62,6 @@ class Job:
     subtask_ready: list = field(default_factory=list)
     subtask_completion: list = field(default_factory=list)
     completion: int | None = None
-    # this job's segment tuples in time order (simulate appends them as it
-    # runs); _blocked_intervals relies on the order
-    segments: list = field(default_factory=list)
 
     @property
     def response(self):
@@ -75,8 +74,8 @@ class SimResult:
     processors: int
     horizon: int
     # every segment tuple in time order; one step's segments share
-    # [start, end) and steps do not overlap, so interference_by_task may
-    # bisect starts and ends
+    # [start, end) and steps do not overlap, so _blocked_intervals and
+    # interference_by_task may bisect starts and ends
     segments: list
     jobs: list
 
@@ -233,10 +232,8 @@ def simulate(taskset, m, horizon, release_policy="periodic",
 
         finished = []
         for slot, entry in enumerate(running):
-            task_index, job_index, v, remaining, job, _ = entry
-            seg = (slot, task_index, job_index, v, t, t_next)
-            add_segment(seg)
-            job.segments.append(seg)
+            task_index, job_index, v, remaining, _, _ = entry
+            add_segment((slot, task_index, job_index, v, t, t_next))
             if remaining == dt:
                 finished.append(slot)
             else:
@@ -278,12 +275,15 @@ def extract_critical_chain(sim, job):
 
 def _blocked_intervals(sim, job, chain):
     """Intervals where the current critical subtask is ready but not running."""
-    comp = job.subtask_completion
+    if job.completion is None:
+        raise SimulationError("job did not complete within the trace")
+    comp, segs, ti, ji = job.subtask_completion, sim.segments, job.task_index, job.job_index
+    lo = bisect_left(segs, job.release, key=_START)
     runs = {}  # subtask -> its segments' (start, end), in time order
-    for _, _, _, v, start, end in job.segments:
-        runs.setdefault(v, []).append((start, end))
-    cur = job.release
-    blocked = []
+    for _, task, jnum, v, start, end in segs[lo:bisect_left(segs, job.completion, lo, key=_START)]:
+        if jnum == ji and task == ti:
+            runs.setdefault(v, []).append((start, end))
+    cur, blocked = job.release, []
     for v in chain:
         if job.subtask_ready[v] != cur:
             raise SimulationError("chain/trace mismatch: ready times do not chain")

@@ -91,7 +91,7 @@ def reference_audit(res):
 
 
 # Kept versions of the critical chain (a maximum over all completions per
-# vertex), the blocked intervals (a scan of all the job's segments per chain
+# vertex), the blocked intervals (a scan of all the trace's segments per chain
 # subtask) and the audit (a check per predecessor per segment): `sim`'s
 # versions must give the same results and messages.
 _START = itemgetter(4)
@@ -123,8 +123,8 @@ def kept_blocked_intervals(sim, job, chain):
     for v in chain:
         if job.subtask_ready[v] != cur:
             raise SimulationError("chain/trace mismatch: ready times do not chain")
-        for _, _, _, subtask, start, end in job.segments:
-            if subtask == v:
+        for _, task, jnum, subtask, start, end in sim.segments:
+            if (task, jnum, subtask) == (job.task_index, job.job_index, v):
                 if start > cur:
                     blocked.append((cur, start))
                 cur = end
@@ -341,9 +341,7 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
 
         finished = []
         for slot, (_, _, _, v, state) in enumerate(running):
-            seg = (slot, state.job.task_index, state.job.job_index, v, t, t_next)
-            segments.append(seg)
-            state.job.segments.append(seg)
+            segments.append((slot, state.job.task_index, state.job.job_index, v, t, t_next))
             state.remaining[v] -= dt
             if state.remaining[v] == 0:
                 finished.append((state, v))
@@ -360,7 +358,7 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
 
 def job_facts(res):
     return [(j.task_index, j.job_index, j.release, j.abs_deadline, j.exec_times,
-             j.subtask_ready, j.subtask_completion, j.completion, j.segments)
+             j.subtask_ready, j.subtask_completion, j.completion)
             for j in res.jobs]
 
 
@@ -587,6 +585,26 @@ class TestInterference:
         res = sim.simulate(single_task_set(task, 1), 1, 18)
         with pytest.raises(SimulationError):
             sim.critical_interference(res, res.jobs[0], [0, 2])
+
+    def test_interference_of_incomplete_job_rejected(self):
+        job = sim.Job(0, 0, 0, 10, (1,), subtask_ready=[0], subtask_completion=[None])
+        res = sim.SimResult(TaskSet([DagTask(Dag([1], []), 10, 10)], 1), 1, 10, [], [job])
+        with pytest.raises(SimulationError, match="did not complete"):
+            sim.critical_interference(res, job, [0])
+
+    def test_job_segments_read_from_the_trace(self):
+        # WCET 2 above WCET 3 on one processor; in the wrapped trace the low
+        # job runs [0, 1) and [3, 5), and the high job [1, 3) between them
+        one, two = DagTask(Dag([2], []), 10, 10), DagTask(Dag([3], []), 10, 10)
+        res = sim.simulate(TaskSet([one, two], 1), 1, 10)
+        trace = [(0, 1, 0, 0, 0, 1), (0, 0, 0, 0, 1, 3), (0, 1, 0, 0, 3, 5)]
+        res = with_segments(res, trace)
+        low = res.jobs[1]
+        assert low.task_index == 1 and low.completion == 5
+        chain = sim.extract_critical_chain(res, low)
+        assert sim._blocked_intervals(res, low, chain) == [(1, 3)]
+        assert sim.critical_interference(res, low, chain) == 2
+        assert sim.interference_by_task(res, low, chain) == {0: 2, 1: 0}
 
     def test_interference_identity_and_decomposition(self):
         # m * I_k equals the summed per-task processor time, exactly, and the
