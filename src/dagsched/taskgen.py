@@ -24,6 +24,7 @@ from .dag import Dag, DagTask, TaskSet
 from .errors import ValidationError, is_integer, is_number, require
 
 UTIL_TOL = 1e-3
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,14 @@ class GenConfig:
             raise ValidationError("config", "edge_prob must be in [0, 1]")
         if not 0 < self.beta <= 1:
             raise ValidationError("config", "beta must be in (0, 1]")
-        if self.n_range[0] < 1 or self.n_range[0] > self.n_range[1]:
-            raise ValidationError("config", "n_range must be a non-empty positive range")
-        if self.wcet_range[0] < 1 or self.wcet_range[0] > self.wcet_range[1]:
-            raise ValidationError("config", "wcet_range must be a non-empty positive range")
+        # each range's ends are drawn as int64s, both inclusive; kept as a
+        # pair of Python ints, so that high + 1 cannot wrap around
+        for name in ("n_range", "wcet_range"):
+            low, high = map(int, getattr(self, name))
+            if not 1 <= low <= high <= INT64_MAX:
+                raise ValidationError(
+                    "config", f"{name} must be a non-empty range of integers in [1, 2^63 - 1]")
+            object.__setattr__(self, name, (low, high))
 
     def rng(self):
         return np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -60,9 +65,12 @@ class GenConfig:
 def gen_dag(config, rng) -> Dag:
     """Random weakly-connected DAG per the Erdos-Renyi recipe above."""
     n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
-    order = rng.permutation(n).tolist()
-    # one draw per position pair i < j, in row-major order
-    hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
+    try:
+        order = rng.permutation(n).tolist()
+        # one draw per position pair i < j, in row-major order
+        hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
+    except (ValueError, MemoryError):  # numpy refuses arrays of n vertices
+        raise ValidationError("config", f"cannot draw a DAG of {n} vertices") from None
     pairs = list(compress(combinations(range(n), 2), hits))
 
     # union-find whose root is the smallest position of its component; each
@@ -120,7 +128,9 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     matches total_util within a 1e-3 relative tolerance; if integer periods
     cannot reach the tolerance for the remaining gap, intermediate tasks
     absorb half the gap each until the fit succeeds.  A total utilization
-    above m is refused: no such set is feasible.  If `stop(task)` holds for
+    above m is refused: no such set is feasible; so is one too small for a
+    float period: the fit asks for periods below 2·C/(1e-3·total_util), C
+    the largest work the config allows.  If `stop(task)` holds for
     a task in its final form, about to be appended, the set is abandoned
     and the result is None; the draws before it are those of the full set.
     """
@@ -129,6 +139,10 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     m = TaskSet([], m).processors  # the processor rule, before the first draw
     if total_util > m:
         raise ValidationError("util", f"total utilization {total_util} exceeds {m} processors")
+    most_work = config.n_range[1] * config.wcet_range[1]
+    if 2 * most_work / UTIL_TOL / total_util == float("inf"):
+        raise ValidationError("util", f"total utilization {total_util} is too small "
+                                      f"for a float period of work up to {most_work}")
     if rng is None:
         rng = config.rng()
     tol = UTIL_TOL * total_util

@@ -204,12 +204,21 @@ class TestMalformedInput:
         ["generate", "--util", "5", "--procs", "4"],
         ["sweep", "--points", "2", "17", "--procs", "16", "--sets", "1"],
         ["sweep", "--sweep", "procs", "--points", "4", "--norm-util", "1.5", "--sets", "1"],
+        # numpy draws the ranges' ends as int64s; at seed 0 the vertex count
+        # drawn from [1, 2^63 - 1] is above 2^62, an array numpy refuses
+        ["generate", "--util", "1", "--procs", "4", "--wcet-range", "1", "99999999999999999999"],
+        ["generate", "--util", "1", "--procs", "4", "--n-range", "1", "9223372036854775807"],
+        # a subnormal utilization asks for periods past the float range
+        ["generate", "--util", "1e-320", "--procs", "4"],
+        ["sweep", "--points", "1e-320", "--sets", "1"],
     ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative", "sweep-sets-0",
             "sweep-unknown-method", "generate-seed-negative", "generate-util-nan",
             "generate-util-inf", "sweep-procs-fractional",
             "sweep-point-nan", "sweep-point-inf", "sweep-duplicate-method",
             "generate-util-above-procs", "sweep-point-above-procs",
-            "sweep-norm-util-above-1"])
+            "sweep-norm-util-above-1", "generate-wcet-range-past-int64",
+            "generate-vertex-count-numpy-refuses", "generate-util-subnormal",
+            "sweep-point-subnormal"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert run(argv) == 2
         captured = capsys.readouterr()

@@ -144,6 +144,27 @@ class TestGenDag:
             assert gen_dag(cfg, rng) == kept_gen_dag(cfg, kept_rng)
         assert rng.random() == kept_rng.random()  # the same draws
 
+    @pytest.mark.parametrize("field", ["n_range", "wcet_range"])
+    def test_ranges_past_int64_refused(self, field):
+        # numpy draws both ends as int64s, so 2^63 - 1 is the largest end
+        assert getattr(GenConfig(**{field: (1, 2**63 - 1)}), field) == (1, 2**63 - 1)
+        for pair in ((1, 2**63), (2**63, 2**63), (1, 10**20)):
+            with pytest.raises(ValidationError, match=rf"{field} must be .* \[1, 2\^63 - 1\]"):
+                GenConfig(**{field: pair})
+
+    def test_numpy_range_ends_kept_as_ints(self):
+        cfg = GenConfig(n_range=[np.int64(3), np.int64(5)],
+                        wcet_range=(np.uint64(1), np.int64(2**63 - 1)))
+        assert cfg.n_range == (3, 5) and cfg.wcet_range == (1, 2**63 - 1)
+        assert all(type(x) is int for x in cfg.n_range + cfg.wcet_range)
+
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+    def test_vertex_count_numpy_refuses(self, n):
+        # sizes numpy refuses before it allocates anything
+        with pytest.raises(ValidationError, match=f"cannot draw a DAG of {n} vertices") as err:
+            gen_dag(GenConfig(n_range=(n, n)), np.random.default_rng(0))
+        assert err.value.rule == "config"
+
     def test_full_probability_gives_complete_dag(self, rng):
         cfg = GenConfig(edge_prob=1.0, n_range=(5, 5), seed=0)
         dag = gen_dag(cfg, rng)
@@ -238,7 +259,8 @@ class TestGenTaskset:
     @pytest.mark.parametrize("util, m, rule", [
         ("2", 4, "util"), (None, 4, "util"), (True, 4, "util"), (float("nan"), 4, "util"),
         (0.5, 0, "processors"), (0.5, -1, "processors"), (0.5, 4.5, "processors"),
-        (0.5, True, "processors"), (0.5, "4", "processors"),
+        (0.5, True, "processors"), (0.5, "4", "processors"), (1e-320, 4, "util"),
+        (5e-324, 4, "util"),
     ])
     def test_bad_arguments_refused_before_the_first_draw(self, util, m, rule):
         rng = np.random.default_rng(5)
@@ -248,6 +270,14 @@ class TestGenTaskset:
         assert err.value.rule == rule
         assert "exceeds" not in str(err.value)
         assert rng.bit_generator.state == state
+
+    def test_smallest_utilization_with_float_periods(self):
+        # periods stay below 2 * 10 * 100 / (1e-3 * util), finite at 1e-300
+        cfg = GenConfig(seed=6)
+        ts = gen_taskset(1e-300, 4, cfg)
+        assert abs(sum(t.work / t.period for t in ts.tasks) - 1e-300) <= UTIL_TOL * 1e-300
+        with pytest.raises(ValidationError, match="too small for a float period"):
+            gen_taskset(1e-305, 4, cfg)
 
     def test_numpy_processor_count_draws_the_same_set(self):
         cfg = GenConfig(seed=4)
