@@ -93,11 +93,13 @@ def _release_times(taskset, horizon, policy, rng):
             raise SimulationError("scripted releases name a task outside the set")
         out = {}
         for idx, task in enumerate(taskset.tasks):
-            times = list(policy.get(idx, []))
+            message = f"scripted releases of task {idx} must be integers in [0, horizon)"
+            try:  # sorted refuses a non-iterable, and most mixes of types
+                times = sorted(policy.get(idx, []))
+            except TypeError:
+                raise SimulationError(message) from None
             if not all(is_integer(x) and 0 <= x < horizon for x in times):
-                raise SimulationError(
-                    f"scripted releases of task {idx} must be integers in [0, horizon)")
-            times.sort()
+                raise SimulationError(message)
             for a, b in zip(times, times[1:]):
                 if b - a < task.period:
                     raise SimulationError(
@@ -130,7 +132,11 @@ def _exec_times(taskset, releases, policy, rng):
     if isinstance(policy, dict):
         if not policy.keys() <= {(idx, j) for _, idx, j in releases}:
             raise SimulationError("scripted execution times name no released (task, job)")
-        rows = [tuple(policy.get((idx, j), dag.wcets)) for (_, idx, j), dag in zip(releases, dags)]
+        try:
+            rows = [tuple(policy.get((idx, j), dag.wcets))
+                    for (_, idx, j), dag in zip(releases, dags)]
+        except TypeError:  # a value that is not a sequence of times
+            raise SimulationError(_EXEC_RANGE) from None
         for row, dag in zip(rows, dags):
             if len(row) != dag.n or not all(is_integer(x) and 0 <= x <= w
                                             for x, w in zip(row, dag.wcets)):

@@ -481,10 +481,14 @@ class TestSimulate:
         (1, {"exec_policy": {5: [1, 1]}}, r"no released \(task, job\)"),
         (1, {"exec_policy": {0: [[1, 1]]}}, r"no released \(task, job\)"),
         (1, {"exec_policy": {(0, 7): (1, 1)}}, r"no released \(task, job\)"),
+        (1, {"release_policy": {0: 5}}, r"integers in \[0, horizon\)"),
+        (1, {"release_policy": {0: [5, "7"]}}, r"integers in \[0, horizon\)"),
+        (1, {"exec_policy": {(0, 0): 7}}, r"\[0, WCET\]"),
     ], ids=["release-policy", "exec-policy", "no-processors", "float-processors",
             "float-release", "negative-release", "release-past-horizon", "release-at-horizon",
             "unknown-task", "string-task", "exec-bare-key", "exec-task-key",
-            "exec-unreleased-job"])
+            "exec-unreleased-job", "release-times-not-iterable", "release-times-mixed-types",
+            "exec-times-not-iterable"])
     def test_bad_run_settings_rejected(self, m, policies, message):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         with pytest.raises(SimulationError, match=message):
