@@ -140,7 +140,7 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     if total_util > m:
         raise ValidationError("util", f"total utilization {total_util} exceeds {m} processors")
     most_work = config.n_range[1] * config.wcet_range[1]
-    if 2 * most_work / UTIL_TOL / total_util == float("inf"):
+    if 2 * most_work / UTIL_TOL / float(total_util) == float("inf"):
         raise ValidationError("util", f"total utilization {total_util} is too small "
                                       f"for a float period of work up to {most_work}")
     if rng is None:
