@@ -26,8 +26,8 @@ enumerates execution vectors directly.  `WorkCurve` computes the same
 optimum for every window length through an equivalent reformulation
 (maximum total work whose makespan fits the window), solved in polynomial
 time by a small min-cost flow on the DAG itself, with a virtual source and
-sink instead of a normalized copy; the analysis reads it through
-`workload.DagProfile`.  All three routes are cross-checked exactly in the
+sink instead of a normalized copy; the analysis reads its table through
+`workload._tables`.  All three routes are cross-checked exactly in the
 test suite.
 """
 
@@ -359,6 +359,16 @@ def solve_exact(model) -> SolveResult:
 # --------------------------------------------------------------------------
 # Polynomial exact bound used by the analysis pipeline
 
+def _ramp_sum(starts, lengths, size):
+    """sum over k of min(lengths[k], max(0, d - starts[k])) for d = 0..size-1,
+    as one int64 array, for non-negative int64 arrays with every start +
+    length below size.  From d-1 to d the sum rises by the number of ramps
+    with start < d <= start + length: count those slopes, then sum twice."""
+    slopes = (np.bincount(starts + 1, minlength=size + 1)
+              - np.bincount(starts + lengths + 1, minlength=size + 1))
+    return slopes.cumsum().cumsum()[:size]
+
+
 class WorkCurve:
     """Exact carry-out workload optimum as a function of the window length.
 
@@ -370,8 +380,9 @@ class WorkCurve:
     phi source-to-sink unit flows; covering a vertex rewards its WCET.
     The penalties come from a small min-cost flow on the DAG as given
     (`_cover_penalties`, which keeps the flow per vertex and per edge) and
-    are the only per-DAG array kept; the envelope is concave and piecewise
-    linear with integer slopes, and `values` tabulates it on demand.
+    are the only per-DAG array kept.  Successive shortest paths never get
+    cheaper, so the drops penalty(phi-1) - penalty(phi) never increase, the
+    first one being the span; `values` tabulates the optimum on demand.
     """
 
     def __init__(self, dag):
@@ -379,11 +390,13 @@ class WorkCurve:
         self.penalties = _cover_penalties(dag)
 
     def values(self):
-        """The optimum for windows 0..span as one int64 array: the lower
-        envelope of the lines phi*delta + penalty(phi)."""
-        phis = np.arange(len(self.penalties), dtype=np.int64)[:, None]
-        deltas = np.arange(self.span + 1, dtype=np.int64)[None, :]
-        return (phis * deltas + np.array(self.penalties, dtype=np.int64)[:, None]).min(axis=0)
+        """The optimum for windows 0..span as one int64 array.  As the drops
+        never increase, the best phi at delta is the number of drops above
+        delta, so the optimum is the last penalty plus the sum of min(drop,
+        delta): one ramp from 0 per drop."""
+        penalties = np.array(self.penalties, dtype=np.int64)
+        drops = penalties[:-1] - penalties[1:]
+        return penalties[-1] + _ramp_sum(np.zeros_like(drops), drops, self.span + 1)
 
 
 def _cover_penalties(dag):

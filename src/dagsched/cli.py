@@ -135,12 +135,16 @@ def check_dominance(csv_lines) -> bool:
 # --------------------------------------------------------------------------
 
 def _write(text, path):
-    """`text` to the file at `path`, or to stdout without one."""
-    if path:
+    """`text` to the file at `path`, or to stdout without one; a path that
+    cannot be written is a ValidationError ("file")."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError("file", f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_generate(args):
@@ -189,9 +193,8 @@ def _cmd_simulate(args):
                           release_policy=args.release, exec_policy=args.exec_policy,
                           rng=rng)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            for seg in result.segments:
-                fh.write(json.dumps(dict(zip(sim.SEGMENT_FIELDS, seg))) + "\n")
+        _write("".join(json.dumps(dict(zip(sim.SEGMENT_FIELDS, seg))) + "\n"
+                       for seg in result.segments), args.trace_out)
     worst = {}
     for t_idx, _, resp in result.response_times():
         worst[t_idx] = max(worst.get(t_idx, 0), resp)

@@ -30,7 +30,8 @@ class Dag:
     ``span``, ``starts`` (ASAP start times at full WCETs) and ``order`` (the
     topological order of the constructor's pass; its readers accept any) are
     computed here, the rest on first read: ``edges`` (sorted, no duplicates),
-    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``.
+    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``,
+    and ``profile``, the dict in which `workload` keeps the DAG's tables.
     """
 
     def __init__(self, wcets, edges):
@@ -97,12 +98,7 @@ class Dag:
             preds[b].append(a)
         return tuple(map(tuple, preds))
 
-    @cached_property
-    def profile(self):
-        """The per-DAG workload tables (`workload.DagProfile`), built on first use."""
-        from .workload import DagProfile  # workload imports this module
-
-        return DagProfile()
+    profile = cached_property(lambda self: {})  # by processor count, see `workload._tables`
 
     def __eq__(self, other):
         return (isinstance(other, Dag)

@@ -5,9 +5,9 @@ whole jobs inside the window, a carry-in job (tail of a job released before
 the window) and a carry-out job (head of a job released inside it).
 Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
 one job; carry-out workload is bounded by the exact optimum from
-`carryout`.  Both are tabulated, capped at min(work, m*len), once per DAG
-and processor count m in the DAG's `DagProfile`, when a term first reads
-them (past the span both are the cap).  The total bound
+`carryout`.  Both are tabulated over window lengths 0..span, capped at
+min(work, m*len), once per DAG and processor count m by `_tables`, when a
+term first reads them (past the span both are the cap).  The total bound
 maximizes over the number of releases inside the window and, for each
 count, over the carry-in/carry-out split of the window.  The baseline
 `melani_workload` is computed in integers scaled by the processor count.
@@ -17,51 +17,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carryout import WorkCurve
+from .carryout import WorkCurve, _ramp_sum
 from .errors import ValidationError
 
-__all__ = ["DagProfile", "melani_workload", "interfering_workload"]
+__all__ = ["melani_workload", "interfering_workload"]
 
 
-class DagProfile:
-    """Per-DAG tables of the interfering-workload bound.
-
-    Per processor count m, built when a workload term first reads it, a
-    pair of int64 tables over window lengths d = 0..span: min(carry-in
-    workload, m*d) and min(carry-out optimum, m*d).  Neither workload
-    exceeds the work, so both are capped at min(work, m*d).  Every m shares
-    the `WorkCurve`.  A `Dag` owns its profile (`Dag.profile`), so `tables`
-    takes the DAG as an argument.  Concurrent first uses may build a pair
-    twice; both are equal.
+def _tables(dag, m):
+    """The (carry-in, carry-out) pair of int64 tables over window lengths
+    d = 0..span at m processors: min(carry-in workload, m*d) and
+    min(carry-out optimum, m*d).  Neither workload exceeds the work, so
+    both are capped at min(work, m*d).  Built on first read and kept in
+    `dag.profile` by m; concurrent first reads may build a pair twice, and
+    both are equal.
     """
-
-    def __init__(self):
-        self.curve = None
-        self.pairs = {}
-
-    def tables(self, dag, m):
-        """The (carry-in, carry-out) table pair at m processors."""
-        pair = self.pairs.get(m)
-        if pair is None:
-            if self.curve is None:
-                self.curve = WorkCurve(dag)
-            length = dag.span
-            starts = np.array(dag.starts, dtype=np.int64)
-            finishes = starts + np.array(dag.wcets, dtype=np.int64)
-            try:
-                # min(m, work) gives the same caps and keeps them in int64
-                caps = min(m, dag.work) * np.arange(length + 1, dtype=np.int64)
-                # from d-1 to d the carry-in workload rises by the number of
-                # vertices whose [S, S+C) holds span-d: count, then sum twice
-                slopes = (np.bincount(length - finishes + 1, minlength=length + 2)
-                          - np.bincount(length - starts + 1, minlength=length + 2))
-                carry_in = np.minimum(slopes.cumsum().cumsum()[:length + 1], caps)
-                carry_out = np.minimum(self.curve.values(), caps)
-            except (ValueError, MemoryError):  # numpy refuses span-sized tables
-                raise ValidationError(
-                    "span", f"span {length} is too long for the workload tables") from None
-            pair = self.pairs[m] = (carry_in, carry_out)
-        return pair
+    pair = dag.profile.get(m)
+    if pair is None:
+        length = dag.span
+        curve = WorkCurve(dag)
+        wcets = np.array(dag.wcets, dtype=np.int64)
+        finishes = np.array(dag.starts, dtype=np.int64) + wcets
+        try:
+            # min(m, work) gives the same caps and keeps them in int64
+            caps = min(m, dag.work) * np.arange(length + 1, dtype=np.int64)
+            # a vertex finishing at F puts min(C, max(0, d - (span - F))) of
+            # its work in the last d units of the full-WCET ASAP schedule
+            carry_in = np.minimum(_ramp_sum(length - finishes, wcets, length + 1), caps)
+            carry_out = np.minimum(curve.values(), caps)
+        except (ValueError, MemoryError):  # numpy refuses span-sized tables
+            raise ValidationError(
+                "span", f"span {length} is too long for the workload tables") from None
+        pair = dag.profile[m] = (carry_in, carry_out)
+    return pair
 
 
 def melani_workload(task, delta, r_i, m) -> int:
@@ -91,7 +78,7 @@ def _split_peak(dag, m, budget):
         # stay below the cap line there); no table is read
         half = budget // 2
         return min(C, m * half) + min(C, m * (budget - half))
-    ci_table, co_table = dag.profile.tables(dag, m)
+    ci_table, co_table = _tables(dag, m)
     if budget <= L:
         return int((ci_table[:budget + 1] + co_table[budget::-1]).max())
     tail = np.minimum(min(m, C) * np.arange(L + 1, budget + 1, dtype=np.int64), C)
@@ -116,8 +103,8 @@ def interfering_workload(task, delta, r_i, m) -> int:
 
     The carry-out bound is the exact optimum capped at m*co_len.  Every
     addend is capped at min(work, m * window-part) and the result at
-    m * delta.  Each end term is one lookup in the profile's table pair of
-    this m, with min(C, m*len) past the span, and `_split_peak` adds the
+    m * delta.  Each end term is one lookup in the `_tables` pair of this
+    m, with min(C, m*len) past the span, and `_split_peak` adds the
     pair over all splits of a budget in one slice sum.  Only the carry-in
     term at delta <= span, a carry-out head <= span and a split budget in
     (0, 2*span] read the pair, so an interferer whose terms read none never
@@ -127,14 +114,14 @@ def interfering_workload(task, delta, r_i, m) -> int:
         return 0
     dag, C, L, T = task.dag, task.work, task.span, task.period
     # no release inside the window at all
-    best = int(dag.profile.tables(dag, m)[0][delta]) if delta <= L else min(C, m * delta)
+    best = int(_tables(dag, m)[0][delta]) if delta <= L else min(C, m * delta)
     s = 1
     while True:
         head = delta - (s - 1) * T   # window left of the s-th release at worst
         base = (s - 1) * C
         if head <= 0 or base >= m * delta:
             break
-        cand = base + (int(dag.profile.tables(dag, m)[1][head]) if head <= L
+        cand = base + (int(_tables(dag, m)[1][head]) if head <= L
                        else min(C, m * head))
         budget = delta + r_i - s * T
         if budget > 0:

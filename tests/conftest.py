@@ -30,8 +30,8 @@ def carry_in_workload(task, ci_len) -> int:
     """Workload of the last ci_len time units of the full-WCET ASAP schedule:
     per vertex max{0, min(C_k, S_k + C_k - span + ci_len)} with S_k its ASAP
     start; the whole job (work C) fits once ci_len >= span.  The scalar
-    reference for `DagProfile`'s carry-in table, built there from slope
-    counts."""
+    reference for the carry-in table of `workload._tables`, built there as a
+    sum of ramps."""
     if ci_len < 0:
         raise ValueError("ci_len must be non-negative")
     return sum(max(0, min(c, s + c + ci_len - task.span))

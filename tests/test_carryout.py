@@ -19,7 +19,7 @@ from dagsched.dag import (
     Dag, DagTask, asap_start_times, count_paths, normalize_source_sink, source_paths, span,
     work,
 )
-from dagsched.workload import DagProfile, interfering_workload
+from dagsched.workload import _tables, interfering_workload
 from dagsched.errors import (
     OracleLimitError, PathExplosionError, SolverLimitError, ValidationError,
 )
@@ -368,16 +368,16 @@ class TestWorkCurve:
         # ASAP schedule in its last d units; those pieces keep precedence
         # within d units, so the curve, the most such work, bounds it
         for dag in self._mixed_dags(rng):
-            carry_in = DagProfile().tables(dag, max(dag.n, 1))[0]
+            carry_in = _tables(dag, max(dag.n, 1))[0]
             assert (carry_in <= WorkCurve(dag).values()).all()
 
 
 def carry_out_bound(task, delta_co, m):
-    """The analysis's carry-out bound: the DAG profile's table up to the
+    """The analysis's carry-out bound: the `_tables` carry-out table up to the
     span, min(work, m * delta_co) beyond it."""
     if delta_co > task.span:
         return min(task.work, m * delta_co)
-    return int(task.dag.profile.tables(task.dag, m)[1][delta_co])
+    return int(_tables(task.dag, m)[1][delta_co])
 
 
 class TestCarryOutBound:
@@ -403,19 +403,19 @@ class TestCarryOutBound:
 
     def test_memoized_per_task(self, monkeypatch):
         builds = []
-        init = DagProfile.__init__
+        init = WorkCurve.__init__
 
-        def counting_init(self):
+        def counting_init(self, dag):
             builds.append(self)
-            init(self)
+            init(self, dag)
 
-        monkeypatch.setattr(DagProfile, "__init__", counting_init)
+        monkeypatch.setattr(WorkCurve, "__init__", counting_init)
         task = antimonotone_task()
         copy = replace(task, deadline=14)
         assert copy.dag is task.dag and copy is not task
         assert interfering_workload(task, 10, 15, 2) == interfering_workload(copy, 10, 15, 2)
         assert task.dag.profile is copy.dag.profile
-        assert task.dag.profile.tables(task.dag, 2) is copy.dag.profile.tables(copy.dag, 2)
+        assert _tables(task.dag, 2) is _tables(copy.dag, 2)
         assert len(builds) == 1
 
     def test_concurrent_queries(self):

@@ -259,6 +259,21 @@ class TestMalformedInput:
         with pytest.raises(ValidationError):
             ExperimentSpec(**fields)
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--util", "1", "--procs", "2", "--out", "{missing}"],
+        ["sweep", "--points", "1.0", "--sets", "1", "--out", "{directory}"],
+        ["dump-model", "{taskset}", "--task-index", "0", "--delta", "1", "--out", "{missing}"],
+        ["simulate", "{taskset}", "--trace-out", "{missing}"],
+    ], ids=["generate", "sweep", "dump-model", "simulate"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, argv):
+        taskset = tmp_path / "ts.json"
+        taskset.write_text(json.dumps(one_task_doc()))
+        paths = {"missing": tmp_path / "missing" / "out", "directory": tmp_path,
+                 "taskset": taskset}
+        assert run([token.format(**paths) for token in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write" in captured.err
+
     def test_analyze_negative_procs_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ts.json"
         path.write_text(json.dumps(one_task_doc()))
@@ -393,6 +408,14 @@ class TestSweep:
         assert check_dominance(lines)
         assert not check_dominance([CSV_HEADER, "1.0,ilp,0.40,5,0,0",
                                     "1.0,melani,0.60,5,0,0"])
+
+    def test_cli_dominance_failure_exit_1(self, monkeypatch, capsys):
+        lines = [CSV_HEADER, "1.0,ilp,0.400000,5,0,0.000", "1.0,melani,0.600000,5,0,0.000"]
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: lines)
+        assert run(["sweep", "--zero-timing", "--check-dominance"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err == "dominance check failed: a melani row beats its ilp row\n"
 
     def test_processor_sweep(self):
         # whole processor counts may be written as floats

@@ -1,14 +1,19 @@
 """Derandomized fuzz of the command line with malformed arguments.
 
-Every case must end in exit 0 or, for malformed input, exit 2 (argparse's
-usage error or a `ValidationError`), never in a traceback.  Vertex counts
-are drawn only from values up to 60 or from 2^62 up, which numpy refuses
-before it allocates anything.
+Every case must end in exit 0, 1 for an unschedulable set or, for
+malformed input, exit 2 (argparse's usage error or a `ValidationError`),
+never in a traceback.  Vertex counts are drawn only from values up to 60 or
+from 2^62 up, which numpy refuses before it allocates anything; integers in
+a task set only up to 10^4 or from 2^62 up, since the analysis tables grow
+with the span.
 """
 
 import contextlib
+import copy
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -88,3 +93,87 @@ def test_generate_exits_0_or_2_without_a_traceback(argv):
         assert json.loads(out)["tasks"]
     else:
         assert out == "" and ("error" in err or "usage" in err)
+
+
+# a valid set of two tasks on two processors; its second task's bound is
+# 15 under ilp and 17 under melani, so small changes flip either verdict
+TASK_SET = {
+    "tasks": [
+        {"period": 12, "deadline": 10, "vertices": [{"wcet": 3}, {"wcet": 5}, {"wcet": 2}],
+         "edges": [[0, 1], [0, 2]]},
+        {"period": 20, "deadline": 16, "vertices": [{"wcet": 7}], "edges": []},
+    ],
+    "processors": 2,
+}
+
+
+def places(node, path=()):
+    """The key path and value of every value in a JSON document, the
+    root's included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from places(child, path + (key,))
+
+
+PLACES = [path for path, _ in places(TASK_SET)]
+OBJECTS = [path for path, node in places(TASK_SET) if isinstance(node, dict)]
+INTEGERS = st.one_of(st.integers(-10**4, 10**4), st.integers(2**62, 2**64 + 1),
+                     st.integers(-2**64, -2**62))
+NON_INTEGERS = st.one_of(
+    st.booleans(), st.floats(), st.sampled_from([2.0, -1.0, 0.5, 1e300]), st.text(max_size=3),
+    st.none(), st.sampled_from([[], {}]), st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["wcet", "period", "x"]), st.integers(0, 9), max_size=2))
+
+
+@st.composite
+def analyze_argv(draw):
+    """`analyze` of `TASK_SET` with one value of the document replaced,
+    deleted or given an unknown key beside it, or one flag mutated; and
+    whether a non-integer stands in for an integer."""
+    doc, flags = copy.deepcopy(TASK_SET), []
+    kind = draw(st.sampled_from(["replace", "delete", "unknown-key", "--procs", "--method"]))
+    if kind.startswith("--"):
+        tokens = {"--procs": MALFORMED + ["1", "2", "4", "10000", str(2**62)],
+                  "--method": ["ilp", "melani", "ILP", "", "foo"]}[kind]
+        flags = [kind, draw(st.sampled_from(tokens))]
+        return doc, flags, kind == "--procs" and as_number(flags[1], int) is None
+    path = draw(st.sampled_from({"replace": PLACES, "delete": PLACES[1:],
+                                 "unknown-key": OBJECTS}[kind]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+        return doc, flags, False
+    node = parent[path[-1]] if path else doc
+    if kind == "unknown-key":
+        node["unknown"] = draw(INTEGERS | NON_INTEGERS)
+        return doc, flags, False
+    integral = type(node) is int
+    # an integer slot takes a non-integer in at least half of its draws
+    new = draw(NON_INTEGERS if integral and draw(st.booleans()) else INTEGERS | NON_INTEGERS)
+    if path:
+        parent[path[-1]] = new
+    else:
+        doc = new
+    return doc, flags, integral and type(new) is not int
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(analyze_argv())
+def test_analyze_exits_0_1_or_2_without_a_traceback(case):
+    doc, flags, non_integer = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "ts.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_main(["analyze", path, *flags])
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), (code, err)
+    if non_integer:
+        assert code == 2, (doc, flags, out)
+    if code == 2:
+        assert out == "" and ("error" in err or "usage" in err)
+    else:
+        assert json.loads(out)["verdict"] == ("schedulable" if code == 0 else "unschedulable")

@@ -1,13 +1,15 @@
 """Property tests of the facts a `Dag` derives once, its profile tables, its
 work curve and the interfering-workload bound."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask
 from dagsched.rta import seed_bound
-from dagsched.workload import interfering_workload, melani_workload
+from dagsched.taskgen import GenConfig, gen_dag
+from dagsched.workload import _tables, interfering_workload, melani_workload
 from test_workload import schedule_tail
 
 
@@ -46,15 +48,14 @@ def test_derived_facts_and_profile(case):
     length = max(s + c for s, c in zip(starts, wcets))
     assert (dag.work, dag.span, list(dag.starts)) == (sum(wcets), length, starts)
 
-    profile = dag.profile
     tails = [schedule_tail(dag, starts, d) for d in range(length + 1)]
     # no window of length d holds more than d units of one vertex, so at
     # m >= n the cap m*d never binds
-    assert profile.tables(dag, max(n, 1))[0].tolist() == tails
+    assert _tables(dag, max(n, 1))[0].tolist() == tails
     pens = list(enumerate(WorkCurve(dag).penalties))
     envelope = [min(phi * d + pen for phi, pen in pens) for d in range(length + 1)]
     for m in (1, 2, 3, 16):
-        carry_in, carry_out = profile.tables(dag, m)
+        carry_in, carry_out = _tables(dag, m)
         assert carry_in.tolist() == [min(tail, m * d) for d, tail in enumerate(tails)]
         assert carry_out.tolist() == [
             min(env, m * d, dag.work) for d, env in enumerate(envelope)]
@@ -70,6 +71,23 @@ def test_work_curve_values_concave(case):
     steps = [b - a for a, b in zip(vals, vals[1:])]
     assert all(step >= 0 for step in steps)
     assert all(a >= b for a, b in zip(steps, steps[1:]))
+
+
+def paper_scale_dag(seed):
+    return gen_dag(GenConfig(n_range=(10, 20)), np.random.default_rng(seed))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(shuffled_dags().map(lambda case: Dag(*case)),
+                 st.integers(0, 2**32).map(paper_scale_dag)))
+def test_penalty_drops_never_increase(dag):
+    # `WorkCurve.values` sums one ramp per drop, which equals the lower
+    # envelope of the lines phi*delta + penalty(phi) only while the drops
+    # never increase
+    penalties = WorkCurve(dag).penalties
+    drops = [a - b for a, b in zip(penalties, penalties[1:])]
+    assert all(a >= b for a, b in zip(drops, drops[1:])), penalties
+    assert drops[:1] == ([dag.span] if dag.span else [])
 
 
 @st.composite

@@ -4,10 +4,11 @@ The body-job count and the window splits of the dense release pattern are
 reference code kept here: `interfering_workload` enumerates the releases
 itself, and the tests check it against these and against a scalar
 split-by-split evaluation.  So is the split maximum over an uncapped
-carry-in table with one array per split quantity, which the profile's
-capped table pair replaced.
+carry-in table with one array per split quantity, which the capped table
+pair of `_tables` replaced.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -22,7 +23,7 @@ from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag, gen_task
-from dagsched.workload import _split_peak, interfering_workload, melani_workload
+from dagsched.workload import _split_peak, _tables, interfering_workload, melani_workload
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ class TestSplitPeak:
             lengths = np.arange(L + 1, dtype=np.int64)
             for m in (1, 2, 4, 16):
                 wide += C > m * (L + 1)
-                ci_table, co_table = dag.profile.tables(dag, m)
+                ci_table, co_table = _tables(dag, m)
                 assert ci_table.tolist() == np.minimum(ci_raw, m * lengths).tolist()
                 co_ref = np.minimum(np.minimum(curve, m * lengths), C)
                 assert co_table.tolist() == co_ref.tolist()
@@ -330,8 +331,8 @@ class TestSplitPeak:
             dag = random_dag(rng, n_max=10, wcet_max=30)
             C, L = dag.work, dag.span
             m = max(C, 1)
-            ci_table, co_table = dag.profile.tables(dag, huge)
-            ref_ci, ref_co = dag.profile.tables(dag, m)
+            ci_table, co_table = _tables(dag, huge)
+            ref_ci, ref_co = _tables(dag, m)
             assert ci_table.tolist() == ref_ci.tolist()
             assert co_table.tolist() == ref_co.tolist()
             for budget in range(1, 2 * L + 3):
@@ -343,10 +344,23 @@ class TestSplitPeak:
         for _ in range(20):
             dag = random_dag(rng, n_max=10, wcet_max=30)
             for count, m in enumerate((1, 3, 16), start=1):
-                dag.profile.tables(dag, m)
-                arrays = [a for pair in dag.profile.pairs.values() for a in pair]
+                _tables(dag, m)
+                arrays = [a for pair in dag.profile.values() for a in pair]
                 assert all(a.dtype == np.int64 and a.base is None for a in arrays)
                 assert sum(a.nbytes for a in arrays) == count * 2 * 8 * (dag.span + 1)
+
+    def test_table_build_memory_grows_by_a_few_words_per_span_unit(self):
+        # 20 parallel vertices joined into one sink: 21 cover penalties, so
+        # tabulating the carry-out envelope line by line would hold a
+        # 21 x (span+1) int64 matrix (368 B per span unit at its peak)
+        dag = Dag([10**5] * 21, [(v, 20) for v in range(20)])
+        tracemalloc.start()
+        try:
+            _tables(dag, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * dag.span, peak / dag.span
 
 
 class TestInterfering:
@@ -420,7 +434,7 @@ class TestInterfering:
             interfering_workload(task, delta, r_i, m)
             seen[reads] += 1
             assert ("profile" in vars(task.dag)) == reads
-            assert (m in task.dag.profile.pairs) == reads
+            assert (m in task.dag.profile) == reads
         assert min(seen.values()) >= 30, seen
 
     def test_matches_direct_evaluation_past_twice_the_span(self, rng):
