@@ -26,7 +26,7 @@ enumerates execution vectors directly.  `WorkCurve` computes the same
 optimum for every window length through an equivalent reformulation
 (maximum total work whose makespan fits the window), solved in polynomial
 time by a small min-cost flow on the DAG itself, with a virtual source and
-sink instead of a normalized copy; the analysis reads its table through
+sink instead of a normalized copy; the analysis builds its table in
 `workload._tables`.  All three routes are cross-checked exactly in the
 test suite.
 """

@@ -30,8 +30,9 @@ class Dag:
     ``span``, ``starts`` (ASAP start times at full WCETs) and ``order`` (the
     topological order of the constructor's pass; its readers accept any) are
     computed here, the rest on first read: ``edges`` (sorted, no duplicates),
-    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``,
-    and ``profile``, the dict in which `workload` keeps the DAG's tables.
+    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``.
+    The workload tables are not kept here: each analysis holds its own (see
+    `workload`).
     """
 
     def __init__(self, wcets, edges):
@@ -97,8 +98,6 @@ class Dag:
         for a, b in self.edges:
             preds[b].append(a)
         return tuple(map(tuple, preds))
-
-    profile = cached_property(lambda self: {})  # by processor count, see `workload._tables`
 
     def __eq__(self, other):
         return (isinstance(other, Dag)

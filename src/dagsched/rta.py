@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .dag import TaskSet
 from .errors import ValidationError
@@ -77,10 +78,13 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     higher-priority tasks as their interferers' response bounds.  The test
     aborts unschedulable as soon as any seed or iterate exceeds its
     deadline; the bounds not established by then are None ("not computed").
+    The "ilp" workload tables live in one dict of this call, so tasks that
+    share a DAG share them, and they are freed when the call returns.
     """
     if method not in METHODS:
         raise ValidationError("method", f"method must be one of {METHODS}, got {method!r}")
-    workload = melani_workload if method == "melani" else interfering_workload
+    workload = (melani_workload if method == "melani"
+                else partial(interfering_workload, tables={}))
     if m is not None:  # an explicit count obeys the rule of `TaskSet.processors`
         taskset = TaskSet(taskset.tasks, m)
     m = taskset.processors

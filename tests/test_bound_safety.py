@@ -35,6 +35,7 @@ def test_measured_workload_and_interference_below_bound():
         if not report.schedulable:
             continue
         collected += 1
+        tables = {}  # one per set, as in its analysis
         horizon = 2 * max(t.period for t in ts.tasks)
         for release, policy in POLICY_MIX:
             res = sim.simulate(ts, m, horizon, release_policy=release,
@@ -50,7 +51,7 @@ def test_measured_workload_and_interference_below_bound():
                 for i in range(k):
                     interferer = ts.tasks[i]
                     bound = workload.interfering_workload(
-                        interferer, hi - lo, report.bounds[i], m)
+                        interferer, hi - lo, report.bounds[i], m, tables)
                     observed = _segment_time_in(res.segments, i, lo, hi)
                     assert observed <= bound, (
                         f"set {idx} task {i}: workload {observed} in a "

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import curve_obj, random_dag
-from dagsched import carryout
+from dagsched import carryout, rta
 from dagsched.carryout import (
     A, X, WorkCurve, _cover_penalties, brute_force_oracle,
     build_model, export_model, solve_exact, trim_to_window, verify_assignment,
 )
 from dagsched.dag import (
-    Dag, DagTask, asap_start_times, count_paths, normalize_source_sink, source_paths, span,
-    work,
+    Dag, DagTask, TaskSet, asap_start_times, count_paths, normalize_source_sink, source_paths,
+    span, work,
 )
 from dagsched.workload import _tables, interfering_workload
 from dagsched.errors import (
@@ -402,6 +402,8 @@ class TestCarryOutBound:
             assert all(v <= min(task.work, m * d) for d, v in enumerate(vals))
 
     def test_memoized_per_task(self, monkeypatch):
+        # tasks sharing a DAG share one table pair, so one work curve, per
+        # table dict; each analysis has its own dict, and builds its own
         builds = []
         init = WorkCurve.__init__
 
@@ -413,10 +415,16 @@ class TestCarryOutBound:
         task = antimonotone_task()
         copy = replace(task, deadline=14)
         assert copy.dag is task.dag and copy is not task
-        assert interfering_workload(task, 10, 15, 2) == interfering_workload(copy, 10, 15, 2)
-        assert task.dag.profile is copy.dag.profile
-        assert _tables(task.dag, 2) is _tables(copy.dag, 2)
-        assert len(builds) == 1
+        tables = {}
+        assert (interfering_workload(task, 10, 15, 2, tables)
+                == interfering_workload(copy, 10, 15, 2, tables))
+        assert len(builds) == len(tables) == 1
+        # both interfere with the lowest task, at windows the tables cover
+        ts = TaskSet([task, copy, DagTask(Dag([2, 2], [(0, 1)]), 40, 40)], 3)
+        for analyses in (1, 2):
+            report = rta.schedulability_test(ts)
+            assert report.bounds == [10, 14, 13] and report.iterations == [0, 2, 3]
+            assert len(builds) == 1 + analyses
 
     def test_concurrent_queries(self):
         task = antimonotone_task()

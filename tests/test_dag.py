@@ -10,6 +10,7 @@ import pytest
 
 from conftest import diamond, random_dag
 from dagsched import dag as dag_module
+from dagsched import workload
 from dagsched.carryout import trim_to_window
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
@@ -190,21 +191,21 @@ class TestLazyFacts:
         assert not errors
         assert len(out) == 8 and all(o == expect for o in out)
 
-    def test_sweep_builds_adjacency_only_for_profiled_dags(self, monkeypatch):
-        built = []
-        init = dag_module.Dag.__init__
+    def test_sweep_builds_adjacency_only_for_dags_with_tables(self, monkeypatch):
+        built, tabled = [], set()  # `built` keeps every DAG, so ids stay unique
+        init, build = dag_module.Dag.__init__, workload._tables
 
         def recording_init(self, wcets, edges):
             init(self, wcets, edges)
             built.append(self)
 
         monkeypatch.setattr(dag_module.Dag, "__init__", recording_init)
+        monkeypatch.setattr(workload, "_tables", lambda d, m: tabled.add(id(d)) or build(d, m))
         run_experiment(ExperimentSpec(sets_per_point=20, seed=0, zero_timing=True))
-        profiled = [d for d in built if "profile" in vars(d)]
-        assert 0 < len(profiled) < len(built)
+        assert 0 < len(tabled) < len(built)
         for d in built:
             facts = vars(d).keys() & set(LAZY_FACTS)
-            assert "profile" in vars(d) or not facts
+            assert id(d) in tabled or not facts
 
 
 class TestNormalize:

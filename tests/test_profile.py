@@ -107,7 +107,9 @@ def workload_queries(draw):
 @given(workload_queries())
 def test_interfering_workload_monotone_and_capped(query):
     task, m, deltas, bounds = query
-    grid = [[interfering_workload(task, delta, r_i, m) for r_i in bounds] for delta in deltas]
+    tables = {}
+    grid = [[interfering_workload(task, delta, r_i, m, tables) for r_i in bounds]
+            for delta in deltas]
     for delta, row in zip(deltas, grid):
         assert all(w <= min(m * delta, melani_workload(task, delta, r_i, m))
                    for r_i, w in zip(bounds, row))

@@ -1,9 +1,12 @@
 """Fixed-point response-time bounds and the schedulability test."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
-from dagsched import rta, sim
+from dagsched import rta, sim, workload
 from dagsched.dag import Dag, DagTask, TaskSet
 from dagsched.errors import ValidationError
 from dagsched.instances import antimonotone_task
@@ -104,6 +107,27 @@ class TestSchedulabilityTest:
         assert rta.AnalysisReport("ilp", 1, [4, 10], [0, 2]).schedulable
         rep = rta.schedulability_test(two_task_set())
         assert rep.schedulable and rep.failed_at is None and "schedulable" not in vars(rep)
+
+    def test_no_table_outlives_the_analysis(self, monkeypatch):
+        # every object reachable from the task set, types, modules and
+        # functions left out, after an analysis that built tables
+        built = []
+        build = workload._tables
+        monkeypatch.setattr(workload, "_tables", lambda dag, m: built.append(m) or build(dag, m))
+        cfg = GenConfig(n_range=(3, 6), seed=9)
+        ts = assign_priorities_dm(gen_taskset(3.0, 4, cfg))
+        rta.schedulability_test(ts, method="ilp")
+        assert built
+        seen, stack, arrays = set(), [ts], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                    obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            arrays += [obj] if isinstance(obj, np.ndarray) else []
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 10 * len(ts.tasks) and not arrays
 
     def test_determinism(self):
         cfg = GenConfig(n_range=(3, 6), seed=9)

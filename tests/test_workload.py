@@ -5,7 +5,9 @@ reference code kept here: `interfering_workload` enumerates the releases
 itself, and the tests check it against these and against a scalar
 split-by-split evaluation.  So is the split maximum over an uncapped
 carry-in table with one array per split quantity, which the capped table
-pair of `_tables` replaced.
+pair of `_tables` replaced.  A test that queries one DAG at many windows
+passes one table dict to every query, as an analysis does, so that the
+pair is built once.
 """
 
 import tracemalloc
@@ -18,12 +20,14 @@ import numpy as np
 import pytest
 
 from conftest import carry_in_workload, curve_obj, random_dag
-from dagsched import rta
+from dagsched import rta, workload
 from dagsched.carryout import WorkCurve
 from dagsched.dag import Dag, DagTask, asap_start_times, span
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, gen_dag, gen_task
-from dagsched.workload import _split_peak, _tables, interfering_workload, melani_workload
+from dagsched.workload import (
+    _pair, _split_peak, _tables, interfering_workload, melani_workload,
+)
 
 
 @dataclass(frozen=True)
@@ -312,14 +316,15 @@ class TestSplitPeak:
             ci_raw = broadcast_carry_in_table(dag)
             curve = WorkCurve(dag).values()
             lengths = np.arange(L + 1, dtype=np.int64)
+            tables = {}
             for m in (1, 2, 4, 16):
                 wide += C > m * (L + 1)
-                ci_table, co_table = _tables(dag, m)
+                ci_table, co_table, _ = _pair(tables, dag, m)
                 assert ci_table.tolist() == np.minimum(ci_raw, m * lengths).tolist()
                 co_ref = np.minimum(np.minimum(curve, m * lengths), C)
                 assert co_table.tolist() == co_ref.tolist()
                 for budget in range(1, 2 * L + 3):
-                    assert (_split_peak(dag, m, budget)
+                    assert (_split_peak(dag, m, budget, tables)
                             == reference_split_peak(ci_raw, co_ref, C, m, budget)), (k, m, budget)
         assert wide >= 50
 
@@ -335,19 +340,26 @@ class TestSplitPeak:
             ref_ci, ref_co = _tables(dag, m)
             assert ci_table.tolist() == ref_ci.tolist()
             assert co_table.tolist() == ref_co.tolist()
+            tables = {}
             for budget in range(1, 2 * L + 3):
-                assert _split_peak(dag, huge, budget) == _split_peak(dag, m, budget), budget
+                assert (_split_peak(dag, huge, budget, tables)
+                        == _split_peak(dag, m, budget, tables)), budget
 
-    def test_profile_holds_one_table_pair_per_processor_count(self, rng):
-        # two span+1 int64 tables per m, owning their memory (no view into
-        # a larger buffer)
+    def test_tables_hold_one_pair_per_dag_and_processor_count(self, rng):
+        # two span+1 int64 tables per (DAG, m), owning their memory (no view
+        # into a larger buffer), each built on the first read only; an equal
+        # DAG that is another object gets its own pair
         for _ in range(20):
             dag = random_dag(rng, n_max=10, wcet_max=30)
+            tables = {}
             for count, m in enumerate((1, 3, 16), start=1):
-                _tables(dag, m)
-                arrays = [a for pair in dag.profile.values() for a in pair]
+                pair = _pair(tables, dag, m)
+                assert _pair(tables, dag, m) is pair and pair[2] is dag
+                arrays = [a for entry in tables.values() for a in entry[:2]]
                 assert all(a.dtype == np.int64 and a.base is None for a in arrays)
                 assert sum(a.nbytes for a in arrays) == count * 2 * 8 * (dag.span + 1)
+            twin = Dag(dag.wcets, dag.edges)
+            assert _pair(tables, twin, 1)[2] is twin and len(tables) == 4
 
     def test_table_build_memory_grows_by_a_few_words_per_span_unit(self):
         # 20 parallel vertices joined into one sink: 21 cover penalties, so
@@ -403,7 +415,7 @@ class TestInterfering:
 
     @staticmethod
     def _reads_a_table(task, delta, r_i, m):
-        """Whether some term of the bound reads the profile's tables: the
+        """Whether some term of the bound reads the DAG's tables: the
         carry-in term at delta <= span, a carry-out head <= span or a split
         budget in (0, 2*span]."""
         L, T = task.span, task.period
@@ -416,13 +428,19 @@ class TestInterfering:
             s += 1
         return False
 
-    def test_tables_built_only_when_a_term_reads_them(self, rng):
+    def test_tables_built_only_when_a_term_reads_them(self, rng, monkeypatch):
+        # with a table dict the pair is kept there; without one the call
+        # builds it once if a term reads it; and no pair stays on the DAG
+        built = []
+        build = workload._tables
+        monkeypatch.setattr(workload, "_tables", lambda dag, m: built.append(dag) or build(dag, m))
         # a chain of span 5 in a window longer than its span: no term reads
         # a table when the one budget is <= 0 or above 2 * span
         for delta, r_i in ((10, 5), (19, 15)):
-            dag = Dag([2, 3], [(0, 1)])
-            assert interfering_workload(DagTask(dag, 20, 20), delta, r_i, 2) > 0
-            assert "profile" not in vars(dag)
+            task, tables = DagTask(Dag([2, 3], [(0, 1)]), 20, 20), {}
+            assert interfering_workload(task, delta, r_i, 2, tables) > 0
+            assert interfering_workload(task, delta, r_i, 2) > 0
+            assert not tables and not built
         cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 12), seed=0)
         seen = {False: 0, True: 0}
         for _ in range(400):
@@ -431,10 +449,14 @@ class TestInterfering:
             delta = int(rng.integers(1, 3 * task.period))
             r_i = int(rng.integers(task.span, task.deadline + 1))
             reads = self._reads_a_table(task, delta, r_i, m)
-            interfering_workload(task, delta, r_i, m)
+            tables = {}
+            interfering_workload(task, delta, r_i, m, tables)
             seen[reads] += 1
-            assert ("profile" in vars(task.dag)) == reads
-            assert (m in task.dag.profile) == reads
+            assert list(tables) == ([(id(task.dag), m)] if reads else [])
+            built.clear()
+            interfering_workload(task, delta, r_i, m)
+            assert built == ([task.dag] if reads else [])
+            assert not any(isinstance(v, (dict, np.ndarray)) for v in vars(task.dag).values())
         assert min(seen.values()) >= 30, seen
 
     def test_matches_direct_evaluation_past_twice_the_span(self, rng):
@@ -460,7 +482,8 @@ class TestInterfering:
             m = int(rng.integers(1, 17))
             r_i = int(rng.integers(rta.seed_bound(task, m), task.deadline + 1)) \
                 if rta.seed_bound(task, m) <= task.deadline else task.span
-            vals = [interfering_workload(task, d, r_i, m)
+            tables = {}
+            vals = [interfering_workload(task, d, r_i, m, tables)
                     for d in range(0, 2 * task.period, max(task.period // 7, 1))]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -473,9 +496,10 @@ class TestInterfering:
             if seed > task.deadline:
                 continue
             r_i = int(rng.integers(seed, task.deadline + 1))
+            tables = {}
             for delta in {0, 1, task.span, task.period,
                           int(rng.integers(0, 3 * task.period))}:
-                wi = interfering_workload(task, delta, r_i, m)
+                wi = interfering_workload(task, delta, r_i, m, tables)
                 wm = melani_workload(task, delta, r_i, m)
                 assert wi <= wm, (task.work, task.span, task.period, delta, r_i, m)
 
