@@ -23,9 +23,25 @@ def single_task_set(task, m):
     return TaskSet([task], m)
 
 
+NEVER = float("inf")  # the time of a missing ready or completion time
+
+
 def reference_audit(res):
     """The quadratic audit: rebuilds the running and waiting sets from every
     segment and every subtask at each event point."""
+    # the record: a job completes with its last subtask, a subtask is ready
+    # at its job's release (no predecessors) or when its last predecessor
+    # completes, and a zero-time subtask completes when it is ready
+    for job in res.jobs:
+        preds = res.taskset.tasks[job.task_index].dag.preds
+        comp = [NEVER if c is None else c for c in job.subtask_completion]
+        for v, (ready, x) in enumerate(zip(job.subtask_ready, job.exec_times)):
+            ready = NEVER if ready is None else ready
+            assert ready == max((comp[p] for p in preds[v]), default=job.release)
+            assert x > 0 or comp[v] == ready
+        assert (NEVER if job.completion is None else job.completion) == max(
+            comp, default=job.release)
+
     by_proc = {}
     for seg in res.segments:
         by_proc.setdefault(seg[0], []).append(seg)
@@ -92,8 +108,8 @@ def reference_audit(res):
 
 # Kept versions of the critical chain (a maximum over all completions per
 # vertex), the blocked intervals (a scan of all the trace's segments per chain
-# subtask) and the audit (a check per predecessor per segment): `sim`'s
-# versions must give the same results and messages.
+# subtask) and the audit (a sweep over every event point): `sim`'s versions
+# must give the same results and messages.
 _START = itemgetter(4)
 
 
@@ -136,9 +152,16 @@ def kept_blocked_intervals(sim, job, chain):
     return blocked
 
 
+def _shown(time):
+    return None if time == NEVER else time
+
+
 def kept_audit_trace(sim) -> None:
-    """Check precedence, the schedule certificate (per subtask: its segments
-    sum to its execution time, do not overlap one another and end at its
+    """Check the jobs' record (per job: it completes with its last subtask;
+    per subtask: it is ready at its job's release or when its last
+    predecessor completes, and completes then if it has no execution time),
+    precedence, the schedule certificate (per subtask: its segments sum to
+    its execution time, do not overlap one another and end at its
     completion), work conservation and priority rules on a trace.
 
     Raises AssertionError on the first violation.
@@ -162,18 +185,35 @@ def kept_audit_trace(sim) -> None:
         base[key] = number
         number += len(job_map[key].exec_times)
 
+    # the record, job by job in rank order; once every ready time is its
+    # predecessors' last completion, a segment that starts before a
+    # predecessor completes starts before its readiness
+    for key in sorted(job_map):
+        job = job_map[key]
+        preds = tasks[key[0]].dag.preds
+        comp = [NEVER if c is None else c for c in job.subtask_completion]
+        for v, (ready, x) in enumerate(zip(job.subtask_ready, job.exec_times)):
+            ready = NEVER if ready is None else ready
+            expect = max((comp[p] for p in preds[v]), default=job.release)
+            if ready != expect:
+                raise AssertionError(f"subtask {v} of job {key} is ready at "
+                                     f"{_shown(ready)}, not at {_shown(expect)}")
+            if x == 0 and comp[v] != ready:
+                raise AssertionError(
+                    f"subtask {v} of job {key} has no execution time but completes "
+                    f"at {_shown(comp[v])}, not at its ready time {_shown(ready)}")
+        latest = max(comp, default=job.release)
+        if (NEVER if job.completion is None else job.completion) != latest:
+            raise AssertionError(f"job {key} completes at {job.completion}, not at its "
+                                 f"last subtask's completion {_shown(latest)}")
+
     spans = []  # (start, end, rank number) of every segment
     for seg in sim.segments:
         _, task, jnum, v, start, end = seg
         key = (task, jnum)
-        job = job_map[key]
-        ready = job.subtask_ready[v]
+        ready = job_map[key].subtask_ready[v]
         if ready is None or start < ready:
             raise AssertionError(f"segment {seg} starts before readiness {ready}")
-        for p in tasks[task].dag.preds[v]:
-            comp = job.subtask_completion[p]
-            if comp is None or start < comp:
-                raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
         spans.append((start, end, base[key] + v))
 
     # the certificate, in rank order: first every subtask's total, then for
@@ -680,16 +720,66 @@ class TestAudit:
             sim.audit_trace(bad)
 
     def test_rejects_segment_before_ready(self):
+        # subtask 0 recorded as completing at 4 and subtask 1 as ready then,
+        # but subtask 1 runs from 3
         res = self._chain_trace()
         res.jobs[0].subtask_ready[1] += 1
-        with pytest.raises(AssertionError, match="before readiness"):
+        res.jobs[0].subtask_completion[0] += 1
+        with pytest.raises(AssertionError, match="before readiness 4"):
             sim.audit_trace(res)
 
     def test_rejects_segment_before_predecessor_completes(self):
+        # subtask 1 runs from 3, but subtask 0 is recorded as completing at
+        # 4; the record then names subtask 1 ready before its predecessor
+        # completes, and a segment cannot start before its readiness
         res = self._chain_trace()
         res.jobs[0].subtask_completion[0] += 1
-        with pytest.raises(AssertionError, match="before predecessor 0 completes"):
+        with pytest.raises(AssertionError,
+                           match=r"^subtask 1 of job \(0, 0\) is ready at 3, not at 4$"):
             sim.audit_trace(res)
+
+    @staticmethod
+    def _two_unit_chain():
+        # a chain 0 -> 1 of two 2-unit subtasks on one processor
+        task = DagTask(Dag([2, 2], [(0, 1)]), 10, 10)
+        res = sim.simulate(single_task_set(task, 1), 1, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2), (0, 0, 0, 1, 2, 4)]
+        assert res.jobs[0].completion == 4
+        return res
+
+    def test_rejects_job_completion_before_its_last_subtask(self):
+        # a job completion of 3 would certify a response below the true 4
+        res = self._two_unit_chain()
+        res.jobs[0].completion = 3
+        assert res.response_times() == [(0, 0, 3)]
+        assert not self._same_as_kept(res)
+        assert self._message(sim.audit_trace, res) == \
+            "job (0, 0) completes at 3, not at its last subtask's completion 4"
+
+    def test_rejects_ready_time_after_predecessors_complete(self):
+        # subtask 1 recorded as ready at 4, two units after its predecessor
+        # completes, so the processor's idle [2, 4) hides a waiting subtask
+        res = self._two_unit_chain()
+        job = replace(res.jobs[0], subtask_ready=[0, 4], subtask_completion=[2, 6],
+                      completion=6)
+        bad = sim.SimResult(res.taskset, 1, 10, [(0, 0, 0, 0, 0, 2), (0, 0, 0, 1, 4, 6)], [job])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == \
+            "subtask 1 of job (0, 0) is ready at 4, not at 2"
+
+    def test_rejects_zero_time_subtask_completing_after_it_is_ready(self):
+        # the zero-time middle of a chain 0 -> 1 -> 2 recorded as completing
+        # at 5, although it is ready at 2, so subtask 2 waits from 5
+        task = DagTask(Dag([2, 0, 2], [(0, 1), (1, 2)]), 10, 10)
+        res = sim.simulate(single_task_set(task, 1), 1, 10)
+        assert res.segments == [(0, 0, 0, 0, 0, 2), (0, 0, 0, 2, 2, 4)]
+        job = replace(res.jobs[0], subtask_ready=[0, 2, 5], subtask_completion=[2, 5, 7],
+                      completion=7)
+        bad = sim.SimResult(res.taskset, 1, 10, [(0, 0, 0, 0, 0, 2), (0, 0, 0, 2, 5, 7)], [job])
+        assert not self._same_as_kept(bad)
+        assert self._message(sim.audit_trace, bad) == (
+            "subtask 1 of job (0, 0) has no execution time but completes at 5, "
+            "not at its ready time 2")
 
     def test_rejects_idle_processor_while_subtask_waits(self):
         # subtask 1 runs after subtask 0 on processor 0, while processor 1
@@ -721,7 +811,8 @@ class TestAudit:
         # kept audit's message
         rng = np.random.default_rng(47)
         verdicts = {True: 0, False: 0}
-        violations = ("overlaps", "before readiness", "before predecessor",
+        violations = ("overlaps", "before readiness", "is ready at",
+                      "has no execution time but completes", "last subtask's completion",
                       "not its execution time", "runs twice at once",
                       "does not end at its subtask's completion",
                       "work conservation", "priority inversion")
@@ -908,7 +999,7 @@ class TestAudit:
         # [2, 4) after it
         res = self._two_tasks_on_one_processor()
         high, low = res.jobs
-        low = replace(low, exec_times=(0,))
+        low = replace(low, exec_times=(0,), subtask_completion=[0], completion=0)
         late = replace(high, subtask_completion=[4], completion=4)
         for segs, first in (([(0, 1, 0, 0, 0, 2), (0, 0, 0, 0, 2, 4)], late),
                             ([res.segments[0], (0, 1, 0, 0, 2, 4)], high)):
