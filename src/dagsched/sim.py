@@ -20,10 +20,12 @@ pass over the segments that overlap the blocked intervals.
 
 `audit_trace` checks that every segment names a processor in 0..m-1, and
 that no processor runs two segments at once, so at most m subtasks run at
-any instant.  It computes once per subtask its rank number and the earliest
-start that precedence allows; each segment's start is compared with that
-limit and with the segment's end, and its length is subtracted from its
-subtask's execution time.  Per subtask, the lengths must sum to that time,
+any instant.  It checks each job's record: the job completes with its last
+subtask, a subtask is ready at the job's release (no predecessors) or when
+its last predecessor completes, and a zero-time subtask completes when it
+is ready.  It computes once per subtask its rank number; each segment's
+start is compared with its subtask's ready time and with the segment's
+end, and its length is subtracted from its subtask's execution time.  Per subtask, the lengths must sum to that time,
 the segments must not overlap one another and the last must end at the
 recorded completion, so a trace that passes certifies its response times.
 The priority and work-conservation rules have something to check only
@@ -327,11 +329,17 @@ def interference_by_task(sim, job, chain) -> dict:
 # --------------------------------------------------------------------------
 # Trace auditor
 
+def _shown(time):
+    return None if time == _NEVER else time
+
+
 def audit_trace(sim) -> None:
-    """Check processor ids, precedence, the schedule certificate (per
-    subtask: its segments sum to its execution time, do not overlap one
-    another and end at its completion), work conservation and priority
-    rules on a trace.
+    """Check processor ids, the jobs' record (per job: it completes with its
+    last subtask; per subtask: it is ready at its job's release or when its
+    last predecessor completes, and completes then if it has no execution
+    time), precedence, the schedule certificate (per subtask: its segments
+    sum to its execution time, do not overlap one another and end at its
+    completion), work conservation and priority rules on a trace.
 
     Raises AssertionError on the first violation, so a trace that passes is
     a valid work-conserving G-FP schedule of its jobs and certifies their
@@ -350,27 +358,45 @@ def audit_trace(sim) -> None:
             if a[5] > b[4]:
                 raise AssertionError(f"processor {proc} overlaps: {a} / {b}")
 
-    # per job, in rank order (task index, job index): its first rank number,
-    # then one per subtask id (a smaller number is a higher rank); per
-    # subtask the latest of its ready time and its predecessors' completions,
-    # the earliest start precedence allows (_NEVER stands for a missing time);
-    # per rank number the execution time its segments have yet to run
+    # per job, in rank order (task index, job index): its record is checked,
+    # and it gets its first rank number, then one per subtask id (a smaller
+    # number is a higher rank); per subtask its ready time, which the check
+    # makes its predecessors' last completion and so the earliest start that
+    # precedence allows (_NEVER stands for a missing time); per rank number
+    # the execution time its segments have yet to run
     tasks = sim.taskset.tasks
     job_map = {(j.task_index, j.job_index): j for j in sim.jobs}
     info, readies, left, number = {}, [], [], 0
     for key in sorted(job_map):
         job = job_map[key]
-        comp = [_NEVER if c is None else c for c in job.subtask_completion]
         release, times = job.release, job.exec_times
-        limits = []
-        for v, (r, preds) in enumerate(zip(job.subtask_ready, tasks[key[0]].dag.preds)):
-            limit = _NEVER if r is None else r
-            for p in preds:
-                if comp[p] > limit:
-                    limit = comp[p]
-            limits.append(limit)
-            if r is not None and times[v] > 0:
-                readies.append((r if r > release else release, comp[v], number + v))
+        comp, limits = job.subtask_completion, job.subtask_ready
+        if None in comp:
+            comp = [_NEVER if c is None else c for c in comp]
+        if None in limits:
+            limits = [_NEVER if r is None else r for r in limits]
+        for v, (ready, preds) in enumerate(zip(limits, tasks[key[0]].dag.preds)):
+            if preds:
+                expect = comp[preds[0]]
+                for p in preds:
+                    if comp[p] > expect:
+                        expect = comp[p]
+            else:
+                expect = release
+            if ready != expect:
+                raise AssertionError(f"subtask {v} of job {key} is ready at "
+                                     f"{_shown(ready)}, not at {_shown(expect)}")
+            if times[v]:
+                if ready != _NEVER:
+                    readies.append((ready if ready > release else release, comp[v], number + v))
+            elif comp[v] != ready:
+                raise AssertionError(
+                    f"subtask {v} of job {key} has no execution time but completes "
+                    f"at {_shown(comp[v])}, not at its ready time {_shown(ready)}")
+        latest = max(comp, default=release)
+        if (_NEVER if job.completion is None else job.completion) != latest:
+            raise AssertionError(f"job {key} completes at {job.completion}, not at its "
+                                 f"last subtask's completion {_shown(latest)}")
         info[key] = number, limits
         left += times
         number += len(times)
@@ -385,13 +411,8 @@ def audit_trace(sim) -> None:
             raise AssertionError(f"segment {seg} names no subtask of a simulated job")
         first, limits = entry
         if start < limits[v]:
-            job = job_map[task, jnum]
-            ready = job.subtask_ready[v]
-            if ready is None or start < ready:
-                raise AssertionError(f"segment {seg} starts before readiness {ready}")
-            p = next(p for p in tasks[task].dag.preds[v]
-                     if job.subtask_completion[p] is None or start < job.subtask_completion[p])
-            raise AssertionError(f"segment {seg} starts before predecessor {p} completes")
+            raise AssertionError(f"segment {seg} starts before readiness "
+                                 f"{_shown(limits[v])}")
         k = first + v
         left[k] -= end - start
         runs.setdefault(k, []).append(seg)

@@ -803,12 +803,37 @@ class TestAudit:
         with pytest.raises(AssertionError, match="priority inversion"):
             sim.audit_trace(sim.SimResult(res.taskset, 1, 10, swapped, jobs))
 
+    @classmethod
+    def _mutant(cls, res, rng, shifts):
+        """res with one mutation: kinds 0-3 mutate a segment (dropped,
+        shifted by one of `shifts`, moved to a random processor, or run
+        again there), kinds 4-7 the record of a segment's job: a subtask's
+        ready time (4) or completion time (5) shifted by 1..3 either way,
+        one of them dropped (6), or its execution time zeroed (7); kind 8
+        schedules the jobs anew (see `_rescheduled`)."""
+        segs, jobs = list(res.segments), res.jobs
+        i = int(rng.integers(len(segs)))
+        kind = int(rng.integers(9))
+        if kind == 0:
+            del segs[i]
+        elif kind == 1:
+            d = int(rng.choice(shifts))
+            _, _, _, _, start, end = segs[i]
+            segs[i] = segs[i][:4] + (start + d, end + d)
+        elif kind == 2:
+            segs[i] = (int(rng.integers(res.processors)),) + segs[i][1:]
+        elif kind == 3:
+            segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
+        elif kind == 8:
+            other = cls._rescheduled(res, rng)
+            segs, jobs = other.segments, other.jobs
+        else:
+            jobs = cls._mutated_jobs(res, segs[i], kind, rng)
+        return sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
+
     def test_same_verdict_as_reference_on_mutated_traces(self):
-        # kinds 0-3 mutate a segment, kinds 4-7 the record of a segment's
-        # job: a subtask's ready time (4) or completion time (5) shifted by
-        # 1..3 either way, one of them dropped (6), or its execution time
-        # zeroed (7); the audit must give the reference's verdict and the
-        # kept audit's message
+        # every kind of `_mutant`; the audit must give the reference's
+        # verdict and the kept audit's message
         rng = np.random.default_rng(47)
         verdicts = {True: 0, False: 0}
         violations = ("overlaps", "before readiness", "is ready at",
@@ -819,23 +844,7 @@ class TestAudit:
         seen = set()
         for res in random_mixes(range(12)):
             for _ in range(15):
-                segs = list(res.segments)
-                i = int(rng.integers(len(segs)))
-                kind = int(rng.integers(8))
-                jobs = res.jobs
-                if kind == 0:
-                    del segs[i]
-                elif kind == 1:
-                    d = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-                    _, _, _, _, start, end = segs[i]
-                    segs[i] = segs[i][:4] + (start + d, end + d)
-                elif kind == 2:
-                    segs[i] = (int(rng.integers(res.processors)),) + segs[i][1:]
-                elif kind == 3:
-                    segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
-                else:
-                    jobs = self._mutated_jobs(res, segs[i], kind, rng)
-                bad = sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
+                bad = self._mutant(res, rng, (-3, -2, -1, 1, 2, 3))
                 expect = self._passes(reference_audit, bad)
                 assert self._passes(sim.audit_trace, bad) == expect
                 message = self._message(sim.audit_trace, bad)
@@ -845,6 +854,32 @@ class TestAudit:
                 seen.update(v for v in violations if v in (message or ""))
         assert verdicts[True] > 20 and verdicts[False] > 100
         assert seen == set(violations)
+
+    @staticmethod
+    def _rescheduled(res, rng):
+        """The jobs of res, with their releases and execution times, as
+        `simulate` schedules them with two adjacent tasks' priorities
+        swapped, or on one processor fewer, told as a trace of res's task
+        set on its m processors: the record is the simulator's own, but
+        the schedule breaks the priority or work-conservation rule
+        wherever that change matters."""
+        order, m = list(range(len(res.taskset.tasks))), res.processors
+        if m > 1 and rng.integers(2):
+            m -= 1
+        else:
+            a = int(rng.integers(len(order) - 1))
+            order[a], order[a + 1] = order[a + 1], order[a]
+        tasks = [res.taskset.tasks[k] for k in order]
+        out = sim.simulate(
+            TaskSet(tasks, m), m, res.horizon,
+            release_policy={new: [j.release for j in res.jobs if j.task_index == old]
+                            for new, old in enumerate(order)},
+            exec_policy={(new, j.job_index): j.exec_times
+                         for new, old in enumerate(order)
+                         for j in res.jobs if j.task_index == old})
+        segs = [(seg[0], order[seg[1]]) + seg[2:] for seg in out.segments]
+        jobs = [replace(j, task_index=order[j.task_index]) for j in out.jobs]
+        return sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
 
     @staticmethod
     def _mutated_jobs(res, seg, kind, rng):
@@ -915,8 +950,8 @@ class TestAudit:
     def test_same_verdict_as_reference_on_loaded_traces(self):
         # utilization near or above m: many subtasks wait, so the priority
         # and work-conservation checks run often; each trace and a few
-        # mutations of it (the kinds of the test above but a processor
-        # change) get the reference's verdict and the kept audit's message
+        # mutations of it get the reference's verdict and the kept audit's
+        # message
         rng = np.random.default_rng(53)
         waits = traces = 0
         verdicts = {True: 0, False: 0}
@@ -928,20 +963,7 @@ class TestAudit:
                          if x > 0 and job.subtask_completion[v] is not None)
             traces += 1
             for _ in range(8):
-                segs, jobs = list(res.segments), res.jobs
-                i = int(rng.integers(len(segs)))
-                kind = int(rng.integers(7))
-                if kind == 0:
-                    del segs[i]
-                elif kind == 1:
-                    d = int(rng.choice([-2, -1, 1, 2]))
-                    segs[i] = segs[i][:4] + (segs[i][4] + d, segs[i][5] + d)
-                elif kind == 2:
-                    segs.append((int(rng.integers(res.processors)),) + segs[i][1:])
-                else:
-                    jobs = self._mutated_jobs(res, segs[i], kind + 1, rng)
-                bad = sim.SimResult(res.taskset, res.processors, res.horizon, segs, jobs)
-                verdicts[self._same_as_kept(bad)] += 1
+                verdicts[self._same_as_kept(self._mutant(res, rng, (-2, -1, 1, 2)))] += 1
         assert traces == 9 and waits > 150
         assert verdicts[True] > 5 and verdicts[False] > 30
 
