@@ -5,7 +5,8 @@ malformed input, exit 2 (argparse's usage error or a `ValidationError`),
 never in a traceback.  Vertex counts are drawn only from values up to 60 or
 from 2^62 up, which numpy refuses before it allocates anything; integers in
 a task set only up to 10^4 or from 2^62 up, since the analysis tables grow
-with the span.
+with the span.  A simulation's horizon and periods stay at most 10^4, as
+its releases grow with their ratio.
 """
 
 import contextlib
@@ -127,17 +128,14 @@ NON_INTEGERS = st.one_of(
 
 
 @st.composite
-def analyze_argv(draw):
-    """`analyze` of `TASK_SET` with one value of the document replaced,
-    deleted or given an unknown key beside it, or one flag mutated; and
-    whether a non-integer stands in for an integer."""
-    doc, flags = copy.deepcopy(TASK_SET), []
-    kind = draw(st.sampled_from(["replace", "delete", "unknown-key", "--procs", "--method"]))
-    if kind.startswith("--"):
-        tokens = {"--procs": MALFORMED + ["1", "2", "4", "10000", str(2**62)],
-                  "--method": ["ilp", "melani", "ILP", "", "foo"]}[kind]
-        flags = [kind, draw(st.sampled_from(tokens))]
-        return doc, flags, kind == "--procs" and as_number(flags[1], int) is None
+def documents(draw):
+    """`TASK_SET` with one value replaced, deleted or given an unknown key
+    beside it, or unchanged; and whether a non-integer stands in for an
+    integer."""
+    doc = copy.deepcopy(TASK_SET)
+    kind = draw(st.sampled_from(["none", "replace", "delete", "unknown-key"]))
+    if kind == "none":
+        return doc, False
     path = draw(st.sampled_from({"replace": PLACES, "delete": PLACES[1:],
                                  "unknown-key": OBJECTS}[kind]))
     parent = doc
@@ -145,11 +143,11 @@ def analyze_argv(draw):
         parent = parent[key]
     if kind == "delete":
         del parent[path[-1]]
-        return doc, flags, False
+        return doc, False
     node = parent[path[-1]] if path else doc
     if kind == "unknown-key":
         node["unknown"] = draw(INTEGERS | NON_INTEGERS)
-        return doc, flags, False
+        return doc, False
     integral = type(node) is int
     # an integer slot takes a non-integer in at least half of its draws
     new = draw(NON_INTEGERS if integral and draw(st.booleans()) else INTEGERS | NON_INTEGERS)
@@ -157,23 +155,118 @@ def analyze_argv(draw):
         parent[path[-1]] = new
     else:
         doc = new
-    return doc, flags, integral and type(new) is not int
+    return doc, integral and type(new) is not int
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(analyze_argv())
-def test_analyze_exits_0_1_or_2_without_a_traceback(case):
+def flag_tokens(draw, flags):
+    """One to all of `flags` (flag -> tokens), each given one drawn token."""
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=len(flags),
+                           unique=True))
+    return [token for flag in chosen for token in (flag, draw(st.sampled_from(flags[flag])))]
+
+
+# no token names a horizon above 10^4 or a period from 2^62 up: both are
+# valid input that asks for that many releases, a long run rather than a
+# malformed case
+SMALL_TOKENS = [t for t in MALFORMED if as_number(t, int) is None or as_number(t, int) <= 10**4]
+ANALYZE_FLAGS = {
+    "--procs": MALFORMED + ["1", "2", "4", "10000", str(2**62)],
+    "--method": ["ilp", "melani", "ILP", "", "foo"],
+}
+SIMULATE_FLAGS = {
+    "--horizon": ["0", "20", "60", "1000", "10000"] + SMALL_TOKENS,
+    "--seed": ["0", "3", str(2**64), str(2**200)] + MALFORMED,
+    "--release": ["periodic", "sporadic", "Periodic", "", "bursty"],
+    "--exec-policy": ["wcet", "random", "WCET", "", "max"],
+}
+DUMP_MODEL_FLAGS = {
+    "--task-index": ["0", "1", "2", str(2**64)] + MALFORMED,
+    "--delta": ["0", "5", "8", "100", str(2**62), str(2**63 - 1)] + MALFORMED,
+    "--format": ["lp", "mps", "LP", "", "json"],
+    "--formulation": ["edge-recursive", "path-enumerated", "paths", ""],
+}
+
+
+def period_is_huge(doc):
+    tasks = doc.get("tasks") if isinstance(doc, dict) else None
+    return isinstance(tasks, list) and any(
+        isinstance(t, dict) and type(t.get("period")) is int and t["period"] > 10**4
+        for t in tasks)
+
+
+@st.composite
+def simulate_argv(draw):
+    """`simulate` of `TASK_SET` with one document value mutated, one to all
+    of its flags mutated, or both; and whether a non-integer stands in for
+    an integer of the document."""
+    doc, non_integer = draw(documents())
+    assume(not period_is_huge(doc))
+    flags = flag_tokens(draw, SIMULATE_FLAGS) if draw(st.booleans()) else []
+    return doc, flags, non_integer
+
+
+@st.composite
+def dump_model_argv(draw):
+    """`dump-model --task-index 0 --delta 5` of `TASK_SET` with one document
+    value mutated, one to all of its flags mutated, or both."""
+    doc, non_integer = draw(documents())
+    flags = ["--task-index", "0", "--delta", "5"]
+    if draw(st.booleans()):
+        flags += flag_tokens(draw, DUMP_MODEL_FLAGS)  # argparse keeps the last value
+    return doc, flags, non_integer
+
+
+def run_on_document(command, case, codes):
+    """Run `command` on the case's document and flags; check that it exits
+    with one of `codes`, 2 (with nothing on stdout) wherever a non-integer
+    stands in for an integer, and never with a traceback.  Returns the
+    exit code and stdout."""
     doc, flags, non_integer = case
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "ts.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        code, out, err = run_main(["analyze", path, *flags])
+        code, out, err = run_main([command, path, *flags])
     assert "Traceback" not in err
-    assert code in (0, 1, 2), (code, err)
+    assert code in codes, (code, err)
     if non_integer:
         assert code == 2, (doc, flags, out)
     if code == 2:
         assert out == "" and ("error" in err or "usage" in err)
-    else:
+    return code, out
+
+
+@st.composite
+def analyze_argv(draw):
+    """`analyze` of `TASK_SET` with one document value mutated, one or both
+    of its flags mutated, or both; and whether a non-integer stands in for
+    an integer."""
+    doc, non_integer = draw(documents())
+    flags = flag_tokens(draw, ANALYZE_FLAGS) if draw(st.booleans()) else []
+    procs = flags[flags.index("--procs") + 1] if "--procs" in flags else "0"
+    return doc, flags, non_integer or as_number(procs, int) is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(analyze_argv())
+def test_analyze_exits_0_1_or_2_without_a_traceback(case):
+    code, out = run_on_document("analyze", case, (0, 1, 2))
+    if code != 2:
         assert json.loads(out)["verdict"] == ("schedulable" if code == 0 else "unschedulable")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(simulate_argv())
+def test_simulate_exits_0_or_2_without_a_traceback(case):
+    code, out = run_on_document("simulate", case, (0, 2))
+    if code == 0:
+        report = json.loads(out)
+        assert report["completed"] == report["jobs"] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dump_model_argv())
+def test_dump_model_exits_0_or_2_without_a_traceback(case):
+    code, out = run_on_document("dump-model", case, (0, 2))
+    if code == 0:
+        assert out.startswith(("\\", "NAME")), out[:80]
