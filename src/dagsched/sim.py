@@ -25,9 +25,10 @@ subtask, a subtask is ready at the job's release (no predecessors) or when
 its last predecessor completes, and a zero-time subtask completes when it
 is ready.  It computes once per subtask its rank number; each segment's
 start is compared with its subtask's ready time and with the segment's
-end, and its length is subtracted from its subtask's execution time.  Per subtask, the lengths must sum to that time,
-the segments must not overlap one another and the last must end at the
-recorded completion, so a trace that passes certifies its response times.
+end, and its length is subtracted from its subtask's execution time.  Per
+subtask, the lengths must sum to that time, the segments must not overlap
+one another and the last must end at the recorded completion, so a trace
+that passes certifies its response times.
 The priority and work-conservation rules have something to check only
 where a subtask waits: per subtask, its ready interval minus its own
 segments, mapped to event points by bisection.  The audit visits just those

@@ -10,10 +10,10 @@ min(work, m*len), by `_tables` (past the span both are the cap).  The
 tables live in a dict that the caller passes to `interfering_workload`:
 `rta.schedulability_test` owns one per analysis, so the tables are built
 once per DAG and m when a term of that analysis first reads them, and are
-freed when it returns.  The total bound
-maximizes over the number of releases inside the window and, for each
-count, over the carry-in/carry-out split of the window.  The baseline
-`melani_workload` is computed in integers scaled by the processor count.
+freed when it returns.  The total bound maximizes over the number of
+releases inside the window and, for each count, over the carry-in/carry-out
+split of the window.  The baseline `melani_workload` is computed in
+integers scaled by the processor count.
 """
 
 from __future__ import annotations
