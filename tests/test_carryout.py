@@ -427,11 +427,13 @@ class TestCarryOutBound:
             assert len(builds) == 1 + analyses
 
     def test_concurrent_queries(self):
-        task = antimonotone_task()
+        # threads sharing one table dict: a first read in two threads at once
+        # may build the pair twice, and both pairs are equal
+        task, tables = antimonotone_task(), {}
         out = []
 
         def worker():
-            out.append([interfering_workload(task, d, 15, 2) for d in range(30)])
+            out.append([interfering_workload(task, d, 15, 2, tables) for d in range(30)])
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -444,7 +446,7 @@ class TestCarryOutBound:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(out) == 8 and all(o == out[0] for o in out)
+        assert len(out) == 8 and all(o == out[0] for o in out) and len(tables) == 1
 
 
 # --------------------------------------------------------------------------

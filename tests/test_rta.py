@@ -128,6 +128,7 @@ class TestSchedulabilityTest:
             arrays += [obj] if isinstance(obj, np.ndarray) else []
             stack.extend(gc.get_referents(obj))
         assert len(seen) > 10 * len(ts.tasks) and not arrays
+        assert not any(hasattr(task.dag, "profile") for task in ts.tasks)
 
     def test_determinism(self):
         cfg = GenConfig(n_range=(3, 6), seed=9)
