@@ -16,12 +16,13 @@ activation binary A_a, with
          S_a >= distance of every source path (start = longest distance)
          S_a <= L, S_source = 0
 
-`build_model` holds the model as integer arrays built once: one int64
-coefficient matrix over the columns kind*n + a (kinds X, W, S, M, A), a
-per-row `>=` flag and right-hand side, and per-column upper bounds (every
-lower bound is 0).  Variable and row names are built only for LP and MPS
-export.  `solve_exact` fixes every binary and solves the one remaining LP
-with an exact rational simplex.  `brute_force_oracle`
+`build_model` holds the model as Python-int lists built once: per row its
+nonzero (column, coefficient) terms over the columns kind*n + a (kinds X,
+W, S, M, A), a `>=` flag and a right-hand side, and per column an upper
+bound (every lower bound is 0), so a model is exact at any size.  Variable
+names are built only for LP and MPS export.  `solve_exact` fixes every
+binary and solves the one remaining LP, as dense integer rows over the
+columns it keeps, with an exact rational simplex.  `brute_force_oracle`
 enumerates execution vectors directly.  `WorkCurve` computes the same
 optimum for every window length through an equivalent reformulation
 (maximum total work whose makespan fits the window), solved in polynomial
@@ -99,21 +100,23 @@ X, W, S, M, A = range(len(KINDS))  # column kind * n + a is variable KINDS[kind]
 
 @dataclass
 class CarryOutModel:
-    """The carry-out model as integer arrays over the columns kind * n + a.
+    """The carry-out model as sparse integer rows over the columns kind * n + a.
 
-    Row i reads  coeffs[i] . x >= rhs[i]  where geq[i], else  <= rhs[i].
-    Every column j lies in [0, ub[j]], the A columns are binary, and the
-    objective is the sum of the W columns.  Names exist only for export.
+    Row i reads  sum of coef * x[j] over the terms (j, coef) of rows[i]
+    >= rhs[i]  where geq[i], else  <= rhs[i]; no term is zero.  Every column
+    j lies in [0, ub[j]], the A columns are binary, and the objective is the
+    sum of the W columns.  All values are Python ints, so a model is exact at
+    any size.  Variable names exist only for export.
     """
 
     dag: Dag
     delta_co: int
     formulation: str
-    coeffs: np.ndarray     # (rows, 5n) int64
-    geq: np.ndarray        # (rows,) bool
-    rhs: np.ndarray        # (rows,) int64
+    rows: list       # per row, its (column, coefficient) terms
+    geq: list        # per row, True for >=
+    rhs: list
     row_names: list
-    ub: np.ndarray         # (5n,) int64
+    ub: list         # per column
 
     @property
     def n(self):
@@ -126,7 +129,7 @@ class CarryOutModel:
     @property
     def objective(self):
         """Objective coefficient per column: 1 on every W, 0 elsewhere."""
-        return np.repeat(np.array([kind == "W" for kind in KINDS], dtype=np.int64), self.n)
+        return [int(kind == "W") for kind in KINDS for _ in range(self.n)]
 
 
 def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
@@ -147,13 +150,10 @@ def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
         raise ValidationError("formulation", f"unknown formulation {formulation!r}")
 
     n, length, delta = dag.n, dag.span, int(delta_co)
-    # every row's left-hand side stays within delta + 2 * work at any point in bounds
-    if delta + 2 * dag.work >= 2**63:
-        raise ValidationError("wcet", "carry-out model values must fit in 64-bit integers")
-    names, geq, rhs, entries = [], [], [], []  # entries: (row, column, coefficient)
+    names, geq, rhs, rows = [], [], [], []
 
-    def add(name, terms, b=0, at_least=False):
-        entries.extend((len(names), kind * n + a, coef) for kind, a, coef in terms)
+    def add(name, terms, b=0, at_least=False):  # no row names a column twice
+        rows.append([(kind * n + a, coef) for kind, a, coef in terms if coef])
         names.append(name)
         geq.append(at_least)
         rhs.append(b)
@@ -176,14 +176,10 @@ def build_model(dag, delta_co, formulation="edge-recursive") -> CarryOutModel:
                 add(f"dist_{a}_{idx}", [(S, a, 1)] + [(X, b, -1) for b in path[:-1]],
                     at_least=True)
 
-    coeffs = np.zeros((len(names), 5 * n), dtype=np.int64)
-    rows, cols, vals = zip(*entries)  # no row names a column twice
-    coeffs[rows, cols] = vals
     s_ub = [0 if a == sources[0] else length for a in range(n)]
     # W <= C and M <= delta are implied by W <= X and M <= A*delta
-    ub = np.array([*dag.wcets, *dag.wcets, *s_ub, *[delta] * n, *[1] * n], dtype=np.int64)
-    return CarryOutModel(dag, delta, formulation, coeffs, np.array(geq, dtype=bool),
-                         np.array(rhs, dtype=np.int64), names, ub)
+    ub = [*dag.wcets, *dag.wcets, *s_ub, *[delta] * n, *[1] * n]
+    return CarryOutModel(dag, delta, formulation, rows, geq, rhs, names, ub)
 
 
 def export_model(model, fmt="lp") -> str:
@@ -200,11 +196,11 @@ def _export_lp(model) -> str:
     out = [f"\\ carry-out workload model: delta_co={model.delta_co}, "
            f"span={model.dag.span}, formulation={model.formulation}",
            "Maximize",
-           " obj: " + " + ".join(sorted(names[j] for j in np.flatnonzero(model.objective))),
+           " obj: " + " + ".join(sorted(names[W * model.n:S * model.n])),
            "Subject To"]
-    for name, row, geq, rhs in zip(model.row_names, model.coeffs, model.geq, model.rhs):
+    for name, row, geq, rhs in zip(model.row_names, model.rows, model.geq, model.rhs):
         terms = []
-        for var, coef in sorted((names[j], int(row[j])) for j in np.flatnonzero(row)):
+        for var, coef in sorted((names[j], coef) for j, coef in row):
             if coef >= 0:
                 terms.append(f"+ {coef} {var}" if terms else f"{coef} {var}")
             else:
@@ -220,12 +216,14 @@ def _export_lp(model) -> str:
 
 def _export_mps(model) -> str:
     names, rows = model.variables, model.row_names
+    columns = [[("OBJ", 1)] if obj else [] for obj in model.objective]
+    for rname, row in zip(rows, model.rows):
+        for j, coef in row:
+            columns[j].append((rname, coef))
     lines = ["NAME          CARRYOUT", "OBJSENSE", "    MAX", "ROWS", " N  OBJ"]
     lines += [f" {'G' if geq else 'L'}  {name}" for name, geq in zip(rows, model.geq)]
     lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
-    for var, obj, column in zip(names, model.objective, model.coeffs.T):
-        entries = [("OBJ", obj)] if obj else []
-        entries += [(rows[i], column[i]) for i in np.flatnonzero(column)]
+    for var, entries in zip(names, columns):
         for rname, coef in entries:
             lines.append(f"    {var:<9} {rname:<9} {coef}")
     lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
@@ -245,23 +243,17 @@ def _export_mps(model) -> str:
 def verify_assignment(model, assignment) -> None:
     """Assert an integer assignment satisfies every model constraint."""
     n = model.n
-    x = np.array([assignment[a][kind] for kind in KINDS for a in range(n)])
-    out_of_bounds = (x < 0) | (x > model.ub)
-    not_binary = np.zeros_like(out_of_bounds)
-    not_binary[A * n:] = (x[A * n:] != 0) & (x[A * n:] != 1)
-    if (out_of_bounds | not_binary).any():
-        j = int(np.argmax(out_of_bounds | not_binary))
-        var = model.variables[j]
-        if out_of_bounds[j]:
-            raise AssertionError(f"{var} = {x[j]} violates bounds [0, {model.ub[j]}]")
-        raise AssertionError(f"binary {var} = {x[j]}")
-    lhs = model.coeffs @ x
-    violated = np.where(model.geq, lhs < model.rhs, lhs > model.rhs)
-    if violated.any():
-        i = int(np.argmax(violated))
-        sense = ">=" if model.geq[i] else "<="
-        raise AssertionError(f"constraint {model.row_names[i]} violated: "
-                             f"{lhs[i]} {sense} {model.rhs[i]}")
+    x = [assignment[a][kind] for kind in KINDS for a in range(n)]
+    for j, (value, ub) in enumerate(zip(x, model.ub)):
+        if not 0 <= value <= ub:
+            raise AssertionError(f"{model.variables[j]} = {value} violates bounds [0, {ub}]")
+        if j >= A * n and value not in (0, 1):
+            raise AssertionError(f"binary {model.variables[j]} = {value}")
+    for name, row, geq, rhs in zip(model.row_names, model.rows, model.geq, model.rhs):
+        lhs = sum(coef * x[j] for j, coef in row)
+        if lhs < rhs if geq else lhs > rhs:
+            raise AssertionError(f"constraint {name} violated: "
+                                 f"{lhs} {'>=' if geq else '<='} {rhs}")
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +267,7 @@ class SolveResult:
 
 
 def _fixed_lp(model):
-    """Dense LP data (max form, x >= 0, b >= 0) with every A fixed.
+    """Dense integer LP data (max form, x >= 0, b >= 0) with every A fixed.
 
     A zero-WCET vertex takes A = 0, which pins A, M and W at 0 (W <= M);
     every other vertex takes A = 1, which pins A and caps S at delta (M >= 0
@@ -285,24 +277,28 @@ def _fixed_lp(model):
     W is 0, so the pinned columns add nothing to the objective.
     """
     n = model.n
-    wcets = np.array(model.dag.wcets)
-    idle, busy = np.flatnonzero(wcets == 0), np.flatnonzero(wcets > 0)
-    keep = model.ub > 0
-    keep[A * n:] = False
-    keep[M * n + idle] = keep[W * n + idle] = False
-    ub = model.ub.copy()
-    ub[S * n + busy] = np.minimum(ub[S * n + busy], model.delta_co)
-    value = np.zeros_like(ub)
-    value[A * n + busy] = 1
-    cols = np.flatnonzero(keep)
-    sign = np.where(model.geq, -1, 1)
-    rows = model.coeffs[:, cols] * sign[:, None]
-    rhs = (model.rhs - model.coeffs @ value) * sign
-    live = rows.any(axis=1)
-    if (rhs[~live] < 0).any():
-        raise SolverLimitError("LP infeasible after substitution")
-    rows = np.vstack([rows[live], np.eye(len(cols), dtype=np.int64)])
-    return model.objective[cols], rows, np.concatenate([rhs[live], ub[cols]]), cols
+    busy = [c > 0 for c in model.dag.wcets]
+    # the LP's columns and their bounds; an idle vertex's X bound is 0
+    cols = [j for j in range(A * n) if model.ub[j] and (busy[j % n] or j // n == S)]
+    pos = {j: k for k, j in enumerate(cols)}
+    bounds = [min(model.ub[j], model.delta_co) if j // n == S and busy[j % n]
+              else model.ub[j] for j in cols]
+    rows, rhs = [], []
+    for row, geq, b in zip(model.rows, model.geq, model.rhs):
+        sign = -1 if geq else 1
+        b -= sum(coef for j, coef in row if j >= A * n and busy[j - A * n])  # A = 1
+        kept = [(pos[j], coef) for j, coef in row if j in pos]
+        if not kept:
+            if sign * b < 0:
+                raise SolverLimitError("LP infeasible after substitution")
+            continue
+        dense = [0] * len(cols)
+        for k, coef in kept:
+            dense[k] = sign * coef
+        rows.append(dense)
+        rhs.append(sign * b)
+    rows += [[int(k == i) for k in range(len(cols))] for i in range(len(cols))]
+    return [model.objective[j] for j in cols], rows, rhs + bounds, cols
 
 
 def _assignment_from_exec(model, exec_times) -> dict:
@@ -340,7 +336,7 @@ def solve_exact(model) -> SolveResult:
     c, rows, rhs, cols = _fixed_lp(model)
     lp = simplex.solve_lp_max(c, rows, rhs)
     bound = floor(lp.value)
-    point = dict(zip(cols.tolist(), lp.x))  # column a < n is X_a
+    point = dict(zip(cols, lp.x))  # column a < n is X_a
     xfloor = [floor(point.get(a, 0)) for a in range(model.n)]
     best_exec = max((trim_to_window(dag, x, model.delta_co) for x in (dag.wcets, xfloor)),
                     key=sum)

@@ -60,7 +60,6 @@ class Job:
     task_index: int
     job_index: int
     release: int
-    abs_deadline: int
     exec_times: tuple
     subtask_ready: list = field(default_factory=list)
     subtask_completion: list = field(default_factory=list)
@@ -216,7 +215,7 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         while next_release == t:
             _, idx, jnum = releases[ptr]
             dag, times = dags[idx], exec_times[ptr]
-            job = Job(idx, jnum, t, t + taskset.tasks[idx].deadline, times,
+            job = Job(idx, jnum, t, times,
                       subtask_ready=[None] * dag.n, subtask_completion=[None] * dag.n)
             ptr += 1
             next_release = releases[ptr][0]

@@ -3,6 +3,7 @@
 import heapq
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from math import inf, prod
 
@@ -64,23 +65,56 @@ class TestBuildModel:
     def test_single_vertex_structure(self):
         model = build_model(Dag([5], []), 3)
         assert sorted(model.variables) == ["A0", "M0", "S0", "W0", "X0"]
-        assert model.objective.tolist() == [0, 1, 0, 0, 0]  # W0 only
+        assert model.objective == [0, 1, 0, 0, 0]  # W0 only
         assert model.ub[X] == 5
-        assert model.variables[A:] == ["A0"] and model.ub[A:].tolist() == [1]
+        assert model.variables[A:] == ["A0"] and model.ub[A:] == [1]
 
     def test_chain_edge_constraint(self):
         model = build_model(Dag([3, 4], [(0, 1)]), 5)
         binaries = A * model.n
         assert model.variables[binaries:] == ["A0", "A1"]
-        assert model.ub[binaries:].tolist() == [1, 1]
+        assert model.ub[binaries:] == [1, 1]
         i = model.row_names.index("prec_0_1")
-        assert {model.variables[j]: model.coeffs[i, j]
-                for j in np.flatnonzero(model.coeffs[i])} == {"S1": 1, "S0": -1, "X0": -1}
+        assert {model.variables[j]: coef
+                for j, coef in model.rows[i]} == {"S1": 1, "S0": -1, "X0": -1}
         assert model.geq[i] and model.rhs[i] == 0
 
-    def test_values_beyond_int64_rejected(self):
-        with pytest.raises(ValidationError):
-            build_model(Dag([2**61, 2**61], [(0, 1)]), 1)
+    def test_zero_coefficients_dropped(self):
+        # span 0 and window 0 zero the A terms of c8a and c8b
+        model = build_model(Dag([0], []), 0)
+        assert [[model.variables[j] for j, _ in row] for row in model.rows] == [
+            ["W0", "X0"], ["W0", "M0"], ["M0", "S0"], ["M0"]]
+
+    def test_values_beyond_int64_kept_exact(self):
+        # the model holds Python ints, so it builds, exports and solves
+        # exactly past 64 bits: the big-M row reads delta + span
+        dag = Dag([2**61, 2**61], [(0, 1)])
+        for delta in (1, 2**61 + 5, 2**63):
+            model = build_model(dag, delta)
+            text = export_model(model, "lp")
+            assert f" c8a_0: {dag.span} A0 + 1 M0 + 1 S0 <= {delta + dag.span}\n" in text
+            assert f" {delta + dag.span}\n" in export_model(model, "mps")
+            res = solve_exact(model)
+            assert res.objective == min(delta, dag.work)
+            verify_assignment(model, res.assignment)
+
+    def test_memory_grows_linearly_in_a_chain(self):
+        # a chain's edge-recursive model has five rows per vertex of at most
+        # three terms each, about 2 KB per vertex with the row names, so
+        # quadrupling n about quadruples the peak (a dense rows x 5n int64
+        # matrix would take 200 B * n^2 and grow sixteenfold)
+        peaks = []
+        for n in (500, 2000):
+            dag = Dag([1] * n, [(v, v + 1) for v in range(n - 1)])
+            build_model(dag, 5)  # reads the DAG's lazy facts first
+            tracemalloc.start()
+            try:
+                build_model(dag, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 5 * peaks[0], peaks
+        assert peaks[1] < 3000 * 2000, peaks
 
     def test_path_form_explodes_on_ladder(self):
         wcets = [1]
@@ -164,6 +198,38 @@ class TestSolveExact:
             edge = solve_exact(build_model(dag, delta, "edge-recursive"))
             path = solve_exact(build_model(dag, delta, "path-enumerated"))
             assert edge.objective == path.objective
+
+
+class TestVerifyAssignment:
+    # the chain 3 -> 4 at window 5; its columns in order are X0 X1 W0 W1 S0
+    # S1 M0 M1 A0 A1, its rows c2_0 c6_0 c8a_0 c8b_0, the same for vertex 1,
+    # then prec_0_1
+    def _zeros(self):
+        return {a: dict.fromkeys("XWSMA", 0) for a in range(2)}
+
+    def _rejection(self, assignment):
+        model = build_model(Dag([3, 4], [(0, 1)]), 5)
+        verify_assignment(model, self._zeros())  # all zero is feasible
+        with pytest.raises(AssertionError) as err:
+            verify_assignment(model, assignment)
+        return str(err.value)
+
+    def test_first_column_out_of_bounds(self):
+        asg = self._zeros()
+        asg[1]["X"], asg[0]["M"] = 9, -1  # X1 comes before M0
+        assert self._rejection(asg) == "X1 = 9 violates bounds [0, 4]"
+
+    def test_non_binary_activation(self):
+        asg = self._zeros()
+        asg[0]["A"], asg[1]["A"] = 0.5, 2  # A0 lies within [0, 1] and comes first
+        assert self._rejection(asg) == "binary A0 = 0.5"
+
+    def test_first_violated_row(self):
+        asg = self._zeros()
+        asg[0]["X"] = 3  # S1 - S0 - X0 >= 0 fails
+        assert self._rejection(asg) == "constraint prec_0_1 violated: -3 >= 0"
+        asg[0]["W"] = 1  # W0 <= M0 fails first; W0 <= X0 holds
+        assert self._rejection(asg) == "constraint c6_0 violated: 1 <= 0"
 
 
 # the capacity of the uncapped arcs of the reference flows

@@ -336,6 +336,18 @@ class TestDumpModel:
         assert last[1:3] + last[-2:] == ["1", f"S{n - 1}", ">=", "0"]
         assert sorted(last[3:-2]) == sorted(["-", "1"] * (n - 1) + [f"X{b}" for b in range(n - 1)])
 
+    def test_model_values_beyond_int64(self, tmp_path, capsys):
+        # the model is exact at any size: the big-M right-hand side
+        # delta + span is 2^63 + 2^62 here
+        doc = {"tasks": [{"period": 2**62, "deadline": 2**62,
+                          "vertices": [{"wcet": 2**61}, {"wcet": 2**61}], "edges": [[0, 1]]}],
+               "processors": 1}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run(["dump-model", str(path), "--task-index", "0",
+                    "--delta", str(2**63)]) == 0
+        assert f"<= {2**63 + 2**62}\n" in capsys.readouterr().out
+
     def test_bad_index_exit_2(self, tmp_path, capsys):
         path = self._write_set(tmp_path)
         assert run(["dump-model", str(path), "--task-index", "99",

@@ -348,7 +348,7 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
             ptr += 1
             task = taskset.tasks[idx]
             exec_times = reference_draw_exec(task, idx, jnum, exec_policy, rng)
-            job = sim.Job(idx, jnum, t, t + task.deadline, exec_times,
+            job = sim.Job(idx, jnum, t, exec_times,
                           subtask_ready=[None] * task.dag.n,
                           subtask_completion=[None] * task.dag.n)
             jobs.append(job)
@@ -397,7 +397,7 @@ def reference_simulate(taskset, m, horizon, release_policy="periodic",
 
 
 def job_facts(res):
-    return [(j.task_index, j.job_index, j.release, j.abs_deadline, j.exec_times,
+    return [(j.task_index, j.job_index, j.release, j.exec_times,
              j.subtask_ready, j.subtask_completion, j.completion)
             for j in res.jobs]
 
@@ -570,7 +570,7 @@ class TestCriticalChain:
         assert sim.extract_critical_chain(res, res.jobs[0]) == [0, 2, 3]
 
     def test_incomplete_job_rejected(self):
-        job = sim.Job(0, 0, 0, 10, (1,), subtask_ready=[0],
+        job = sim.Job(0, 0, 0, (1,), subtask_ready=[0],
                       subtask_completion=[None])
         task = DagTask(Dag([1], []), 10, 10)
         res = sim.SimResult(TaskSet([task], 1), 1, 10, [], [job])
@@ -631,7 +631,7 @@ class TestInterference:
             sim.critical_interference(res, res.jobs[0], [0, 2])
 
     def test_interference_of_incomplete_job_rejected(self):
-        job = sim.Job(0, 0, 0, 10, (1,), subtask_ready=[0], subtask_completion=[None])
+        job = sim.Job(0, 0, 0, (1,), subtask_ready=[0], subtask_completion=[None])
         res = sim.SimResult(TaskSet([DagTask(Dag([1], []), 10, 10)], 1), 1, 10, [], [job])
         with pytest.raises(SimulationError, match="did not complete"):
             sim.critical_interference(res, job, [0])
