@@ -26,8 +26,11 @@ columns it keeps, with an exact rational simplex.  `brute_force_oracle`
 enumerates execution vectors directly.  `WorkCurve` computes the same
 optimum for every window length through an equivalent reformulation
 (maximum total work whose makespan fits the window), solved in polynomial
-time by a small min-cost flow on the DAG itself, with a virtual source and
-sink instead of a normalized copy; the analysis builds its table in
+time by a min-cost flow on the DAG itself, with a virtual source and sink
+instead of a normalized copy: each augmentation is one pass over the
+topological order plus a Dijkstra that repairs only the labels a backward
+move improves.  The curve reads a DAG's order, adjacency, starts and
+WCETs, never its edge list.  The analysis builds its table in
 `workload._tables`.  All three routes are cross-checked exactly in the
 test suite.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import floor, inf, prod
+from math import floor, prod
 
 import numpy as np
 
@@ -374,11 +377,11 @@ class WorkCurve:
     LP duality that is  min over flow values phi of  phi*delta +
     penalty(phi),  where penalty(phi) is the total WCET left uncovered by
     phi source-to-sink unit flows; covering a vertex rewards its WCET.
-    The penalties come from a small min-cost flow on the DAG as given
-    (`_cover_penalties`, which keeps the flow per vertex and per edge) and
-    are the only per-DAG array kept.  Successive shortest paths never get
-    cheaper, so the drops penalty(phi-1) - penalty(phi) never increase, the
-    first one being the span; `values` tabulates the optimum on demand.
+    The penalties come from a min-cost flow on the DAG as given, by
+    successive shortest paths (`_cover_penalties`), and are the only
+    per-DAG array kept.  Successive shortest paths never get cheaper, so
+    the drops penalty(phi-1) - penalty(phi) never increase, the first one
+    being the span; `values` tabulates the optimum on demand.
     """
 
     def __init__(self, dag):
@@ -398,95 +401,142 @@ class WorkCurve:
 def _cover_penalties(dag):
     """penalty[phi] = total WCET not covered by a cheapest phi-unit flow.
 
-    The flow runs on the DAG itself, each vertex v split into an in-node 2v
-    and an out-node 2v+1, with a virtual source feeding every source and
-    every sink feeding a virtual sink.  Its state is the flow through each
-    vertex and along each edge (as repeats in the move lists), so the
-    residual moves are read off it: one forward move per vertex, costing
-    -WCET while the vertex is uncovered and 0 after, and one backward move,
-    costing 0 while two or more units pass and +WCET for the last one;
-    edges and the virtual ends cost 0, and an edge can be walked back once
-    per unit it carries.  Successive shortest paths with Johnson potentials,
-    first the shortest distances from the virtual source on the acyclic
-    split graph: minus the ASAP start (in-node) and finish (out-node) of
-    each vertex, 0 and minus the span at the virtual ends.  A critical path
-    has reduced cost 0, so the first augmentation reads one off
-    `dag.starts`.  Each later one runs a Dijkstra on the reduced costs that
-    stops at the virtual sink; each potential adds the smaller of its
-    node's distance and the sink's, which keeps them non-negative.  The flow
-    stops once the penalty reaches 0, its least value.
+    The flow runs on the DAG itself, each vertex v split into an in-node and
+    an out-node, with a virtual source feeding every source and every sink
+    feeding a virtual sink.  Its state is the flow through each vertex and
+    along each edge, so the residual moves are read off it: forward through
+    v, costing -C_v while v is uncovered and 0 after; back through v while
+    flow passes, costing 0 while two or more units pass and +C_v for the
+    last one; forward along an edge at cost 0; and back along an edge, at
+    cost 0, once per unit it carries.  Successive shortest paths: the first
+    augmentation is a critical path read off `dag.starts`, at cost -span.
+    Each later one labels every node with its distance from the virtual
+    source in four steps:
+
+    1. One pass over `dag.order`: a vertex's in-label is 0 at a source and
+       otherwise the least out-label of its predecessors, and its out-label
+       adds the forward cost through it.  These labels are exact for paths
+       of forward moves only.
+    2. In the same pass, every backward move that lowers a label seeds a
+       heap, keyed by label minus potential.  Only a move back along an
+       edge can: a move back through a covered v costs C_v or 0, and the
+       pass set out(v) to in(v), so it lowers in(v) only after out(v) is
+       lowered, which puts out(v) in the heap.
+    3. A Dijkstra from those seeds relaxes every move out of each node it
+       pops, settling a node whose key equals the popped one at once, until
+       the heap is empty.
+    4. The cheapest sink's out-label is the path cost; the flow augments
+       along the parent chain, and the labels become the next potentials.
+
+    The labels end exact.  The potentials are exact distances of the
+    previous residual network (minus the ASAP start and finish at first,
+    which the critical path keeps exact), and augmenting along a shortest
+    path leaves every residual move with a non-negative reduced cost, the
+    invariant of successive shortest paths.  After step 1 every forward move
+    meets its triangle inequality, and after step 2 every backward move that
+    breaks it starts from a node in the heap; a Dijkstra on non-negative
+    reduced costs from those seeds then leaves every move's inequality met,
+    so every label is its node's distance.  The flow stops once the penalty
+    reaches 0, its least value, or a path costs 0 or more.
     """
     if dag.span == 0:  # nothing to cover (an empty DAG has no path at all)
         return [dag.work]
-    n, wcets = dag.n, dag.wcets
-    s, t = 2 * n, 2 * n + 1
-    # per node, the nodes its open zero-cost moves reach: the sources' in-nodes
-    # from s, each successor's in-node (and t from a sink) from an out-node,
-    # and from an in-node each predecessor's out-node once per unit of flow
-    # on their edge
-    opened = [[] for _ in range(2 * n + 2)]
-    opened[s] = [2 * v for v in dag.sources]
-    for a, b in dag.edges:
-        opened[2 * a + 1].append(2 * b)
-    for v in dag.sinks:
-        opened[2 * v + 1].append(t)
+    n, wcets, order, preds, succs = dag.n, dag.wcets, dag.order, dag.preds, dag.succs
+    sinks = [v for v in range(n) if not succs[v]]
     through = [0] * n  # flow units through each vertex
+    back = [[] for _ in range(n)]  # per vertex b, each a once per unit on edge (a, b)
     # the first augmentation: a critical path traced back from a sink that
     # finishes at the span; it costs -span and keeps the potentials exact
-    finish = [start + c for start, c in zip(dag.starts, wcets)]
-    v = next(v for v in range(n) if not dag.succs[v] and finish[v] == dag.span)
+    starts = dag.starts
+    finish = [start + c for start, c in zip(starts, wcets)]
+    v = next(v for v in sinks if finish[v] == dag.span)
     while v is not None:
         through[v] = 1
-        u = next((u for u in dag.preds[v] if finish[u] == dag.starts[v]), None)
+        u = next((u for u in preds[v] if finish[u] == starts[v]), None)
         if u is not None:
-            opened[2 * v].append(2 * u + 1)
+            back[v].append(u)
         v = u
-    pot = [-x for start, f in zip(dag.starts, finish) for x in (start, f)] + [0, -dag.span]
+    pin, pout = [-x for x in starts], [-x for x in finish]  # the potentials
+    din, dout = [0] * n, [0] * n  # the labels of the in- and out-nodes
+    # the move that set each label: par_in[v] = u for out(u) (-1 for the
+    # virtual source), par_out[v] = u for in(u); u == v is a move through v
+    par_in, par_out = [0] * n, [0] * n
     penalties = [dag.work, dag.work - dag.span]
     while penalties[-1]:  # each augmentation lowers the penalty by at least 1
-        dist = [inf] * (2 * n + 2)  # every node stays reachable by open moves
-        parent = [-1] * (2 * n + 2)
-        dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u == t:
-                break
-            if d > dist[u]:
-                continue
-            base = d + pot[u]
-            v = u >> 1
-            if u & 1:  # back through v while flow passes, +WCET for the last unit
-                cost = None if not through[v] else wcets[v] if through[v] == 1 else 0
-            else:  # forward through v, -WCET while it is uncovered (s has no v)
-                cost = None if u == s else 0 if through[v] else -wcets[v]
-            if cost is not None:
-                to = u ^ 1
-                nd = base + cost - pot[to]
-                if nd < dist[to]:
-                    dist[to] = nd
-                    parent[to] = u
-                    heapq.heappush(heap, (nd, to))
-            for to in opened[u]:
-                nd = base - pot[to]
-                if nd < dist[to]:
-                    dist[to] = nd
-                    parent[to] = u
-                    heapq.heappush(heap, (nd, to))
-        path_cost = dist[t] + pot[t]  # reduced back to true cost; pot[s] stays 0
+        heap = []  # 1 and 2; the heap holds in-node v as v, out-node v as ~v
+        for v in order:
+            best, arg = 0, -1
+            for p in preds[v]:
+                if arg < 0 or dout[p] < best:
+                    best, arg = dout[p], p
+            din[v], par_in[v] = best, arg
+            dout[v] = best if through[v] else best - wcets[v]
+            par_out[v] = v
+            for a in back[v]:  # back along an edge: a precedes v, so out(a) is labelled
+                if best < dout[a]:
+                    dout[a], par_out[a] = best, v
+                    heap.append((best - pout[a], ~a))
+        heapq.heapify(heap)
+        while heap:  # 3. repair
+            key, u = heapq.heappop(heap)
+            if key != (din[u] - pin[u] if u >= 0 else dout[~u] - pout[~u]):
+                continue  # a stale entry
+            stack = [u]
+            while stack:
+                u = stack.pop()
+                if u >= 0:  # in(u): through u, and back along its edges that carry flow
+                    base = din[u]
+                    d = base if through[u] else base - wcets[u]
+                    if d < dout[u]:
+                        dout[u], par_out[u] = d, u
+                        k = d - pout[u]
+                        if k == key:
+                            stack.append(~u)
+                        else:
+                            heapq.heappush(heap, (k, ~u))
+                    for a in back[u]:
+                        if base < dout[a]:
+                            dout[a], par_out[a] = base, u
+                            k = base - pout[a]
+                            if k == key:
+                                stack.append(~a)
+                            else:
+                                heapq.heappush(heap, (k, ~a))
+                else:  # out(v): along its edges, and back through v while flow passes
+                    v = ~u
+                    base = dout[v]
+                    for b in succs[v]:
+                        if base < din[b]:
+                            din[b], par_in[b] = base, v
+                            k = base - pin[b]
+                            if k == key:
+                                stack.append(b)
+                            else:
+                                heapq.heappush(heap, (k, b))
+                    if through[v]:
+                        d = base + (wcets[v] if through[v] == 1 else 0)
+                        if d < din[v]:
+                            din[v], par_in[v] = d, v
+                            k = d - pin[v]
+                            if k == key:
+                                stack.append(v)
+                            else:
+                                heapq.heappush(heap, (k, v))
+        v = min(sinks, key=dout.__getitem__)  # 4. augment
+        path_cost = dout[v]
         if path_cost >= 0:
             break
-        reach = dist[t]  # no settled node lies farther
-        pot = [p + (d if d < reach else reach) for p, d in zip(pot, dist)]
-        node = parent[t]  # the move into t changes no flow
-        while node != s:
-            u = parent[node]
-            if u >> 1 == node >> 1:  # through a vertex: forward into an out-node
-                through[node >> 1] += 1 if node & 1 else -1
-            elif node & 1:  # back along an edge, from its in-node u
-                opened[u].remove(node)
-            elif u != s:  # forward along an edge, from its out-node u
-                opened[node].append(u)
-            node = u
+        while v >= 0:  # at out(v)
+            u = par_out[v]
+            if u == v:
+                through[v] += 1
+            else:  # back along the edge (v, u)
+                back[u].remove(v)
+            v = par_in[u]
+            if v == u:
+                through[u] -= 1
+            elif v >= 0:  # forward along the edge (v, u)
+                back[u].append(v)
+        pin, din, pout, dout = din, pin, dout, pout
         penalties.append(penalties[-1] + path_cost)
     return penalties

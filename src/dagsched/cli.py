@@ -101,8 +101,9 @@ def run_experiment(spec) -> list:
             return rta.seed_bound(task, m) > task.deadline
 
         for s_idx in range(n):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((spec.seed, p_idx, s_idx)))
+            # the generator default_rng builds from a SeedSequence, without its dispatch
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((spec.seed, p_idx, s_idx))))
             ts = gen_taskset(total_util, m, spec, rng, stop=doomed)
             if ts is None:
                 for method in spec.methods:

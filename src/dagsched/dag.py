@@ -29,10 +29,12 @@ class Dag:
     bools and floats are rejected, numpy integers stored as ints.  ``work``,
     ``span``, ``starts`` (ASAP start times at full WCETs) and ``order`` (the
     topological order of the constructor's pass; its readers accept any) are
-    computed here, the rest on first read: ``edges`` (sorted, no duplicates),
-    ``preds`` and ``succs`` (ascending tuples), ``sources`` and ``sinks``.
-    The workload tables are not kept here: each analysis holds its own (see
-    `workload`).
+    computed here, the rest on first read: ``succs`` and ``preds``
+    (ascending tuples, ``preds`` derived from ``succs``), ``sources``,
+    ``sinks`` and ``edges`` (sorted, no duplicates).  The analysis and the
+    simulator read the adjacency only; ``edges`` is built for export,
+    ``__eq__``/``__hash__`` and the carry-out model.  The workload tables
+    are not kept here: each analysis holds its own (see `workload`).
     """
 
     def __init__(self, wcets, edges):
@@ -93,10 +95,11 @@ class Dag:
     sinks = cached_property(lambda self: tuple(v for v in range(self.n) if not self.succs[v]))
 
     @cached_property
-    def preds(self):
+    def preds(self):  # from succs, in ascending order as a rises
         preds = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            preds[b].append(a)
+        for a, s in enumerate(self.succs):
+            for b in s:
+                preds[b].append(a)
         return tuple(map(tuple, preds))
 
     def __eq__(self, other):

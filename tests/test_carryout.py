@@ -376,6 +376,40 @@ class TestWorkCurve:
             assert _cover_penalties(dag) == reference_cover_penalties(dag)
         assert min(shapes) >= 20
 
+    def test_penalties_match_references_on_shaped_dags(self, rng):
+        # shapes whose searches differ: layered (edges between consecutive
+        # layers only), fork-join, an antichain, a long unit chain, a
+        # complete DAG and generated DAGs, with zero WCETs and several
+        # sources and sinks; the small ones also against Bellman-Ford
+        def wcets(n):
+            return [int(w) * int(rng.random() < 0.8) for w in rng.integers(1, 40, n)]
+
+        def layered(layers, width, p):
+            edges = [(k * width + i, (k + 1) * width + j) for k in range(layers - 1)
+                     for i in range(width) for j in range(width) if rng.random() < p]
+            return Dag(wcets(layers * width), edges)
+
+        def fork_join(stages, width):
+            edges = []
+            for k in range(stages):  # join vertex k * (width + 1) forks to the next width
+                join, nxt = k * (width + 1), (k + 1) * (width + 1)
+                edges += [e for v in range(join + 1, nxt) for e in ((join, v), (v, nxt))]
+            return Dag(wcets(stages * (width + 1) + 1), edges)
+
+        small = [layered(4, 3, 0.5), layered(3, 5, 0.3), fork_join(3, 3), Dag(wcets(9), []),
+                 Dag(wcets(8), [(a, b) for a in range(8) for b in range(a + 1, 8)])]
+        small += [gen_dag(GenConfig(n_range=(5, 12)), rng) for _ in range(6)]
+        large = [layered(6, 8, 0.3), layered(10, 4, 0.2), fork_join(6, 6), Dag(wcets(60), []),
+                 Dag([1] * 1100, [(v, v + 1) for v in range(1099)]),
+                 Dag(wcets(30), [(a, b) for a in range(30) for b in range(a + 1, 30)])]
+        large += [gen_dag(GenConfig(n_range=(n, n), edge_prob=p), rng)
+                  for n, p in ((20, 0.2), (45, 0.1), (80, 0.05), (120, 0.02))]
+        assert any(len(d.sources) > 1 and len(d.sinks) > 1 and 0 in d.wcets for d in small)
+        for dag in small + large:
+            assert _cover_penalties(dag) == reference_cover_penalties(dag)
+        for dag in map(normalize_source_sink, small):
+            assert _cover_penalties(dag) == bellman_ford_penalties(dag)
+
     def test_same_penalties_without_normalizing(self, rng):
         # the virtual source and sink of the flow stand in for the dummy
         # vertices of a normalized copy

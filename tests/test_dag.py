@@ -10,8 +10,8 @@ import pytest
 
 from conftest import diamond, random_dag
 from dagsched import dag as dag_module
-from dagsched import workload
-from dagsched.carryout import trim_to_window
+from dagsched import rta, sim, workload
+from dagsched.carryout import WorkCurve, trim_to_window
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
     Dag, DagTask, TaskSet, asap_start_times, count_paths, load_taskset,
@@ -20,7 +20,7 @@ from dagsched.dag import (
 )
 from dagsched.errors import PathExplosionError, ValidationError
 from dagsched.instances import antimonotone_task
-from dagsched.taskgen import GenConfig, gen_dag
+from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_dag, gen_taskset
 
 LAZY_FACTS = ("edges", "preds", "succs", "sources", "sinks")
 
@@ -190,6 +190,39 @@ class TestLazyFacts:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(out) == 8 and all(o == expect for o in out)
+
+    def test_curve_analysis_and_simulation_build_no_edge_list(self):
+        # the work curve, the response-time test and the simulator with its
+        # audit and interference read the adjacency, never `edges`
+        cfg = GenConfig(n_range=(5, 15), wcet_range=(1, 20))
+        ts = assign_priorities_dm(gen_taskset(2.0, 4, cfg, np.random.default_rng(11)))
+        dags = [task.dag for task in ts.tasks]
+        for dag in dags:
+            WorkCurve(dag)
+        rta.schedulability_test(ts)
+        res = sim.simulate(ts, ts.processors, 2 * max(t.period for t in ts.tasks),
+                           release_policy="sporadic", exec_policy="random",
+                           rng=np.random.default_rng(12))
+        sim.audit_trace(res)
+        for job in res.jobs:
+            if job.completion is not None:
+                sim.interference_by_task(res, job, sim.extract_critical_chain(res, job))
+        assert res.jobs and all("edges" not in vars(dag) for dag in dags)
+
+    def test_preds_equal_the_edge_derived_tuples(self, rng):
+        # generated DAGs, and small random ones given each edge twice and reversed
+        inputs = [(d.wcets, d.edges) for d in (gen_dag(GenConfig(n_range=(1, 40)), rng)
+                                               for _ in range(60))]
+        for _ in range(100):
+            dag = random_dag(rng, n_max=10)
+            inputs.append((dag.wcets, list(dag.edges) * 2 + list(dag.edges[::-1])))
+        for wcets, edges in inputs:
+            dag = Dag(wcets, edges)
+            preds = [[] for _ in range(dag.n)]
+            for a, b in Dag(wcets, edges).edges:
+                preds[b].append(a)
+            assert dag.preds == tuple(map(tuple, preds))
+            assert "edges" not in vars(dag)
 
     def test_sweep_builds_adjacency_only_for_dags_with_tables(self, monkeypatch):
         built, tabled = [], set()  # `built` keeps every DAG, so ids stay unique
