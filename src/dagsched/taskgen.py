@@ -9,8 +9,9 @@ draw per pair).  The fix-up links position h - 1 to position h for every
 h > 0 that is the earliest position of its component: all earlier
 positions already form one connected prefix.  WCETs are uniform integers;
 utilization is uniform in [beta, work/span]; the deadline is a normal draw
-redrawn until it falls in [span, period].  Everything is a pure function of
-(config, seed).
+redrawn until it falls in [span, period].  Vertex counts stop at
+`MAX_VERTICES`, since the edge draws grow as n^2.  Everything is a pure
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .errors import ValidationError, is_integer, is_number, require
 
 UTIL_TOL = 1e-3
 INT64_MAX = 2**63 - 1
+# the largest vertex count a DAG is drawn with: `gen_dag` draws n(n-1)/2
+# edge coins, so its time and memory grow as n^2 (`dagsched generate
+# --n-range N N` peaked at 44, 46, 82 and 397 MB RSS in 0.1, 0.1, 0.4 and
+# 3.8-4.2 s at N = 250, 500, 1,000 and 2,000 on a 2-vCPU Xeon)
+MAX_VERTICES = 1000
 
 
 @dataclass(frozen=True)
@@ -51,11 +57,12 @@ class GenConfig:
             raise ValidationError("config", "beta must be in (0, 1]")
         # each range's ends are drawn as int64s, both inclusive; kept as a
         # pair of Python ints, so that high + 1 cannot wrap around
-        for name in ("n_range", "wcet_range"):
+        for name, most, text in (("n_range", MAX_VERTICES, str(MAX_VERTICES)),
+                                 ("wcet_range", INT64_MAX, "2^63 - 1")):
             low, high = map(int, getattr(self, name))
-            if not 1 <= low <= high <= INT64_MAX:
+            if not 1 <= low <= high <= most:
                 raise ValidationError(
-                    "config", f"{name} must be a non-empty range of integers in [1, 2^63 - 1]")
+                    "config", f"{name} must be a non-empty range of integers in [1, {text}]")
             object.__setattr__(self, name, (low, high))
 
     def rng(self):
@@ -65,12 +72,9 @@ class GenConfig:
 def gen_dag(config, rng) -> Dag:
     """Random weakly-connected DAG per the Erdos-Renyi recipe above."""
     n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
-    try:
-        order = rng.permutation(n).tolist()
-        # one draw per position pair i < j, in row-major order
-        hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
-    except (ValueError, MemoryError):  # numpy refuses arrays of n vertices
-        raise ValidationError("config", f"cannot draw a DAG of {n} vertices") from None
+    order = rng.permutation(n).tolist()
+    # one draw per position pair i < j, in row-major order
+    hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
     pairs = list(compress(combinations(range(n), 2), hits))
 
     # union-find whose root is the smallest position of its component; each

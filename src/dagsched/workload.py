@@ -12,7 +12,8 @@ tables live in a dict that the caller passes to `interfering_workload`:
 once per DAG and m when a term of that analysis first reads them, and are
 freed when it returns.  The total bound maximizes over the number of
 releases inside the window and, for each count, over the carry-in/carry-out
-split of the window.  The baseline `melani_workload` is computed in
+split of the window; the split lemma at `_split_peak` confines that search
+to lengths within the span.  The baseline `melani_workload` is computed in
 integers scaled by the processor count.
 """
 
@@ -73,27 +74,34 @@ def melani_workload(task, delta, r_i, m) -> int:
 
 
 def _split_peak(dag, m, budget, tables):
-    """max carry-in + carry-out over window lengths summing to budget, read
-    from the DAG's table pair at m in `tables`; lengths past the span L
-    take min(C, m*len)."""
+    """max carry-in + carry-out over window lengths summing to a positive
+    budget, read from the DAG's table pair at m in `tables`.
+
+    Split lemma.  Extend both capped tables past the span L by min(C,
+    m*len): h the carry-out table, f the carry-in table.
+    (i) h is concave: the optimum is the minimum of the lines phi*d +
+        penalty(phi) (`carryout.WorkCurve`), which past L is C, and h is
+        its minimum with the line m*d.
+    (ii) f <= h: the last d units of the full-WCET ASAP schedule, reversed
+        in time, are a schedule of the reversed DAG inside [0, d), and the
+        optimum does not change when every edge is reversed; past L, and at
+        L itself, both are min(C, m*len).
+    For a split (a, b) of the budget B, f(a) + h(b) <= h(a) + h(b), and
+    concavity lets any pair (x, B - x) between a and b do at least as well.
+    At B <= 2L, a split with one length past L is beaten by (L, B - L),
+    whose value is h(L) + h(B - L) by (ii); so only lengths in [max(0,
+    B - L), min(B, L)] need a look, one slice of each table.  At B > 2L,
+    the balanced split has both lengths at least L, so f = h there and it
+    wins without a table read.
+    """
     C, L = dag.work, dag.span
-    if budget <= 0:
-        return 0
     if budget > 2 * L:
-        # beyond the span both bounds saturate at the work, so only the
-        # concave cap line min(C, m*ci) + min(C, m*co) binds; its maximum
-        # sits at the balanced split (inside [L, budget-L] here), and
-        # sweeping either end below L never beats it (the workload values
-        # stay below the cap line there); no table is read
         half = budget // 2
         return min(C, m * half) + min(C, m * (budget - half))
     ci_table, co_table, _ = _pair(tables, dag, m)
-    if budget <= L:
-        return int((ci_table[:budget + 1] + co_table[budget::-1]).max())
-    tail = np.minimum(min(m, C) * np.arange(L + 1, budget + 1, dtype=np.int64), C)
-    ci_ext = np.concatenate((ci_table, tail))
-    co_ext = np.concatenate((co_table, tail))
-    return int((ci_ext + co_ext[::-1]).max())
+    lo = max(0, budget - L)
+    hi = budget - lo  # min(budget, L): both lengths run over [lo, hi]
+    return int((ci_table[lo:hi + 1] + co_table[lo:hi + 1][::-1]).max())
 
 
 def interfering_workload(task, delta, r_i, m, tables=None) -> int:
@@ -102,22 +110,25 @@ def interfering_workload(task, delta, r_i, m, tables=None) -> int:
     the DAG's table pair at m is kept between calls (see `_pair`); without
     one, the call builds the pair only if a term reads it, and drops it.
 
-    Maximizes over the number s of releases inside the window: s-1 jobs
-    contribute their whole work, the last release contributes carry-out
-    workload, and a job released before the window contributes carry-in
-    workload; with both end jobs present their window lengths share a
-    budget of delta + r_i - s*T.  The densest pattern (s = floor((delta -
-    span + r_i)/T)) reproduces the body-count / window-split formula; the
-    sparser terms cover placements where a job is exposed to (more of) the
-    window alone, which can exceed the dense bound when the task is wider
-    than the processor count.
+    Maximizes over the number s >= 1 of releases inside the window: s-1
+    jobs contribute their whole work, the last release contributes
+    carry-out workload, and a job released before the window contributes
+    carry-in workload; with both end jobs present their window lengths
+    share a budget of delta + r_i - s*T.  The densest pattern (s =
+    floor((delta - span + r_i)/T)) reproduces the body-count / window-split
+    formula; the sparser terms cover placements where a job is exposed to
+    (more of) the window alone, which can exceed the dense bound when the
+    task is wider than the processor count.  A window with no release at
+    all holds at most the carry-in f(delta), which the s = 1 carry-out term
+    h(delta) matches or beats (f <= h, see `_split_peak`), so it has no
+    term of its own.
 
     The carry-out bound is the exact optimum capped at m*co_len.  Every
     addend is capped at min(work, m * window-part) and the result at
-    m * delta.  Each end term is one lookup in the `_tables` pair of this
-    m, with min(C, m*len) past the span, and `_split_peak` adds the
-    pair over all splits of a budget in one slice sum.  Only the carry-in
-    term at delta <= span, a carry-out head <= span and a split budget in
+    m * delta.  Each carry-out term is one lookup in the `_tables` pair of
+    this m, with min(C, m*len) past the span, and `_split_peak` adds the
+    pair over the splits of a budget in one slice sum.  Only a carry-out
+    head <= span (the s = 1 head is delta) and a split budget in
     (0, 2*span] read the pair, so an interferer whose terms read none never
     builds it.  The bound is non-decreasing in delta.
     """
@@ -126,8 +137,7 @@ def interfering_workload(task, delta, r_i, m, tables=None) -> int:
     dag, C, L, T = task.dag, task.work, task.span, task.period
     if tables is None:
         tables = {}
-    # no release inside the window at all
-    best = int(_pair(tables, dag, m)[0][delta]) if delta <= L else min(C, m * delta)
+    best = 0
     s = 1
     while True:
         head = delta - (s - 1) * T   # window left of the s-th release at worst

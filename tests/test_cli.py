@@ -204,8 +204,8 @@ class TestMalformedInput:
         ["generate", "--util", "5", "--procs", "4"],
         ["sweep", "--points", "2", "17", "--procs", "16", "--sets", "1"],
         ["sweep", "--sweep", "procs", "--points", "4", "--norm-util", "1.5", "--sets", "1"],
-        # numpy draws the ranges' ends as int64s; at seed 0 the vertex count
-        # drawn from [1, 2^63 - 1] is above 2^62, an array numpy refuses
+        # numpy draws the ranges' ends as int64s, so a WCET range ends by
+        # 2^63 - 1; a vertex range ends by taskgen.MAX_VERTICES
         ["generate", "--util", "1", "--procs", "4", "--wcet-range", "1", "99999999999999999999"],
         ["generate", "--util", "1", "--procs", "4", "--n-range", "1", "9223372036854775807"],
         # a subnormal utilization asks for periods past the float range

@@ -3,9 +3,9 @@
 Every case must end in exit 0, 1 for an unschedulable set or, for
 malformed input, exit 2 (argparse's usage error or a `ValidationError`),
 never in a traceback.  Vertex counts are drawn only from values up to 60 or
-from 2^62 up, which numpy refuses before it allocates anything; integers in
-a task set only up to 10^4 or from 2^62 up, since the analysis tables grow
-with the span.  A simulation's horizon and periods stay at most 10^4, as
+from 2^62 up, which `GenConfig` refuses (above `taskgen.MAX_VERTICES`)
+before any draw; integers in a task set only up to 10^4 or from 2^62 up,
+since the analysis tables grow with the span.  A simulation's horizon and periods stay at most 10^4, as
 its releases grow with their ratio.
 """
 
@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dagsched import cli
+from dagsched.errors import is_number
 
 # malformed values of any flag: wrong types, NaN, infinities, subnormals,
 # negatives and integers past int64 and uint64
@@ -117,8 +118,6 @@ def places(node, path=()):
             yield from places(child, path + (key,))
 
 
-PLACES = [path for path, _ in places(TASK_SET)]
-OBJECTS = [path for path, node in places(TASK_SET) if isinstance(node, dict)]
 INTEGERS = st.one_of(st.integers(-10**4, 10**4), st.integers(2**62, 2**64 + 1),
                      st.integers(-2**64, -2**62))
 NON_INTEGERS = st.one_of(
@@ -127,35 +126,45 @@ NON_INTEGERS = st.one_of(
     st.dictionaries(st.sampled_from(["wcet", "period", "x"]), st.integers(0, 9), max_size=2))
 
 
-@st.composite
-def documents(draw):
-    """`TASK_SET` with one value replaced, deleted or given an unknown key
-    beside it, or unchanged; and whether a non-integer stands in for an
-    integer."""
-    doc = copy.deepcopy(TASK_SET)
+def mutated(draw, base, value):
+    """A copy of the JSON document `base` with one value replaced by
+    `value(draw, old)`, deleted or given an unknown key beside it (of value
+    `value(draw, None)`), or unchanged; and the (old, new) pair of a
+    replaced value, else None."""
+    doc = copy.deepcopy(base)
     kind = draw(st.sampled_from(["none", "replace", "delete", "unknown-key"]))
     if kind == "none":
-        return doc, False
-    path = draw(st.sampled_from({"replace": PLACES, "delete": PLACES[1:],
-                                 "unknown-key": OBJECTS}[kind]))
+        return doc, None
+    paths = [path for path, _ in places(base)]
+    objects = [path for path, node in places(base) if isinstance(node, dict)]
+    path = draw(st.sampled_from({"replace": paths, "delete": paths[1:],
+                                 "unknown-key": objects}[kind]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if kind == "delete":
         del parent[path[-1]]
-        return doc, False
+        return doc, None
     node = parent[path[-1]] if path else doc
     if kind == "unknown-key":
-        node["unknown"] = draw(INTEGERS | NON_INTEGERS)
-        return doc, False
-    integral = type(node) is int
-    # an integer slot takes a non-integer in at least half of its draws
-    new = draw(NON_INTEGERS if integral and draw(st.booleans()) else INTEGERS | NON_INTEGERS)
+        node["unknown"] = value(draw, None)
+        return doc, None
+    new = value(draw, node)
     if path:
         parent[path[-1]] = new
     else:
         doc = new
-    return doc, integral and type(new) is not int
+    return doc, (node, new)
+
+
+@st.composite
+def documents(draw):
+    """`TASK_SET` mutated once (see `mutated`); and whether a non-integer
+    stands in for an integer."""
+    # an integer slot takes a non-integer in at least half of its draws
+    doc, replaced = mutated(draw, TASK_SET, lambda draw, old: draw(
+        NON_INTEGERS if type(old) is int and draw(st.booleans()) else INTEGERS | NON_INTEGERS))
+    return doc, replaced is not None and type(replaced[0]) is int and type(replaced[1]) is not int
 
 
 def flag_tokens(draw, flags):
@@ -270,3 +279,87 @@ def test_dump_model_exits_0_or_2_without_a_traceback(case):
     code, out = run_on_document("dump-model", case, (0, 2))
     if code == 0:
         assert out.startswith(("\\", "NAME")), out[:80]
+
+
+# `sweep` reads its settings from a `--config` object, then from its flags;
+# every case passes `--sets` at most 2, so that no valid case runs long
+SWEEP_CONFIG = {
+    "sweep": "util", "points": [1.0, 2.0], "processors": 4, "norm_util": 0.5,
+    "sets_per_point": 1, "methods": ["ilp", "melani"], "n_range": [3, 5],
+    "wcet_range": [1, 9], "edge_prob": 0.2, "beta": 0.1, "seed": 1, "zero_timing": True,
+}
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 16), st.sampled_from(HUGE), st.booleans(), st.floats(-2, 16),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0]),
+    st.text(max_size=3), st.none(), st.sampled_from([[], {}, ["ilp"], ["ilp", "ilp"], [1, 2]]),
+    st.lists(st.integers(0, 3), max_size=3))
+
+
+def mostly(valid, malformed):
+    """Tokens of which about two in three are valid, so that a case with
+    several flags is often valid as a whole."""
+    return valid * -(-2 * len(malformed) // len(valid)) + malformed
+
+
+SWEEP_FLAGS = {
+    "--procs": mostly(["1", "2", "4", "16", str(2**63 - 1), str(2**64)], MALFORMED),
+    "--sweep": mostly(["util", "procs"], ["Util", ""]),
+    "--norm-util": mostly(["0.25", "0.5", "1", "1.5"], MALFORMED),
+    "--methods": mostly(["ilp", "melani", "ilp,melani", "melani,ilp"], ["ilp,ilp", "", "foo"]),
+}
+SETS = mostly(["1", "2"], [t for t in MALFORMED if as_number(t, int) is None
+                           or as_number(t, int) <= 2])
+POINTS = mostly(["1", "2", "2.5", "4", "8", "16", "1e-300"], MALFORMED)
+
+
+def is_long_point(point):
+    """Whether a grid point could ask for a set of more than 16 units of
+    utilization: valid input, but a long run rather than a malformed case
+    (a processor sweep fits norm_util * point of it)."""
+    return is_number(point) and 16 < point < float("inf")
+
+
+@st.composite
+def sweep_argv(draw):
+    """The arguments of `sweep --sets N` (N at most 2) with some of its
+    other flags mutated or added (`--procs`, `--sweep`, `--norm-util`,
+    `--methods`, `--points`, `--n-range`, `--paper-scale` and
+    `--check-dominance`), and a `--config` object mutated once (see
+    `mutated`) or None."""
+    argv = ["sweep", "--sets", draw(st.sampled_from(SETS))]
+    if draw(st.booleans()):
+        argv += flag_tokens(draw, SWEEP_FLAGS)
+    points = []
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=3))
+        argv += ["--points", *tokens]
+        points = [as_number(token, float) for token in tokens]
+    if draw(st.booleans()):
+        argv += ["--n-range", *draw(range_pair(st.integers(1, 60)))]
+    argv += [flag for flag in ("--paper-scale", "--check-dominance") if draw(st.booleans())]
+    config = None
+    if draw(st.booleans()):
+        config, _ = mutated(draw, SWEEP_CONFIG, lambda draw, old: draw(CONFIG_VALUES))
+    if isinstance(config, dict) and isinstance(config.get("points"), list):
+        points += config["points"]
+    assume(not any(map(is_long_point, points)))
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep_argv())
+def test_sweep_exits_0_1_or_2_without_a_traceback(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as folder:
+        if config is not None:
+            path = os.path.join(folder, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--config", path]
+        code, out, err = run_main(argv)
+    assert "Traceback" not in err
+    assert code in ((0, 1, 2) if "--check-dominance" in argv else (0, 2)), (code, err)
+    if code == 2:
+        assert out == "" and ("error" in err or "usage" in err)
+    else:
+        assert out.startswith(cli.CSV_HEADER + "\n"), out[:80]

@@ -9,8 +9,8 @@ from dagsched import rta
 from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
 from dagsched.errors import ValidationError
 from dagsched.taskgen import (
-    GenConfig, UTIL_TOL, _draw_deadline, _fit_period, assign_priorities_dm, gen_dag,
-    gen_task, gen_taskset,
+    MAX_VERTICES, GenConfig, UTIL_TOL, _draw_deadline, _fit_period, assign_priorities_dm,
+    gen_dag, gen_task, gen_taskset,
 )
 
 
@@ -144,12 +144,15 @@ class TestGenDag:
             assert gen_dag(cfg, rng) == kept_gen_dag(cfg, kept_rng)
         assert rng.random() == kept_rng.random()  # the same draws
 
-    @pytest.mark.parametrize("field", ["n_range", "wcet_range"])
-    def test_ranges_past_int64_refused(self, field):
-        # numpy draws both ends as int64s, so 2^63 - 1 is the largest end
-        assert getattr(GenConfig(**{field: (1, 2**63 - 1)}), field) == (1, 2**63 - 1)
+    @pytest.mark.parametrize("field, most, text", [
+        ("n_range", MAX_VERTICES, str(MAX_VERTICES)), ("wcet_range", 2**63 - 1, r"2\^63 - 1"),
+    ], ids=["n_range", "wcet_range"])
+    def test_ranges_past_int64_refused(self, field, most, text):
+        # numpy draws both ends as int64s, so 2^63 - 1 is the largest end;
+        # a vertex count stops at MAX_VERTICES, well below it
+        assert getattr(GenConfig(**{field: (1, most)}), field) == (1, most)
         for pair in ((1, 2**63), (2**63, 2**63), (1, 10**20)):
-            with pytest.raises(ValidationError, match=rf"{field} must be .* \[1, 2\^63 - 1\]"):
+            with pytest.raises(ValidationError, match=rf"{field} must be .* \[1, {text}\]"):
                 GenConfig(**{field: pair})
 
     def test_numpy_range_ends_kept_as_ints(self):
@@ -158,12 +161,18 @@ class TestGenDag:
         assert cfg.n_range == (3, 5) and cfg.wcet_range == (1, 2**63 - 1)
         assert all(type(x) is int for x in cfg.n_range + cfg.wcet_range)
 
-    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])
-    def test_vertex_count_numpy_refuses(self, n):
-        # sizes numpy refuses before it allocates anything
-        with pytest.raises(ValidationError, match=f"cannot draw a DAG of {n} vertices") as err:
-            gen_dag(GenConfig(n_range=(n, n)), np.random.default_rng(0))
-        assert err.value.rule == "config"
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 2**62, 2**63 - 1])
+    def test_vertex_count_past_the_bound_refused(self, n):
+        # the edge draws grow as n^2, so a range that could draw more than
+        # MAX_VERTICES vertices is refused when the config is made, before
+        # any draw; the bound itself is drawn
+        for pair in ((n, n), (1, n)):
+            with pytest.raises(ValidationError, match=rf"n_range must be .* \[1, {MAX_VERTICES}\]") \
+                    as err:
+                GenConfig(n_range=pair)
+            assert err.value.rule == "config"
+        assert gen_dag(GenConfig(n_range=(MAX_VERTICES, MAX_VERTICES), edge_prob=0.0),
+                       np.random.default_rng(0)).n == MAX_VERTICES
 
     def test_full_probability_gives_complete_dag(self, rng):
         cfg = GenConfig(edge_prob=1.0, n_range=(5, 5), seed=0)

@@ -303,8 +303,9 @@ def _placement_oracle_single_vertex(C, T, R, delta):
 
 class TestSplitPeak:
     def test_matches_reference_split(self, rng):
-        # every budget 1..2L+2, so each of the three cases of the split
-        # (inside the span, up to twice it, beyond) is reached on every DAG
+        # every budget 1..2L+2, so both cases of the split (one slice of the
+        # tables up to twice the span, the balanced split beyond) are
+        # reached on every DAG, and the slice starts past 0 above the span
         wide = 0
         for k in range(240):
             n = int(rng.integers(0, 13))
@@ -344,6 +345,50 @@ class TestSplitPeak:
             for budget in range(1, 2 * L + 3):
                 assert (_split_peak(dag, huge, budget, tables)
                         == _split_peak(dag, m, budget, tables)), budget
+
+    @staticmethod
+    def _lemma_dags(rng):
+        """Generated desk- and paper-scale DAGs, fork-joins (most with work
+        above 2 * span), and small random DAGs with zero WCETs."""
+        for k in range(120):
+            if k % 4 == 0:
+                yield gen_dag(GenConfig(n_range=((5, 10), (10, 20))[k % 8 // 4]), rng)
+            elif k % 4 == 1:
+                width = int(rng.integers(4, 24))
+                yield Dag([int(w) for w in rng.integers(1, 12, width + 2)],
+                          [(0, v) for v in range(1, width + 1)]
+                          + [(v, width + 1) for v in range(1, width + 1)])
+            else:
+                yield random_dag(rng, n_max=10, wcet_max=(3, 9)[k % 2], p=0.3)
+
+    @staticmethod
+    def _processor_counts(dag):
+        return sorted({1, 2, 3, 4, 8, 16, dag.work, dag.work + 1, 2 ** 40} - {0})
+
+    def test_capped_carry_in_below_capped_carry_out(self, rng):
+        # premise (ii) of the split lemma, at every m: the capped carry-in
+        # table never exceeds the capped carry-out table
+        wide = zeros = 0
+        for dag in self._lemma_dags(rng):
+            wide += dag.work > dag.span * 2
+            zeros += 0 in dag.wcets
+            for m in self._processor_counts(dag):
+                ci_table, co_table = _tables(dag, m)
+                assert (ci_table <= co_table).all(), (dag, m)
+        assert wide >= 20 and zeros >= 20, (wide, zeros)
+
+    def test_extended_carry_out_table_is_concave(self, rng):
+        # premise (i) of the split lemma, at every m: the capped carry-out
+        # table, extended by min(C, m * len) to 2 * span + 2, has no
+        # positive second difference (and never falls)
+        for dag in self._lemma_dags(rng):
+            C, L = dag.work, dag.span
+            for m in self._processor_counts(dag):
+                tail = [min(C, m * d) for d in range(L + 1, 2 * L + 3)]
+                h = _tables(dag, m)[1].tolist() + tail
+                steps = [b - a for a, b in zip(h, h[1:])]
+                assert all(step >= 0 for step in steps), (dag, m)
+                assert all(a >= b for a, b in zip(steps, steps[1:])), (dag, m)
 
     def test_tables_hold_one_pair_per_dag_and_processor_count(self, rng):
         # two span+1 int64 tables per (DAG, m), owning their memory (no view
@@ -415,9 +460,9 @@ class TestInterfering:
 
     @staticmethod
     def _reads_a_table(task, delta, r_i, m):
-        """Whether some term of the bound reads the DAG's tables: the
-        carry-in term at delta <= span, a carry-out head <= span or a split
-        budget in (0, 2*span]."""
+        """Whether some term of the bound reads the DAG's tables: a
+        carry-out head <= span (the first head is delta) or a split budget
+        in (0, 2*span]."""
         L, T = task.span, task.period
         if delta <= L:
             return True
