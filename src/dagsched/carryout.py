@@ -29,8 +29,8 @@ optimum for every window length through an equivalent reformulation
 time by a min-cost flow on the DAG itself, with a virtual source and sink
 instead of a normalized copy: each augmentation is one pass over the
 topological order plus a Dijkstra that repairs only the labels a backward
-move improves.  The curve reads a DAG's order, adjacency, starts and
-WCETs, never its edge list.  The analysis builds its table in
+move improves.  The curve reads a DAG's order, adjacency and WCETs, never
+its edge list or its ASAP starts.  The analysis builds its table in
 `workload._tables`.  All three routes are cross-checked exactly in the
 test suite.
 """
@@ -45,7 +45,7 @@ from math import floor, prod
 import numpy as np
 
 from . import simplex
-from .dag import Dag, asap_start_times, source_paths
+from .dag import Dag, asap_start_times, exec_vector, source_paths
 from .errors import OracleLimitError, SolverLimitError, ValidationError, is_integer
 
 ORACLE_GUARD = 10**6
@@ -58,10 +58,11 @@ def trim_to_window(dag, exec_times, delta):
     """Each vertex's in-window contribution under the unrestricted ASAP schedule.
 
     Entry v is min(x_v, max(delta - S_v, 0)) with S the `asap_start_times` of
-    `exec_times`, which checks them: a vertex capped at the window's end
+    `exec_times`, read by `exec_vector`: a vertex capped at the window's end
     finishes at delta, so its successors start at delta or later either way.
     The trimmed schedule fits in [0, delta); its sum is the window workload.
     """
+    exec_times = exec_vector(dag, exec_times)
     starts = asap_start_times(dag, exec_times)
     return [min(x, max(delta - s, 0)) for x, s in zip(exec_times, starts)]
 
@@ -381,7 +382,8 @@ class WorkCurve:
     successive shortest paths (`_cover_penalties`), and are the only
     per-DAG array kept.  Successive shortest paths never get cheaper, so
     the drops penalty(phi-1) - penalty(phi) never increase, the first one
-    being the span; `values` tabulates the optimum on demand.
+    being the span; every drop is at least 1 and the last penalty is 0.
+    `values` tabulates the optimum on demand.
     """
 
     def __init__(self, dag):
@@ -391,11 +393,11 @@ class WorkCurve:
     def values(self):
         """The optimum for windows 0..span as one int64 array.  As the drops
         never increase, the best phi at delta is the number of drops above
-        delta, so the optimum is the last penalty plus the sum of min(drop,
-        delta): one ramp from 0 per drop."""
+        delta, and the last penalty is 0, so the optimum is the sum of
+        min(drop, delta): one ramp from 0 per drop."""
         penalties = np.array(self.penalties, dtype=np.int64)
         drops = penalties[:-1] - penalties[1:]
-        return penalties[-1] + _ramp_sum(np.zeros_like(drops), drops, self.span + 1)
+        return _ramp_sum(np.zeros_like(drops), drops, self.span + 1)
 
 
 def _cover_penalties(dag):
@@ -408,10 +410,9 @@ def _cover_penalties(dag):
     v, costing -C_v while v is uncovered and 0 after; back through v while
     flow passes, costing 0 while two or more units pass and +C_v for the
     last one; forward along an edge at cost 0; and back along an edge, at
-    cost 0, once per unit it carries.  Successive shortest paths: the first
-    augmentation is a critical path read off `dag.starts`, at cost -span.
-    Each later one labels every node with its distance from the virtual
-    source in four steps:
+    cost 0, once per unit it carries.  Successive shortest paths: each
+    augmentation, the first included, labels every node with its distance
+    from the virtual source in four steps:
 
     1. One pass over `dag.order`: a vertex's in-label is 0 at a source and
        otherwise the least out-label of its predecessors, and its out-label
@@ -424,44 +425,38 @@ def _cover_penalties(dag):
        lowered, which puts out(v) in the heap.
     3. A Dijkstra from those seeds relaxes every move out of each node it
        pops, settling a node whose key equals the popped one at once, until
-       the heap is empty.
+       the heap is empty.  A move back along an edge always keeps the key:
+       both moves along an edge that carries flow cost 0 and keep
+       non-negative reduced costs, so the potentials at its ends are equal.
     4. The cheapest sink's out-label is the path cost; the flow augments
        along the parent chain, and the labels become the next potentials.
 
-    The labels end exact.  The potentials are exact distances of the
-    previous residual network (minus the ASAP start and finish at first,
-    which the critical path keeps exact), and augmenting along a shortest
-    path leaves every residual move with a non-negative reduced cost, the
-    invariant of successive shortest paths.  After step 1 every forward move
-    meets its triangle inequality, and after step 2 every backward move that
-    breaks it starts from a node in the heap; a Dijkstra on non-negative
-    reduced costs from those seeds then leaves every move's inequality met,
-    so every label is its node's distance.  The flow stops once the penalty
-    reaches 0, its least value, or a path costs 0 or more.
+    The labels end exact.  With no flow there is no backward move, so the
+    first pass labels every node exactly (in(v) with -S_v and out(v) with
+    -S_v - C_v, S the ASAP starts), the heap stays empty and no potential
+    is read; the first path is a critical path, at cost -span.  Later, the
+    potentials are exact distances of the previous residual network, and
+    augmenting along a shortest path leaves every residual move with a
+    non-negative reduced cost, the invariant of successive shortest paths.
+    After step 1 every forward move meets its triangle inequality, and after
+    step 2 every backward move that breaks it starts from a node in the
+    heap; a Dijkstra on non-negative reduced costs from those seeds then
+    leaves every move's inequality met, so every label is its node's
+    distance.  The flow stops only where the penalty reaches 0: while it is
+    positive, some uncovered v has C_v > 0, and forward moves alone make a
+    path through v that costs at most -C_v, so the cheapest path costs -1 or
+    less and the penalty drops by at least 1.
     """
-    if dag.span == 0:  # nothing to cover (an empty DAG has no path at all)
-        return [dag.work]
     n, wcets, order, preds, succs = dag.n, dag.wcets, dag.order, dag.preds, dag.succs
     sinks = [v for v in range(n) if not succs[v]]
     through = [0] * n  # flow units through each vertex
     back = [[] for _ in range(n)]  # per vertex b, each a once per unit on edge (a, b)
-    # the first augmentation: a critical path traced back from a sink that
-    # finishes at the span; it costs -span and keeps the potentials exact
-    starts = dag.starts
-    finish = [start + c for start, c in zip(starts, wcets)]
-    v = next(v for v in sinks if finish[v] == dag.span)
-    while v is not None:
-        through[v] = 1
-        u = next((u for u in preds[v] if finish[u] == starts[v]), None)
-        if u is not None:
-            back[v].append(u)
-        v = u
-    pin, pout = [-x for x in starts], [-x for x in finish]  # the potentials
+    pin, pout = [0] * n, [0] * n  # the potentials, read only once a flow exists
     din, dout = [0] * n, [0] * n  # the labels of the in- and out-nodes
     # the move that set each label: par_in[v] = u for out(u) (-1 for the
     # virtual source), par_out[v] = u for in(u); u == v is a move through v
     par_in, par_out = [0] * n, [0] * n
-    penalties = [dag.work, dag.work - dag.span]
+    penalties = [dag.work]
     while penalties[-1]:  # each augmentation lowers the penalty by at least 1
         heap = []  # 1 and 2; the heap holds in-node v as v, out-node v as ~v
         for v in order:
@@ -494,14 +489,10 @@ def _cover_penalties(dag):
                             stack.append(~u)
                         else:
                             heapq.heappush(heap, (k, ~u))
-                    for a in back[u]:
+                    for a in back[u]:  # both moves along (a, u) cost 0, so pout[a] == pin[u]
                         if base < dout[a]:
                             dout[a], par_out[a] = base, u
-                            k = base - pout[a]
-                            if k == key:
-                                stack.append(~a)
-                            else:
-                                heapq.heappush(heap, (k, ~a))
+                            stack.append(~a)  # at the popped key
                 else:  # out(v): along its edges, and back through v while flow passes
                     v = ~u
                     base = dout[v]
@@ -524,8 +515,6 @@ def _cover_penalties(dag):
                                 heapq.heappush(heap, (k, v))
         v = min(sinks, key=dout.__getitem__)  # 4. augment
         path_cost = dout[v]
-        if path_cost >= 0:
-            break
         while v >= 0:  # at out(v)
             u = par_out[v]
             if u == v:

@@ -140,20 +140,32 @@ def normalize_source_sink(dag) -> Dag:
     return Dag(wcets, edges)
 
 
+def exec_vector(dag, exec_times) -> tuple:
+    """`exec_times` as a tuple of Python ints, read once like a `Dag`'s
+    WCETs (numpy integers stored as ints).  ValidationError ("exec") unless
+    it is an iterable of one integer in [0, wcet] per vertex."""
+    try:
+        times = tuple(exec_times)
+    except TypeError:
+        raise ValidationError("exec", f"exec times must be a sequence, got {exec_times!r}") from None
+    if len(times) != dag.n:
+        raise ValidationError("exec", f"exec times must cover the {dag.n} vertices, "
+                                      f"got {len(times)}")
+    for v, (x, c) in enumerate(zip(times, dag.wcets)):
+        if not (is_integer(x) and 0 <= x <= c):
+            raise ValidationError("exec", f"exec time {x!r} of vertex {v} must be an "
+                                          f"integer in [0, {c}]")
+    return tuple(map(int, times))
+
+
 def asap_start_times(dag, exec_times):
     """Start times of the unrestricted-processor schedule for given exec times.
 
     start[v] = max over predecessors b of (start[b] + exec_times[b]), i.e.
-    the longest distance from any source to v.  ValidationError ("exec")
-    unless `exec_times` holds one integer in [0, wcet] per vertex.
+    the longest distance from any source to v.  `exec_times` is read as
+    `exec_vector` reads it.
     """
-    if len(exec_times) != dag.n:
-        raise ValidationError("exec", f"exec times must cover the {dag.n} vertices, "
-                                      f"got {len(exec_times)}")
-    for v, (x, c) in enumerate(zip(exec_times, dag.wcets)):
-        if not (is_integer(x) and 0 <= x <= c):
-            raise ValidationError("exec", f"exec time {x!r} of vertex {v} must be an "
-                                          f"integer in [0, {c}]")
+    exec_times = exec_vector(dag, exec_times)
     start = [0] * dag.n
     preds = dag.preds
     for v in dag.order:

@@ -46,7 +46,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import SimulationError, is_integer
+from .dag import exec_vector
+from .errors import SimulationError, ValidationError, is_integer
 
 # the fields of a trace segment tuple, in order (also the `--trace-out` keys)
 SEGMENT_FIELDS = ("proc", "task", "job", "subtask", "start", "end")
@@ -86,9 +87,6 @@ class SimResult:
                 for j in self.jobs if j.completion is not None]
 
 
-_EXEC_RANGE = "execution times must be integers in [0, WCET] per subtask"
-
-
 def _release_times(taskset, horizon, policy, rng):
     if isinstance(policy, dict):
         if any(not is_integer(k) or not 0 <= k < len(taskset.tasks) for k in policy):
@@ -106,7 +104,7 @@ def _release_times(taskset, horizon, policy, rng):
                 if b - a < task.period:
                     raise SimulationError(
                         f"scripted releases of task {idx} violate the period")
-            out[idx] = times
+            out[idx] = list(map(int, times))
         return out
     if policy == "periodic":
         return {idx: list(range(0, horizon, t.period))
@@ -135,15 +133,11 @@ def _exec_times(taskset, releases, policy, rng):
         if not policy.keys() <= {(idx, j) for _, idx, j in releases}:
             raise SimulationError("scripted execution times name no released (task, job)")
         try:
-            rows = [tuple(policy.get((idx, j), dag.wcets))
+            return [exec_vector(dag, policy.get((idx, j), dag.wcets))
                     for (_, idx, j), dag in zip(releases, dags)]
-        except TypeError:  # a value that is not a sequence of times
-            raise SimulationError(_EXEC_RANGE) from None
-        for row, dag in zip(rows, dags):
-            if len(row) != dag.n or not all(is_integer(x) and 0 <= x <= w
-                                            for x, w in zip(row, dag.wcets)):
-                raise SimulationError(_EXEC_RANGE)
-        return rows
+        except ValidationError:  # see `exec_vector`
+            raise SimulationError(
+                "execution times must be integers in [0, WCET] per subtask") from None
     if policy == "wcet":
         return [dag.wcets for dag in dags]
     if policy == "random":
@@ -188,8 +182,11 @@ def simulate(taskset, m, horizon, release_policy="periodic",
         raise SimulationError("the task set is empty: nothing to simulate")
     if not is_integer(horizon) or horizon < max(t.period for t in taskset.tasks):
         raise SimulationError("horizon must be an integer covering at least the largest period")
+    m, horizon = int(m), int(horizon)
     if rng is None:
         rng = np.random.default_rng(0)
+    elif not isinstance(rng, np.random.Generator):
+        raise SimulationError(f"rng must be a numpy Generator or None, got {rng!r}")
 
     release_map = _release_times(taskset, horizon, release_policy, rng)
     releases = sorted((time, idx, j) for idx, times in release_map.items()

@@ -10,8 +10,9 @@ h > 0 that is the earliest position of its component: all earlier
 positions already form one connected prefix.  WCETs are uniform integers;
 utilization is uniform in [beta, work/span]; the deadline is a normal draw
 redrawn until it falls in [span, period].  Vertex counts stop at
-`MAX_VERTICES`, since the edge draws grow as n^2.  Everything is a pure
-function of (config, seed).
+`MAX_VERTICES`, since the edge draws grow as n^2, and a task set's
+utilization at `MAX_TASKS` tasks' worth.  Everything is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ INT64_MAX = 2**63 - 1
 # --n-range N N` peaked at 44, 46, 82 and 397 MB RSS in 0.1, 0.1, 0.4 and
 # 3.8-4.2 s at N = 250, 500, 1,000 and 2,000 on a 2-vCPU Xeon)
 MAX_VERTICES = 1000
+# the most tasks a set is drawn with, near enough: every drawn task's
+# utilization is at least beta/2 (rounding its period costs at most one unit,
+# and a period of 1 gives a utilization of at least 1), so `gen_taskset`
+# refuses a total above MAX_TASKS * beta / 2, plus the few tasks that absorb
+# half a gap; the paper's grid needs 280 (U = 14 at beta 0.1).  At the bound,
+# `dagsched generate --util 500 --procs 512 --beta 1 --edge-prob 1` drew 500
+# tasks in 0.24 s at 45 MB peak RSS, and `--util 50 --procs 64` (beta 0.1)
+# 54 tasks in 0.17 s at 36 MB, in a fresh process on a 2-vCPU Xeon
+MAX_TASKS = 1000
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,8 @@ def _draw_deadline(rng, length, period):
 def gen_task(dag, config, rng) -> DagTask:
     """Attach utilization-driven period and deadline to a DAG."""
     c, length = dag.work, dag.span
-    ratio = c / length
-    util = ratio if ratio < config.beta else float(rng.uniform(config.beta, ratio))
+    # work/span >= 1 >= beta, so the range is never empty
+    util = float(rng.uniform(config.beta, c / length))
     period = max(length, int(round(c / util)))
     deadline = _draw_deadline(rng, length, period)
     return DagTask(dag, deadline, period)
@@ -132,9 +142,12 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     matches total_util within a 1e-3 relative tolerance; if integer periods
     cannot reach the tolerance for the remaining gap, intermediate tasks
     absorb half the gap each until the fit succeeds.  A total utilization
-    above m is refused: no such set is feasible; so is one too small for a
-    float period: the fit asks for periods below 2·C/(1e-3·total_util), C
-    the largest work the config allows.  If `stop(task)` holds for
+    above m is refused: no such set is feasible; so is one above
+    MAX_TASKS·beta/2, which would take more than about MAX_TASKS tasks, and
+    one too small for a float period: the fit asks for periods below
+    2·C/(1e-3·total_util), C the largest work the config allows.  The total
+    is read as a float.  `rng` is a numpy Generator (by default the
+    config's) and `stop` a callable or None.  If `stop(task)` holds for
     a task in its final form, about to be appended, the set is abandoned
     and the result is None; the draws before it are those of the full set.
     """
@@ -143,10 +156,18 @@ def gen_taskset(total_util, m, config, rng=None, stop=None) -> TaskSet | None:
     m = TaskSet([], m).processors  # the processor rule, before the first draw
     if total_util > m:
         raise ValidationError("util", f"total utilization {total_util} exceeds {m} processors")
+    require(isinstance(config, GenConfig), "config", "a GenConfig")
+    if total_util > MAX_TASKS * config.beta / 2:
+        raise ValidationError("util", f"total utilization {total_util} needs more than about "
+                                      f"{MAX_TASKS} tasks at beta {config.beta}")
+    total_util = float(total_util)
     most_work = config.n_range[1] * config.wcet_range[1]
-    if 2 * most_work / UTIL_TOL / float(total_util) == float("inf"):
+    if 2 * most_work / UTIL_TOL / total_util == float("inf"):
         raise ValidationError("util", f"total utilization {total_util} is too small "
                                       f"for a float period of work up to {most_work}")
+    require(rng is None or isinstance(rng, np.random.Generator), "rng",
+            "a numpy Generator or None")
+    require(stop is None or callable(stop), "stop", "a callable or None")
     if rng is None:
         rng = config.rng()
     tol = UTIL_TOL * total_util

@@ -410,6 +410,31 @@ class TestWorkCurve:
         for dag in map(normalize_source_sink, small):
             assert _cover_penalties(dag) == bellman_ford_penalties(dag)
 
+    def test_penalties_end_at_0_and_every_drop_is_at_least_1(self, rng):
+        # while the penalty is positive, forward moves alone make a path
+        # through an uncovered vertex of positive WCET C that costs at most
+        # -C, so the flow stops only at 0 and `values` needs no last penalty
+        def wcets(n):
+            return [int(w) * int(rng.random() < 0.7) for w in rng.integers(1, 40, n)]
+
+        layered = Dag(wcets(24), [(k * 6 + i, (k + 1) * 6 + j) for k in range(3)
+                                  for i in range(6) for j in range(6) if rng.random() < 0.4])
+        fork_join = Dag(wcets(13), [e for v in range(1, 12) for e in ((0, v), (v, 12))])
+        dags = [Dag([], []), Dag([0, 0, 0], [(0, 1), (0, 2)]), Dag([0] * 6, []),
+                Dag([1] * 1100, [(v, v + 1) for v in range(1099)]), Dag([3] * 300, []),
+                Dag(wcets(20), [(a, b) for a in range(20) for b in range(a + 1, 20)]),
+                layered, fork_join]
+        generated = [gen_dag(GenConfig(n_range=(n, n), edge_prob=p), rng)
+                     for n, p in ((1, 0.2), (10, 0.2), (20, 0.2), (45, 0.1), (120, 0.02))]
+        dags += generated + [Dag(wcets(d.n), d.edges) for d in generated]
+        assert sum(0 < d.work and 0 in d.wcets for d in dags) >= 5
+        for dag in dags:
+            penalties = _cover_penalties(dag)
+            assert penalties[0] == dag.work and penalties[-1] == 0
+            assert all(a - b >= 1 for a, b in zip(penalties, penalties[1:]))
+            if dag.work:
+                assert penalties[0] - penalties[1] == dag.span
+
     def test_same_penalties_without_normalizing(self, rng):
         # the virtual source and sink of the flow stand in for the dummy
         # vertices of a normalized copy

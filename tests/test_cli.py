@@ -211,6 +211,10 @@ class TestMalformedInput:
         # a subnormal utilization asks for periods past the float range
         ["generate", "--util", "1e-320", "--procs", "4"],
         ["sweep", "--points", "1e-320", "--sets", "1"],
+        # more than taskgen.MAX_TASKS tasks' worth of utilization: the set
+        # would take about 10^19 tasks, and a tiny beta about 10^300
+        ["generate", "--util", "1e18", "--procs", "9223372036854775807"],
+        ["generate", "--util", "1", "--procs", "4", "--beta", "1e-300"],
     ], ids=["generate-util-0", "generate-edge-prob-2", "sweep-sets-negative", "sweep-sets-0",
             "sweep-unknown-method", "generate-seed-negative", "generate-util-nan",
             "generate-util-inf", "sweep-procs-fractional",
@@ -218,7 +222,8 @@ class TestMalformedInput:
             "generate-util-above-procs", "sweep-point-above-procs",
             "sweep-norm-util-above-1", "generate-wcet-range-past-int64",
             "generate-vertex-count-numpy-refuses", "generate-util-subnormal",
-            "sweep-point-subnormal"])
+            "sweep-point-subnormal", "generate-util-past-task-bound",
+            "generate-beta-tiny"])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert run(argv) == 2
         captured = capsys.readouterr()

@@ -311,10 +311,10 @@ class TestAsap:
             assert asap_start_times(dag, [0] * dag.n) == [0] * dag.n
 
     def test_exec_above_wcet_rejected(self):
-        # also a wrong length, a non-integer or bool entry and a negative one,
-        # through `trim_to_window` too
+        # also a wrong length, a non-integer or bool entry, a negative one and
+        # no iterable (None and 5 raised TypeError), through `trim_to_window` too
         dag = Dag([3, 4], [(0, 1)])
-        for x in ([9, 4], [-2, 4], [1], [1, 2, 3], [1.5, 2], [True, 2], [2.0, 2]):
+        for x in ([9, 4], [-2, 4], [1], [1, 2, 3], [1.5, 2], [True, 2], [2.0, 2], None, 5):
             for call in (lambda: asap_start_times(dag, x), lambda: trim_to_window(dag, x, 5)):
                 with pytest.raises(ValidationError) as err:
                     call()
@@ -424,6 +424,18 @@ class TestTaskTypes:
         with pytest.raises(ValidationError) as info:
             DagTask(dag, 5, 5)
         assert info.value.rule == "dag"
+
+    def test_equal_dags_hash_equal(self):
+        # `edges` is sorted with no duplicates, so the input's edge order,
+        # a repeated edge and numpy WCETs change neither equality nor hash
+        dag = Dag([1, 2, 3, 4], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        same = [Dag([1, 2, 3, 4], [(2, 3), (1, 3), (0, 2), (0, 1)]),
+                Dag([1, 2, 3, 4], [(0, 1), (0, 1), (1, 3), (0, 2), (2, 3), (1, 3)]),
+                Dag(np.array([1, 2, 3, 4]), [(np.int64(0), 1), (0, 2), (1, 3), (2, 3)])]
+        for other in same:
+            assert other == dag and hash(other) == hash(dag)
+        others = [Dag([1, 2, 3, 5], dag.edges), Dag([1, 2, 3, 4], dag.edges[1:])]
+        assert len({dag, *same, *others}) == 3
 
     def test_derived_fields(self):
         task = antimonotone_task()

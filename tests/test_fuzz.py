@@ -7,6 +7,11 @@ from 2^62 up, which `GenConfig` refuses (above `taskgen.MAX_VERTICES`)
 before any draw; integers in a task set only up to 10^4 or from 2^62 up,
 since the analysis tables grow with the span.  A simulation's horizon and periods stay at most 10^4, as
 its releases grow with their ratio.
+
+The arguments of `schedulability_test`, `simulate`, `build_model`,
+`gen_taskset` and `asap_start_times` are fuzzed in-process: each case gives
+the result of its canonical form or raises `ValidationError` or
+`SimulationError`.
 """
 
 import contextlib
@@ -15,12 +20,19 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dagsched import cli
-from dagsched.errors import is_number
+from dagsched import carryout, cli, rta, sim
+from dagsched.dag import (
+    Dag, asap_start_times, normalize_source_sink, taskset_from_dict, taskset_to_dict,
+)
+from dagsched.errors import SimulationError, ValidationError, is_number
+from dagsched.taskgen import GenConfig, gen_taskset
 
 # malformed values of any flag: wrong types, NaN, infinities, subnormals,
 # negatives and integers past int64 and uint64
@@ -363,3 +375,229 @@ def test_sweep_exits_0_1_or_2_without_a_traceback(case):
         assert out == "" and ("error" in err or "usage" in err)
     else:
         assert out.startswith(cli.CSV_HEADER + "\n"), out[:80]
+
+
+# --------------------------------------------------------------------------
+# The arguments of the library calls.  Each slot draws (value, canonical
+# value, whether the value's type is accepted): an integer as a Python or
+# numpy integer stands for the Python int, a utilization as any real number
+# for its float.  A case gives the same result as its canonical form, types
+# included (compared by repr), or raises ValidationError or
+# SimulationError; a value of a refused type must raise.
+
+class FreshRng:
+    """A slot value that stands for a new `default_rng(11)` in each call."""
+
+    def __call__(self):
+        return np.random.default_rng(11)
+
+    def __repr__(self):
+        return "FreshRng()"
+
+
+INT_KINDS = [int, np.int64, np.int32, np.uint64, np.int16]
+NOT_INTEGERS = [True, False, 2.0, np.float64(2.0), "2", None, [2], Fraction(2), float("nan")]
+
+
+def integer_slot(*valid, bad=(-1, 0, 2**64), refused=NOT_INTEGERS):
+    """One of `valid` in each integer kind that holds it, one of `bad` or
+    one of the non-integers `refused`."""
+    forms = [(kind(v), v, True) for v in valid for kind in INT_KINDS
+             if kind is int or np.iinfo(kind).min <= v <= np.iinfo(kind).max]
+    return st.sampled_from(forms + [(v, v, True) for v in bad]
+                           + [(v, v, False) for v in refused])
+
+
+def fixed(*cases):
+    """Slot values given as (value, canonical value, accepted type)."""
+    return st.sampled_from(cases)
+
+
+def same(*values, accepted=True):
+    return [(v, v, accepted) for v in values]
+
+
+def real(value):
+    return value() if isinstance(value, FreshRng) else value
+
+
+def check_slots(call, slots):
+    """Run `call` on the slots' values and on their canonical values."""
+    kwargs = {name: real(value) for name, (value, _, _) in slots.items()}
+    canonical = {name: real(value) for name, (_, value, _) in slots.items()}
+    try:
+        want = repr(call(**canonical))
+    except (ValidationError, SimulationError):
+        want = None
+    try:
+        got = repr(call(**kwargs))
+    except (ValidationError, SimulationError):
+        return
+    assert all(ok for _, _, ok in slots.values()), slots
+    assert got == want, slots
+
+
+SET = taskset_from_dict(TASK_SET)  # periods 12 and 20; vertex WCETs 3, 5, 2 and 7
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "method": fixed(*same("ilp", "melani", "ILP", ""), *same(None, 1, ("ilp",), accepted=False)),
+    "m": st.one_of(integer_slot(1, 2, 4, 2**62, refused=[v for v in NOT_INTEGERS if v is not None]),
+                   fixed((None, None, True))),
+}))
+def test_schedulability_test_arguments(slots):
+    def call(**kwargs):
+        report = rta.schedulability_test(SET, **kwargs)
+        return (report.method, report.processors, report.bounds, report.iterations,
+                report.failed_at)
+    check_slots(call, slots)
+
+
+@st.composite
+def release_slot(draw):
+    """A policy name, or scripted releases with integer slots as keys and
+    times (task 0's period is 12, task 1's is 20)."""
+    if draw(st.booleans()):
+        return draw(fixed(*same("periodic", "sporadic", "bursty"), *same(None, 1, accepted=False)))
+    policy, canonical, ok = {}, {}, True
+    for idx, times in ((0, (0, 12, 24)), (1, (0, 20))):
+        key, ckey, key_ok = draw(integer_slot(idx, bad=(), refused=(True, 0.0, "0", None)))
+        picked = [draw(integer_slot(t, bad=(-1, 45))) for t in times if draw(st.booleans())]
+        policy[key] = [value for value, _, _ in picked]
+        canonical[ckey] = [value for _, value, _ in picked]
+        ok = ok and key_ok and all(accepted for _, _, accepted in picked)
+    return policy, canonical, ok
+
+
+@st.composite
+def exec_slot(draw):
+    """A policy name, or task 0's first job scripted with integer slots."""
+    if draw(st.booleans()):
+        return draw(fixed(*same("wcet", "random", "max"), *same(None, accepted=False)))
+    picked = [draw(integer_slot(0, 1, 2, bad=(-1, 9))) for _ in range(3)]
+    return ({(0, 0): tuple(value for value, _, _ in picked)},
+            {(0, 0): tuple(value for _, value, _ in picked)},
+            all(accepted for _, _, accepted in picked))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "m": integer_slot(1, 2, 3),
+    "horizon": integer_slot(20, 45, bad=(-1, 19)),
+    "release_policy": release_slot(),
+    "exec_policy": exec_slot(),
+    "rng": fixed(*same(None, FreshRng()), *same(3, "x", np.random.RandomState(0),
+                                                  accepted=False)),
+}))
+def test_simulate_arguments(slots):
+    def call(**kwargs):
+        res = sim.simulate(SET, **kwargs)
+        return (res.processors, res.horizon, res.segments,
+                [(j.task_index, j.job_index, j.release, j.exec_times, j.subtask_ready,
+                  j.subtask_completion, j.completion) for j in res.jobs])
+    check_slots(call, slots)
+
+
+MODEL_DAG = normalize_source_sink(Dag([3, 5, 2], [(0, 1), (0, 2)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "delta_co": integer_slot(0, 1, 5, 8, 2**62),
+    "formulation": fixed(*same("edge-recursive", "path-enumerated", "paths", ""),
+                         *same(None, 1, accepted=False)),
+}))
+def test_build_model_arguments(slots):
+    def call(**kwargs):
+        model = carryout.build_model(MODEL_DAG, **kwargs)
+        return model.delta_co, model.rows, model.geq, model.rhs, model.ub
+    check_slots(call, slots)
+
+
+REAL_KINDS = [float, np.float64, np.float32, np.float16, Fraction]
+CONFIG = GenConfig(seed=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "total_util": st.one_of(
+        st.builds(lambda v, kind: (kind(v), float(kind(v)), True),
+                  st.sampled_from([0.3, 1, 2.5]), st.sampled_from(REAL_KINDS)),
+        st.sampled_from([(v, float(v), True) for v in (2, np.int64(2), np.uint8(1))]),
+        fixed(*same(float("nan"), float("inf"), 0, -1.0, 1e300, 10**400, 1e-320),
+              *same(True, "2", None, [2.5], accepted=False))),
+    "m": integer_slot(2, 4, 2**63),
+    "config": fixed((CONFIG, CONFIG, True), (cli.ExperimentSpec(seed=3), CONFIG, True),
+                    *same({"seed": 3}, None, 1, accepted=False)),
+    "rng": fixed(*same(None, FreshRng()), *same(3, "x", accepted=False)),
+    "stop": fixed((None, None, True), (lambda task: False, None, True),
+                  *same(1, "x", accepted=False)),
+}))
+def test_gen_taskset_arguments(slots):
+    check_slots(lambda **kwargs: taskset_to_dict(gen_taskset(**kwargs)), slots)
+
+
+ASAP_DAG = Dag([3, 5, 2], [(0, 1), (0, 2)])
+
+
+@st.composite
+def exec_times_slot(draw):
+    """Three integer slots in a tuple, list, iterator or int64 array, or a
+    value that holds no times."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(fixed(*same(None, 5, "abc", accepted=False), *same((1, 2), (1, 2, 2, 2))))
+    picked = [draw(integer_slot(0, 1, 2, bad=(-1, 9))) for _ in range(3)]
+    values = [value for value, _, _ in picked]
+    canonical = tuple(value for _, value, _ in picked)
+    ok = all(accepted for _, _, accepted in picked)
+    kind = draw(st.sampled_from(["tuple", "list", "iter", "array"]))
+    if kind == "array":
+        if not ok or min(canonical) < 0 or max(canonical) >= 2**63:
+            return values, canonical, ok
+        values = np.array(canonical, dtype=np.int64)
+    make = {"tuple": tuple, "list": list, "iter": iter, "array": lambda v: v}[kind]
+    return make(values), canonical, ok
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({"exec_times": exec_times_slot()}))
+def test_asap_start_times_arguments(slots):
+    check_slots(lambda exec_times: asap_start_times(ASAP_DAG, exec_times), slots)
+
+
+# what the suites above found, each pinned as a case: numpy integers
+# leaked into results that hold Python ints, and a value that is not a
+# Generator, a GenConfig, a callable or a sequence of times raised
+# AttributeError or TypeError
+
+def test_simulate_keeps_python_ints():
+    res = sim.simulate(SET, np.int64(2), np.int64(40),
+                       release_policy={np.int64(0): [np.int64(12)], 1: [np.int32(0)]},
+                       exec_policy={(0, 0): (np.int64(1), 0, np.uint8(2))})
+    values = [res.processors, res.horizon, *(x for seg in res.segments for x in seg)]
+    values += [x for job in res.jobs for x in (job.release, *job.exec_times, job.completion)]
+    assert {type(x) for x in values} == {int}
+
+
+@pytest.mark.parametrize("kwargs", [{"config": {"seed": 3}}, {"rng": 3}, {"stop": 1}],
+                         ids=["config-dict", "rng-int", "stop-int"])
+def test_gen_taskset_refuses_mistyped_arguments(kwargs):
+    with pytest.raises(ValidationError) as err:
+        gen_taskset(**{"total_util": 2.5, "m": 4, "config": CONFIG, **kwargs})
+    assert err.value.rule == "config"
+
+
+def test_gen_taskset_reads_the_utilization_as_a_float():
+    # float16 arithmetic drew another set
+    want = taskset_to_dict(gen_taskset(2.5, 4, CONFIG))
+    for util in (np.float16(2.5), np.float32(2.5), Fraction(5, 2)):
+        assert taskset_to_dict(gen_taskset(util, 4, CONFIG)) == want
+
+
+def test_exec_times_read_once_as_python_ints():
+    for make in (iter, np.array, lambda v: (np.int64(v[0]), *v[1:])):
+        starts = asap_start_times(ASAP_DAG, make([1, 0, 2]))
+        trimmed = carryout.trim_to_window(ASAP_DAG, make([1, 0, 2]), 2)
+        assert (starts, trimmed) == ([0, 1, 1], [1, 0, 1])
+        assert {type(x) for x in starts + trimmed} == {int}

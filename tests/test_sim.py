@@ -524,15 +524,28 @@ class TestSimulate:
         (1, {"release_policy": {0: 5}}, r"integers in \[0, horizon\)"),
         (1, {"release_policy": {0: [5, "7"]}}, r"integers in \[0, horizon\)"),
         (1, {"exec_policy": {(0, 0): 7}}, r"\[0, WCET\]"),
+        # an rng that is not a Generator raised AttributeError, or went unread
+        (1, {"rng": 3}, "numpy Generator"),
+        (1, {"rng": np.random.RandomState(0)}, "numpy Generator"),
     ], ids=["release-policy", "exec-policy", "no-processors", "float-processors",
             "float-release", "negative-release", "release-past-horizon", "release-at-horizon",
             "unknown-task", "string-task", "exec-bare-key", "exec-task-key",
             "exec-unreleased-job", "release-times-not-iterable", "release-times-mixed-types",
-            "exec-times-not-iterable"])
+            "exec-times-not-iterable", "rng-int", "rng-random-state"])
     def test_bad_run_settings_rejected(self, m, policies, message):
         task = DagTask(Dag([2, 3], [(0, 1)]), 10, 10)
         with pytest.raises(SimulationError, match=message):
             sim.simulate(single_task_set(task, 1), m, 30, **policies)
+
+    @pytest.mark.parametrize("releases", [{}, {0: []}, {0: [], 1: ()}])
+    def test_scripted_releases_of_nothing(self, releases):
+        # no job and no segment; scripted execution times would name no job
+        ts = TaskSet([DagTask(Dag([2, 3], [(0, 1)]), 10, 10), DagTask(Dag([4], []), 12, 12)], 2)
+        res = sim.simulate(ts, 2, 30, release_policy=releases, exec_policy="random")
+        assert (res.jobs, res.segments, res.response_times()) == ([], [], [])
+        sim.audit_trace(res)
+        with pytest.raises(SimulationError, match=r"no released \(task, job\)"):
+            sim.simulate(ts, 2, 30, release_policy=releases, exec_policy={(0, 0): (1, 1)})
 
     def test_empty_task_set_rejected(self):
         with pytest.raises(SimulationError, match="task set is empty"):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dagsched import simplex
+from dagsched import carryout, simplex
+from dagsched.dag import Dag, normalize_source_sink
+from dagsched.errors import SolverLimitError
 
 
 def test_textbook_instance():
@@ -35,6 +37,24 @@ def test_fractional_optimum_is_exact():
 def test_unbounded_detected():
     with pytest.raises(simplex.Unbounded):
         simplex.solve_lp_max([1], [[-1]], [0])
+
+
+def test_negative_right_hand_side_refused():
+    # the all-slack start needs b >= 0; there is no phase I
+    with pytest.raises(ValueError, match="non-negative"):
+        simplex.solve_lp_max([1], [[1], [1]], [3, -1])
+
+
+def test_pivot_limit_stops_the_exact_solver(monkeypatch):
+    dag = normalize_source_sink(Dag([3, 5, 2, 4], [(0, 1), (0, 2), (1, 3)]))
+    model = carryout.build_model(dag, 6)
+    pivots = carryout.solve_exact(model).pivots
+    assert pivots > 1
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", pivots - 1)
+    with pytest.raises(SolverLimitError, match=f"exceeded {pivots - 1} pivots"):
+        carryout.solve_exact(model)
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", pivots)
+    assert carryout.solve_exact(model).pivots == pivots
 
 
 def test_degenerate_terminates():

@@ -9,7 +9,7 @@ from dagsched import rta
 from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
 from dagsched.errors import ValidationError
 from dagsched.taskgen import (
-    MAX_VERTICES, GenConfig, UTIL_TOL, _draw_deadline, _fit_period, assign_priorities_dm,
+    MAX_TASKS, MAX_VERTICES, GenConfig, UTIL_TOL, _draw_deadline, _fit_period, assign_priorities_dm,
     gen_dag, gen_task, gen_taskset,
 )
 
@@ -279,6 +279,31 @@ class TestGenTaskset:
         assert err.value.rule == rule
         assert "exceeds" not in str(err.value)
         assert rng.bit_generator.state == state
+
+    def test_task_bound(self):
+        # a drawn task's utilization is at least beta/2, so a total of at
+        # most MAX_TASKS * beta / 2 takes at most about MAX_TASKS tasks
+        for beta in (0.1, 0.5, 1.0):
+            cfg = GenConfig(edge_prob=1.0, beta=beta, seed=7)
+            most = MAX_TASKS * beta / 2
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            with pytest.raises(ValidationError, match=f"more than about {MAX_TASKS} tasks") as err:
+                gen_taskset(np.nextafter(most, np.inf), 10**6, cfg, rng)
+            assert err.value.rule == "util" and rng.bit_generator.state == state
+            assert len(gen_taskset(most, 10**6, cfg).tasks) <= MAX_TASKS + 10
+        # the paper's grid ends at U = 14 with beta 0.1
+        assert 14 <= MAX_TASKS * GenConfig().beta / 2
+
+    @pytest.mark.parametrize("util, m", [(1e18, 2**63 - 1), (10**400, 10**400), (1.0, 4)],
+                             ids=["huge", "past-float", "tiny-beta"])
+    def test_task_bound_before_any_float_or_draw(self, util, m):
+        # 10^400 was read as a float first (OverflowError); 1 at beta
+        # 1e-300 would take about 10^300 tasks
+        cfg = GenConfig(beta=1e-300 if util == 1.0 else 0.1)
+        with pytest.raises(ValidationError, match="tasks at beta") as err:
+            gen_taskset(util, m, cfg)
+        assert err.value.rule == "util"
 
     def test_smallest_utilization_with_float_periods(self):
         # periods stay below 2 * 10 * 100 / (1e-3 * util), finite at 1e-300
