@@ -447,8 +447,8 @@ def _cover_penalties(dag):
     path through v that costs at most -C_v, so the cheapest path costs -1 or
     less and the penalty drops by at least 1.
     """
-    n, wcets, order, preds, succs = dag.n, dag.wcets, dag.order, dag.preds, dag.succs
-    sinks = [v for v in range(n) if not succs[v]]
+    n, wcets, order, preds, succs, sinks = (
+        dag.n, dag.wcets, dag.order, dag.preds, dag.succs, dag.sinks)
     through = [0] * n  # flow units through each vertex
     back = [[] for _ in range(n)]  # per vertex b, each a once per unit on edge (a, b)
     pin, pout = [0] * n, [0] * n  # the potentials, read only once a flow exists

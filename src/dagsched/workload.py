@@ -10,11 +10,14 @@ min(work, m*len), by `_tables` (past the span both are the cap).  The
 tables live in a dict that the caller passes to `interfering_workload`:
 `rta.schedulability_test` owns one per analysis, so the tables are built
 once per DAG and m when a term of that analysis first reads them, and are
-freed when it returns.  The total bound maximizes over the number of
-releases inside the window and, for each count, over the carry-in/carry-out
-split of the window; the split lemma at `_split_peak` confines that search
-to lengths within the span.  The baseline `melani_workload` is computed in
-integers scaled by the processor count.
+freed when it returns.  The total bound is the largest of three closed-form
+terms: the densest release pattern with its carry-out head, the same
+pattern with a carry-in/carry-out split of the window, and the pattern one
+release sparser with its split (every sparser pattern is dominated, see
+`interfering_workload`).  The split lemma at `_split_peak` confines each
+split's search to lengths within the span, so a bound costs the same
+however many interferer periods its window spans.  The baseline
+`melani_workload` is computed in integers scaled by the processor count.
 """
 
 from __future__ import annotations
@@ -110,25 +113,28 @@ def interfering_workload(task, delta, r_i, m, tables=None) -> int:
     the DAG's table pair at m is kept between calls (see `_pair`); without
     one, the call builds the pair only if a term reads it, and drops it.
 
-    Maximizes over the number s >= 1 of releases inside the window: s-1
-    jobs contribute their whole work, the last release contributes
-    carry-out workload, and a job released before the window contributes
-    carry-in workload; with both end jobs present their window lengths
-    share a budget of delta + r_i - s*T.  The densest pattern (s =
-    floor((delta - span + r_i)/T)) reproduces the body-count / window-split
-    formula; the sparser terms cover placements where a job is exposed to
-    (more of) the window alone, which can exceed the dense bound when the
-    task is wider than the processor count.  A window with no release at
-    all holds at most the carry-in f(delta), which the s = 1 carry-out term
-    h(delta) matches or beats (f <= h, see `_split_peak`), so it has no
-    term of its own.
+    A pattern of s >= 1 releases inside the window holds s-1 body jobs,
+    base = (s-1)*C.  Its last release adds the carry-out h(head) over the
+    head = delta - (s-1)*T left of it; or a job released before the window
+    adds carry-in too, and the two end jobs share a budget of delta + r_i -
+    s*T (`_split_peak`).  A window with no release at all holds at most the
+    carry-in f(delta), which the s = 1 carry-out term h(delta) matches or
+    beats (f <= h, see `_split_peak`), so it has no term of its own.
 
-    The carry-out bound is the exact optimum capped at m*co_len.  Every
-    addend is capped at min(work, m * window-part) and the result at
-    m * delta.  Each carry-out term is one lookup in the `_tables` pair of
-    this m, with min(C, m*len) past the span, and `_split_peak` adds the
-    pair over the splits of a budget in one slice sum.  Only a carry-out
-    head <= span (the s = 1 head is delta) and a split budget in
+    Dominance.  A pattern needs head > 0 and base < m*delta, so the densest
+    one has s* = 1 + jobs releases, jobs = min(floor((delta-1)/T),
+    floor((m*delta-1)/C)) (the first term alone when C = 0).  Every end
+    term is capped at C (carry-out) or 2C (split), and s+2 releases add
+    exactly 2C of body work, so every s <= s*-2 loses to s+2.  At s*-1 the
+    carry-out term is at most C, which the extra body job of s* matches;
+    only its split, with budget + T, can win.  That leaves three terms:
+    base + h(head) and base + split(budget) at s*, and base - C +
+    split(budget + T) at s*-1 when jobs >= 1.
+
+    The carry-out bound is the exact optimum capped at m*len.  Every addend
+    is capped at min(work, m * window-part) and the result at m * delta.
+    The carry-out term is one lookup in the `_tables` pair of this m, with
+    min(C, m*len) past the span.  Only a head <= span and a split budget in
     (0, 2*span] read the pair, so an interferer whose terms read none never
     builds it.  The bound is non-decreasing in delta.
     """
@@ -137,18 +143,11 @@ def interfering_workload(task, delta, r_i, m, tables=None) -> int:
     dag, C, L, T = task.dag, task.work, task.span, task.period
     if tables is None:
         tables = {}
-    best = 0
-    s = 1
-    while True:
-        head = delta - (s - 1) * T   # window left of the s-th release at worst
-        base = (s - 1) * C
-        if head <= 0 or base >= m * delta:
-            break
-        cand = base + (int(_pair(tables, dag, m)[1][head]) if head <= L
-                       else min(C, m * head))
-        budget = delta + r_i - s * T
-        if budget > 0:
-            cand = max(cand, base + _split_peak(dag, m, budget, tables))
-        best = max(best, cand)
-        s += 1
+    jobs = (delta - 1) // T if C == 0 else min((delta - 1) // T, (m * delta - 1) // C)
+    head, base, budget = delta - jobs * T, jobs * C, delta + r_i - (jobs + 1) * T
+    best = base + (int(_pair(tables, dag, m)[1][head]) if head <= L else min(C, m * head))
+    if budget > 0:
+        best = max(best, base + _split_peak(dag, m, budget, tables))
+    if jobs and budget + T > 0:
+        best = max(best, base - C + _split_peak(dag, m, budget + T, tables))
     return min(best, m * delta)

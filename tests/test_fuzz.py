@@ -141,42 +141,61 @@ NON_INTEGERS = st.one_of(
 def mutated(draw, base, value):
     """A copy of the JSON document `base` with one value replaced by
     `value(draw, old)`, deleted or given an unknown key beside it (of value
-    `value(draw, None)`), or unchanged; and the (old, new) pair of a
-    replaced value, else None."""
+    `value(draw, None)`), or unchanged.  A document with no value below its
+    root cannot lose one, and one with no object cannot gain a key."""
     doc = copy.deepcopy(base)
-    kind = draw(st.sampled_from(["none", "replace", "delete", "unknown-key"]))
-    if kind == "none":
-        return doc, None
     paths = [path for path, _ in places(base)]
     objects = [path for path, node in places(base) if isinstance(node, dict)]
-    path = draw(st.sampled_from({"replace": paths, "delete": paths[1:],
-                                 "unknown-key": objects}[kind]))
+    targets = {"replace": paths, "delete": paths[1:], "unknown-key": objects}
+    kind = draw(st.sampled_from(["none"] + [kind for kind in targets if targets[kind]]))
+    if kind == "none":
+        return doc
+    path = draw(st.sampled_from(targets[kind]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if kind == "delete":
         del parent[path[-1]]
-        return doc, None
+        return doc
     node = parent[path[-1]] if path else doc
     if kind == "unknown-key":
         node["unknown"] = value(draw, None)
-        return doc, None
+        return doc
     new = value(draw, node)
     if path:
         parent[path[-1]] = new
-    else:
-        doc = new
-    return doc, (node, new)
+        return doc
+    return new
+
+
+def holds_a_non_integer(doc):
+    """Whether some place of `TASK_SET` that holds an integer is still in
+    `doc`, along the same keys and list positions, and holds a non-integer
+    there."""
+    for path, old in places(TASK_SET):
+        node = doc
+        for key in path:
+            if not (isinstance(node, dict) and key in node
+                    or isinstance(node, list) and type(key) is int and key < len(node)):
+                break
+            node = node[key]
+        else:
+            if type(old) is int and type(node) is not int:
+                return True
+    return False
 
 
 @st.composite
 def documents(draw):
-    """`TASK_SET` mutated once (see `mutated`); and whether a non-integer
-    stands in for an integer."""
+    """`TASK_SET` mutated twice (see `mutated`); and whether a non-integer
+    stands in for one of its integers."""
     # an integer slot takes a non-integer in at least half of its draws
-    doc, replaced = mutated(draw, TASK_SET, lambda draw, old: draw(
-        NON_INTEGERS if type(old) is int and draw(st.booleans()) else INTEGERS | NON_INTEGERS))
-    return doc, replaced is not None and type(replaced[0]) is int and type(replaced[1]) is not int
+    doc = TASK_SET
+    for _ in range(2):
+        doc = mutated(draw, doc, lambda draw, old: draw(
+            NON_INTEGERS if type(old) is int and draw(st.booleans())
+            else INTEGERS | NON_INTEGERS))
+    return doc, holds_a_non_integer(doc)
 
 
 def flag_tokens(draw, flags):
@@ -217,7 +236,7 @@ def period_is_huge(doc):
 
 @st.composite
 def simulate_argv(draw):
-    """`simulate` of `TASK_SET` with one document value mutated, one to all
+    """`simulate` of `TASK_SET` with its document mutated twice, one to all
     of its flags mutated, or both; and whether a non-integer stands in for
     an integer of the document."""
     doc, non_integer = draw(documents())
@@ -228,8 +247,8 @@ def simulate_argv(draw):
 
 @st.composite
 def dump_model_argv(draw):
-    """`dump-model --task-index 0 --delta 5` of `TASK_SET` with one document
-    value mutated, one to all of its flags mutated, or both."""
+    """`dump-model --task-index 0 --delta 5` of `TASK_SET` with its document
+    mutated twice, one to all of its flags mutated, or both."""
     doc, non_integer = draw(documents())
     flags = ["--task-index", "0", "--delta", "5"]
     if draw(st.booleans()):
@@ -259,7 +278,7 @@ def run_on_document(command, case, codes):
 
 @st.composite
 def analyze_argv(draw):
-    """`analyze` of `TASK_SET` with one document value mutated, one or both
+    """`analyze` of `TASK_SET` with its document mutated twice, one or both
     of its flags mutated, or both; and whether a non-integer stands in for
     an integer."""
     doc, non_integer = draw(documents())
@@ -351,7 +370,7 @@ def sweep_argv(draw):
     argv += [flag for flag in ("--paper-scale", "--check-dominance") if draw(st.booleans())]
     config = None
     if draw(st.booleans()):
-        config, _ = mutated(draw, SWEEP_CONFIG, lambda draw, old: draw(CONFIG_VALUES))
+        config = mutated(draw, SWEEP_CONFIG, lambda draw, old: draw(CONFIG_VALUES))
     if isinstance(config, dict) and isinstance(config.get("points"), list):
         points += config["points"]
     assume(not any(map(is_long_point, points)))

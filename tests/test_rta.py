@@ -59,6 +59,17 @@ class TestResponseTimeBound:
 
 
 class TestSchedulabilityTest:
+    def test_coarse_interferer_over_a_long_window(self):
+        # a period-10 chain of two unit vertices above a fork of three
+        # vertices of WCET 10^7 (span 2*10^7, work 3*10^7) on 2 processors:
+        # each interfering window spans millions of periods, and the bound's
+        # cost does not grow with that count
+        k = 10 ** 7
+        high = DagTask(Dag([1, 1], [(0, 1)]), 10, 10)
+        low = DagTask(Dag([k, k, k], [(0, 1), (0, 2)]), 3 * k, 3 * k)
+        rep = rta.schedulability_test(TaskSet([high, low], 2), method="ilp")
+        assert rep.bounds == [2, 27777778] and rep.schedulable
+
     def test_seed_exceeding_deadline_rejected_at_init(self):
         # span <= deadline (type invariant) but seed = span + (C-span)/m > D
         task = DagTask(Dag([5, 5], []), 6, 10)  # C=10, L=5, m=1 -> seed 10 > 6

@@ -1,13 +1,13 @@
 """Interfering-workload bounds: body, carry-in, baseline, window splits.
 
 The body-job count and the window splits of the dense release pattern are
-reference code kept here: `interfering_workload` enumerates the releases
-itself, and the tests check it against these and against a scalar
-split-by-split evaluation.  So is the split maximum over an uncapped
-carry-in table with one array per split quantity, which the capped table
-pair of `_tables` replaced.  A test that queries one DAG at many windows
-passes one table dict to every query, as an analysis does, so that the
-pair is built once.
+reference code kept here: `interfering_workload` reads only the densest
+release pattern and the one below it, and the tests check it against these
+and against a scalar evaluation of every release count, split by split.  So
+is the split maximum over an uncapped carry-in table with one array per
+split quantity, which the capped table pair of `_tables` replaced.  A test
+that queries one DAG at many windows passes one table dict to every query,
+as an analysis does, so that the pair is built once.
 """
 
 import tracemalloc
@@ -519,6 +519,66 @@ class TestInterfering:
             got = interfering_workload(task, delta, r_i, m)
             assert got == scalar_interfering_workload(task, delta, r_i, m)
         assert beyond >= 50
+
+    def test_matches_direct_evaluation_over_many_periods(self, rng):
+        # windows of 5 to 60 interferer periods, so that the release counts
+        # that the bound drops as dominated exist; zero-WCET DAGs, r_i below
+        # the span and above the period, and processor counts from 1 to far
+        # past the work.  The reference costs about the square of the period
+        # count, so most windows are short.
+        seen = dict(zero=0, below_span=0, above_period=0, m_caps=0, long=0)
+        for k in range(48):
+            dag = random_dag(rng, n_max=6, wcet_max=(2, 4)[k % 2], p=0.25)
+            T = max(dag.span, 1) + int(rng.integers(0, 3))
+            task = DagTask(dag, T, T)
+            m = (1, 2, 3, 4, 16, 2 ** 40)[k % 6]
+            periods = 5 + int(55 * rng.random() ** 3)
+            delta = periods * T - int(rng.integers(0, T))
+            r_i = int(rng.integers(0, 3 * T + 1))
+            seen["zero"] += 0 in dag.wcets
+            seen["below_span"] += r_i < dag.span
+            seen["above_period"] += r_i > T
+            seen["m_caps"] += (m * delta - 1) // max(dag.work, 1) < (delta - 1) // T
+            seen["long"] += periods >= 30
+            got = interfering_workload(task, delta, r_i, m)
+            assert got == scalar_interfering_workload(task, delta, r_i, m), (k, delta, r_i, m)
+        assert min(seen.values()) >= 4, seen
+
+    def test_constant_cost_in_the_window_length(self, rng, monkeypatch):
+        # a window of up to 10^6 periods costs at most one carry-out table
+        # read and two split maxima; with m far past the work, each period
+        # added to the window adds exactly one whole job
+        calls = dict(head=0, split=0)
+        inside = []
+        pair, split = workload._pair, workload._split_peak
+
+        def counted_pair(*args):
+            calls["head"] += not inside
+            return pair(*args)
+
+        def counted_split(*args):
+            calls["split"] += 1
+            inside.append(True)
+            try:
+                return split(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(workload, "_pair", counted_pair)
+        monkeypatch.setattr(workload, "_split_peak", counted_split)
+        cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 9), seed=0)
+        for _ in range(40):
+            task = gen_task(gen_dag(cfg, rng), cfg, rng)
+            T, m, tables = task.period, 2 ** 40, {}
+            # past one period, so that the split term at s* - 1 exists
+            delta = int(rng.integers(T + 1, 3 * T))
+            r_i = int(rng.integers(task.span, task.deadline + 1))
+            near = interfering_workload(task, delta, r_i, m, tables)
+            for periods in (10, 10 ** 3, 10 ** 6):
+                calls.update(head=0, split=0)
+                far = interfering_workload(task, delta + periods * T, r_i, m, tables)
+                assert calls["head"] <= 1 and calls["split"] <= 2, calls
+                assert far == near + periods * task.work
 
     def test_monotone_in_delta(self, rng):
         cfg = GenConfig(n_range=(2, 8), wcet_range=(1, 20), seed=0)
