@@ -29,10 +29,13 @@ optimum for every window length through an equivalent reformulation
 time by a min-cost flow on the DAG itself, with a virtual source and sink
 instead of a normalized copy: each augmentation is one pass over the
 topological order plus a Dijkstra that repairs only the labels a backward
-move improves.  The curve reads a DAG's order, adjacency and WCETs, never
-its edge list or its ASAP starts.  The analysis builds its table in
-`workload._tables`.  All three routes are cross-checked exactly in the
-test suite.
+move improves.  The curve reads a DAG's order, WCETs and whichever
+successor lists it holds (the constructor's, or `succs` once read), never
+its edge list, `preds`, `sinks` or ASAP starts; `_cover_penalties` says why
+edge order and repeated edges cannot change it.  `WorkCurve.ramps` writes
+the curve as ramps for `_ramp_sums`, which tabulates it alone (`values`) or
+beside the carry-in table in `workload._tables`.  All three routes are
+cross-checked exactly in the test suite.
 """
 
 from __future__ import annotations
@@ -359,14 +362,23 @@ def solve_exact(model) -> SolveResult:
 # --------------------------------------------------------------------------
 # Polynomial exact bound used by the analysis pipeline
 
-def _ramp_sum(starts, lengths, size):
-    """sum over k of min(lengths[k], max(0, d - starts[k])) for d = 0..size-1,
-    as one int64 array, for non-negative int64 arrays with every start +
-    length below size.  From d-1 to d the sum rises by the number of ramps
-    with start < d <= start + length: count those slopes, then sum twice."""
-    slopes = (np.bincount(starts + 1, minlength=size + 1)
-              - np.bincount(starts + lengths + 1, minlength=size + 1))
-    return slopes.cumsum().cumsum()[:size]
+def _ramp_sums(rows, size):
+    """Row r, entry d: the sum over the ramps of rows[r] of min(end - start,
+    max(0, d - start)), for d = 0..size-1, as one int64 array of shape
+    (len(rows), size).  rows[r] is a (starts, ends) pair of int sequences,
+    one ramp per position, with 0 <= start <= end < size.  From d-1 to d a
+    row rises by the number of its ramps with start < d <= end: count those
+    slopes for every row in one pass, then sum twice along the rows."""
+    width = size + 1  # a ramp ending at size - 1 steps down in column size
+    ups, downs = [], []
+    for r, (starts, ends) in enumerate(rows):
+        base = r * width + 1
+        ups += [base + s for s in starts]
+        downs += [base + e for e in ends]
+    slopes = np.bincount(ups, minlength=len(rows) * width)
+    slopes -= np.bincount(downs, minlength=len(rows) * width)
+    sums = slopes.reshape(len(rows), width)[:, :size].cumsum(axis=1)
+    return sums.cumsum(axis=1, out=sums)
 
 
 class WorkCurve:
@@ -383,21 +395,25 @@ class WorkCurve:
     per-DAG array kept.  Successive shortest paths never get cheaper, so
     the drops penalty(phi-1) - penalty(phi) never increase, the first one
     being the span; every drop is at least 1 and the last penalty is 0.
-    `values` tabulates the optimum on demand.
+    `ramps` writes the optimum as one ramp per drop, and `values`
+    tabulates it on demand.
     """
 
     def __init__(self, dag):
         self.span = dag.span
         self.penalties = _cover_penalties(dag)
 
+    def ramps(self):
+        """The optimum as `_ramp_sums` ramps: as the drops never increase,
+        the best phi at delta is the number of drops above delta, and the
+        last penalty is 0, so the optimum is the sum of min(drop, delta),
+        one ramp from 0 to each drop."""
+        drops = [a - b for a, b in zip(self.penalties, self.penalties[1:])]
+        return [0] * len(drops), drops
+
     def values(self):
-        """The optimum for windows 0..span as one int64 array.  As the drops
-        never increase, the best phi at delta is the number of drops above
-        delta, and the last penalty is 0, so the optimum is the sum of
-        min(drop, delta): one ramp from 0 per drop."""
-        penalties = np.array(self.penalties, dtype=np.int64)
-        drops = penalties[:-1] - penalties[1:]
-        return _ramp_sum(np.zeros_like(drops), drops, self.span + 1)
+        """The optimum for windows 0..span as one int64 array."""
+        return _ramp_sums([self.ramps()], self.span + 1)[0]
 
 
 def _cover_penalties(dag):
@@ -415,8 +431,9 @@ def _cover_penalties(dag):
     from the virtual source in four steps:
 
     1. One pass over `dag.order`: a vertex's in-label is 0 at a source and
-       otherwise the least out-label of its predecessors, and its out-label
-       adds the forward cost through it.  These labels are exact for paths
+       otherwise the least out-label its predecessors pushed to it, its
+       out-label adds the forward cost through it, and it pushes that
+       out-label along its successor list.  These labels are exact for paths
        of forward moves only.
     2. In the same pass, every backward move that lowers a label seeds a
        heap, keyed by label minus potential.  Only a move back along an
@@ -438,39 +455,58 @@ def _cover_penalties(dag):
     potentials are exact distances of the previous residual network, and
     augmenting along a shortest path leaves every residual move with a
     non-negative reduced cost, the invariant of successive shortest paths.
-    After step 1 every forward move meets its triangle inequality, and after
-    step 2 every backward move that breaks it starts from a node in the
-    heap; a Dijkstra on non-negative reduced costs from those seeds then
+    After steps 1 and 2 every move that breaks its triangle inequality
+    starts from a node in the heap: a forward move met it when its node
+    pushed, unless step 2 lowered that out-label later, which put it in the
+    heap.  A Dijkstra on non-negative reduced costs from those seeds then
     leaves every move's inequality met, so every label is its node's
     distance.  The flow stops only where the penalty reaches 0: while it is
     positive, some uncovered v has C_v > 0, and forward moves alone make a
     path through v that costs at most -C_v, so the cheapest path costs -1 or
     less and the penalty drops by at least 1.
+
+    The flow walks whichever successor lists the DAG holds: the
+    constructor's, in edge order with a repeated edge listed twice, or
+    `succs` once something has read it.  It finds the sources (vertices no
+    list names) and the sinks (empty lists) itself, so a curve build reads
+    none of the `succs`, `preds` and `sinks` facts.  Neither order nor
+    repeats can change the penalties: a repeated edge relaxes the same move
+    twice, the order only decides between equally cheap labels, and
+    penalty(phi) is the optimum of a min-cost flow of phi units, whichever
+    shortest path each augmentation takes.
     """
-    n, wcets, order, preds, succs, sinks = (
-        dag.n, dag.wcets, dag.order, dag.preds, dag.succs, dag.sinks)
+    n, wcets, order = dag.n, dag.wcets, dag.order
+    succs = dag._succ  # the constructor's lists, or `succs` once something read it
+    # step 1's in-labels before the pushes: 0 at a source, where the virtual
+    # source enters, and elsewhere 1, above every label (step 1 starts at 0
+    # and adds costs of -C_v or 0, and the repair only lowers labels)
+    entry = [0] * n
+    for s in succs:
+        for b in s:
+            entry[b] = 1
+    sinks = [v for v in range(n) if not succs[v]]
     through = [0] * n  # flow units through each vertex
     back = [[] for _ in range(n)]  # per vertex b, each a once per unit on edge (a, b)
     pin, pout = [0] * n, [0] * n  # the potentials, read only once a flow exists
-    din, dout = [0] * n, [0] * n  # the labels of the in- and out-nodes
+    dout = [0] * n  # the labels of the out-nodes; `din` holds those of the in-nodes
     # the move that set each label: par_in[v] = u for out(u) (-1 for the
     # virtual source), par_out[v] = u for in(u); u == v is a move through v
-    par_in, par_out = [0] * n, [0] * n
+    par_out = [0] * n
     penalties = [dag.work]
     while penalties[-1]:  # each augmentation lowers the penalty by at least 1
+        din, par_in = entry[:], [-1] * n
         heap = []  # 1 and 2; the heap holds in-node v as v, out-node v as ~v
-        for v in order:
-            best, arg = 0, -1
-            for p in preds[v]:
-                if arg < 0 or dout[p] < best:
-                    best, arg = dout[p], p
-            din[v], par_in[v] = best, arg
-            dout[v] = best if through[v] else best - wcets[v]
+        for v in order:  # every predecessor of v has pushed its out-label
+            best = din[v]
+            d = dout[v] = best if through[v] else best - wcets[v]
             par_out[v] = v
             for a in back[v]:  # back along an edge: a precedes v, so out(a) is labelled
                 if best < dout[a]:
                     dout[a], par_out[a] = best, v
                     heap.append((best - pout[a], ~a))
+            for b in succs[v]:
+                if d < din[b]:
+                    din[b], par_in[b] = d, v
         heapq.heapify(heap)
         while heap:  # 3. repair
             key, u = heapq.heappop(heap)
@@ -526,6 +562,6 @@ def _cover_penalties(dag):
                 through[u] -= 1
             elif v >= 0:  # forward along the edge (v, u)
                 back[u].append(v)
-        pin, din, pout, dout = din, pin, dout, pout
+        pin, pout, dout = din, dout, pout
         penalties.append(penalties[-1] + path_cost)
     return penalties

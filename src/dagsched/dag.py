@@ -31,9 +31,12 @@ class Dag:
     topological order of the constructor's pass; its readers accept any) are
     computed here, the rest on first read: ``succs`` and ``preds``
     (ascending tuples, ``preds`` derived from ``succs``), ``sources``,
-    ``sinks`` and ``edges`` (sorted, no duplicates).  The analysis and the
-    simulator read the adjacency only; ``edges`` is built for export,
-    ``__eq__``/``__hash__`` and the carry-out model.  The workload tables
+    ``sinks`` and ``edges`` (sorted, no duplicates).  The DAG holds one
+    adjacency, ``_succ``: the constructor's successor lists, which
+    ``succs`` replaces once read.  The work curve walks whichever of the two
+    is held and reads none of these facts, so an analysis builds none; the
+    simulator reads ``succs``, ``preds`` and ``sources``; ``edges`` is built
+    for export, ``__eq__``/``__hash__`` and the carry-out model.  The workload tables
     are not kept here: each analysis holds its own (see `workload`).
     """
 

@@ -78,6 +78,9 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     higher-priority tasks as their interferers' response bounds.  The test
     aborts unschedulable as soon as any seed or iterate exceeds its
     deadline; the bounds not established by then are None ("not computed").
+    An iterate's interference sum stops at the first interferer that takes
+    it past m*(D - span) - (work - span), where the iterate passes the
+    deadline D whatever the others add, so their workloads are not read.
     The "ilp" workload tables live in one dict of this call, so tasks that
     share a DAG share them, and they are freed when the call returns.
     """
@@ -98,9 +101,15 @@ def schedulability_test(taskset, method="ilp", m=None) -> AnalysisReport:
     established = len(tasks) if failed_at is None else min(failed_at, 1)
     for k in range(1, established):
         task, r = tasks[k], bounds[k]
+        # the iterate passes the deadline iff the interference passes this
+        limit = m * (task.deadline - task.span) - (task.work - task.span)
         while True:
             iterations[k] += 1
-            total = sum(workload(tasks[i], r, bounds[i], m) for i in range(k))
+            total = 0
+            for i in range(k):
+                total += workload(tasks[i], r, bounds[i], m)
+                if total > limit:  # no workload is negative: the iterate fails
+                    break
             nxt = task.span + _ceil_div(task.work - task.span + total, m)
             if nxt == r or nxt > task.deadline:
                 break

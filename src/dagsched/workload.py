@@ -5,9 +5,12 @@ whole jobs inside the window, a carry-in job (tail of a job released before
 the window) and a carry-out job (head of a job released inside it).
 Carry-in workload follows from the full-WCET unrestricted ASAP schedule of
 one job; carry-out workload is bounded by the exact optimum from
-`carryout`.  Both are tabulated over window lengths 0..span, capped at
-min(work, m*len), by `_tables` (past the span both are the cap).  The
-tables live in a dict that the caller passes to `interfering_workload`:
+`carryout`.  Both are sums of ramps, one per vertex (its ASAP finish sets
+where it starts) and one per work-curve penalty drop, so `_tables`
+tabulates both over window lengths 0..span in one `carryout._ramp_sums`
+pass, as the two rows of one int64 array, and caps them at min(work,
+m*len) at once (past the span both are the cap).  The tables live in a
+dict that the caller passes to `interfering_workload`:
 `rta.schedulability_test` owns one per analysis, so the tables are built
 once per DAG and m when a term of that analysis first reads them, and are
 freed when it returns.  The total bound is the largest of three closed-form
@@ -24,33 +27,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carryout import WorkCurve, _ramp_sum
+from .carryout import WorkCurve, _ramp_sums
 from .errors import ValidationError
 
 __all__ = ["melani_workload", "interfering_workload"]
 
 
 def _tables(dag, m):
-    """A new (carry-in, carry-out) pair of int64 tables over window lengths
-    d = 0..span at m processors: min(carry-in workload, m*d) and
-    min(carry-out optimum, m*d).  Neither workload exceeds the work, so
-    both are capped at min(work, m*d).
+    """A new int64 array whose two rows are the carry-in and carry-out
+    tables over window lengths d = 0..span at m processors: min(carry-in
+    workload, m*d) and min(carry-out optimum, m*d).  Neither workload
+    exceeds the work, so one `np.minimum` caps the one `_ramp_sums` pass
+    that tabulates both at min(work, m*d).
     """
-    length = dag.span
+    length, starts = dag.span, dag.starts
+    # a vertex starting at S and finishing at F puts min(C, max(0, d - (span
+    # - F))) of its work in the last d units of the full-WCET ASAP schedule:
+    # a ramp from span - F to span - S
+    carry_in = ([length - s - c for s, c in zip(starts, dag.wcets)],
+                [length - s for s in starts])
     curve = WorkCurve(dag)
-    wcets = np.array(dag.wcets, dtype=np.int64)
-    finishes = np.array(dag.starts, dtype=np.int64) + wcets
     try:
         # min(m, work) gives the same caps and keeps them in int64
         caps = min(m, dag.work) * np.arange(length + 1, dtype=np.int64)
-        # a vertex finishing at F puts min(C, max(0, d - (span - F))) of
-        # its work in the last d units of the full-WCET ASAP schedule
-        carry_in = np.minimum(_ramp_sum(length - finishes, wcets, length + 1), caps)
-        carry_out = np.minimum(curve.values(), caps)
+        tables = _ramp_sums([carry_in, curve.ramps()], length + 1)
     except (ValueError, MemoryError):  # numpy refuses span-sized tables
         raise ValidationError(
             "span", f"span {length} is too long for the workload tables") from None
-    return carry_in, carry_out
+    return np.minimum(tables, caps, out=tables)
 
 
 def _pair(tables, dag, m):

@@ -1,7 +1,23 @@
 """Shared helpers for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+# When a property test fails, hypothesis's pytest plugin imports
+# `hypothesis.extra._patching` to write an example patch.  Where libcst is
+# installed, that import warns (DeprecationWarning from
+# `mypy_extensions.TypedDict`), and pyproject's "error" filter turns the
+# warning into an INTERNALERROR that ends the session before the remaining
+# tests run.  Importing it once here, that warning ignored, lets the failure
+# be reported like any other; the filter stays as it is for everything else.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips the patch
+        pass
 
 from dagsched.dag import Dag, DagTask, TaskSet
 from dagsched.instances import antimonotone_task

@@ -31,6 +31,10 @@ def test_derived_facts_and_profile(case):
     wcets, edges = case
     dag = Dag(wcets, edges)
     n = len(wcets)
+    # on a fresh DAG the flow walks the constructor's successor lists, in
+    # edge order with repeats, and finds the sources and sinks itself
+    fresh_penalties = WorkCurve(dag).penalties
+    assert not {"succs", "preds", "sinks"} & vars(dag).keys()
     preds = [{a for a, b in edges if b == v} for v in range(n)]
 
     # a topological order: a permutation in which every edge points forward
@@ -52,7 +56,9 @@ def test_derived_facts_and_profile(case):
     # no window of length d holds more than d units of one vertex, so at
     # m >= n the cap m*d never binds
     assert _tables(dag, max(n, 1))[0].tolist() == tails
-    pens = list(enumerate(WorkCurve(dag).penalties))
+    # `succs` has been read, so the flow now walks its sorted lists
+    assert WorkCurve(dag).penalties == fresh_penalties
+    pens = list(enumerate(fresh_penalties))
     envelope = [min(phi * d + pen for phi, pen in pens) for d in range(length + 1)]
     for m in (1, 2, 3, 16):
         carry_in, carry_out = _tables(dag, m)

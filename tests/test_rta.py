@@ -2,6 +2,7 @@
 
 import gc
 import types
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dagsched.dag import Dag, DagTask, TaskSet
 from dagsched.errors import ValidationError
 from dagsched.instances import antimonotone_task
 from dagsched.taskgen import GenConfig, assign_priorities_dm, gen_taskset
+from dagsched.workload import interfering_workload, melani_workload
 
 
 def two_task_set():
@@ -178,6 +180,96 @@ class TestSchedulabilityTest:
                 # iteration raises the bound by at least one time unit
                 budget = max(task.deadline - rta.seed_bound(task, 4) + 2, 0)
                 assert iters <= budget
+
+
+def reference_test(taskset, method):
+    """The fixed point of `rta.schedulability_test` with every interferer's
+    workload summed in every iteration: the report's fields but its wall
+    time, and per iteration the number of interferers a sum that stops as
+    soon as the iterate must pass the deadline reads."""
+    m, tasks, tables = taskset.processors, taskset.tasks, {}
+
+    def workload(task, delta, r_i):
+        if method == "melani":
+            return melani_workload(task, delta, r_i, m)
+        return interfering_workload(task, delta, r_i, m, tables)
+
+    bounds = [rta.seed_bound(t, m) for t in tasks]
+    iterations, reads = [0] * len(tasks), []
+    failed_at = next((k for k, t in enumerate(tasks) if bounds[k] > t.deadline), None)
+    established = len(tasks) if failed_at is None else min(failed_at, 1)
+    for k in range(1, established):
+        task, r = tasks[k], bounds[k]
+        while True:
+            iterations[k] += 1
+            # the iterate after each prefix of the sum, the last one the full sum
+            iterates = [task.span + -(-(task.work - task.span + total) // m) for total
+                        in accumulate(workload(tasks[i], r, bounds[i]) for i in range(k))]
+            nxt = iterates[-1]
+            reads.append(next(i for i, x in enumerate(iterates, 1)
+                              if x > task.deadline or i == k))
+            if nxt == r or nxt > task.deadline:
+                break
+            r = nxt
+        if nxt > task.deadline:
+            failed_at = established = k
+            break
+        bounds[k] = r
+    bounds[established:] = [None] * (len(tasks) - established)
+    return (method, m, bounds, iterations, failed_at), reads
+
+
+def counting_workloads(monkeypatch):
+    """Record the interferer of every workload `rta` computes."""
+    read = []
+    for name in ("interfering_workload", "melani_workload"):
+        def counted(task, *args, _inner=getattr(rta, name), **kwargs):
+            read.append(task)
+            return _inner(task, *args, **kwargs)
+        monkeypatch.setattr(rta, name, counted)
+    return read
+
+
+class TestStopAtTheLimit:
+    @pytest.mark.parametrize("method", rta.METHODS)
+    def test_reports_equal_the_full_sum(self, method, monkeypatch):
+        read = counting_workloads(monkeypatch)
+        cfg = GenConfig(n_range=(3, 9), seed=13)
+        kinds = {"accepted": 0, "iterated": 0, "seed": 0}
+        stopped = 0
+        for i in range(200):
+            local = np.random.default_rng(np.random.SeedSequence((13, i)))
+            m = int(local.integers(1, 9))
+            ts = assign_priorities_dm(gen_taskset(float(local.uniform(0.3, 0.9 * m)), m,
+                                                  cfg, local))
+            read.clear()
+            rep = rta.schedulability_test(ts, method=method)
+            expect, reads = reference_test(ts, method)
+            got = (rep.method, rep.processors, rep.bounds, rep.iterations, rep.failed_at)
+            assert got == expect
+            # the last iteration of a failing task stops at the limit
+            assert len(read) == sum(reads)
+            full = sum(rep.iterations[k] * k for k in range(len(ts.tasks)))
+            stopped += len(read) < full
+            if rep.failed_at is None:
+                kinds["accepted"] += 1
+            else:
+                kinds["iterated" if rep.iterations[rep.failed_at] else "seed"] += 1
+        assert min(kinds.values()) >= 30 and stopped >= 5, (kinds, stopped)
+
+    def test_failing_iteration_reads_no_interferer_past_the_limit(self, monkeypatch):
+        # m = 1; task 2 may take 3 - 2 = 1 unit of interference, and in its
+        # first iteration (window 2) task 0 alone puts 2 units in, so task 1
+        # is never read there
+        tasks = [DagTask(Dag([3], []), 10, 10), DagTask(Dag([3], []), 10, 10),
+                 DagTask(Dag([2], []), 3, 3)]
+        ts = TaskSet(tasks, 1)
+        assert reference_test(ts, "ilp") == (("ilp", 1, [3, 6, None], [0, 2, 1], 2),
+                                             [1, 1, 1])
+        read = counting_workloads(monkeypatch)
+        rep = rta.schedulability_test(ts, method="ilp")
+        assert (rep.bounds, rep.iterations, rep.failed_at) == ([3, 6, None], [0, 2, 1], 2)
+        assert read == [tasks[0]] * 3
 
 
 class TestDominance:

@@ -391,18 +391,25 @@ class TestSplitPeak:
                 assert all(a >= b for a, b in zip(steps, steps[1:])), (dag, m)
 
     def test_tables_hold_one_pair_per_dag_and_processor_count(self, rng):
-        # two span+1 int64 tables per (DAG, m), owning their memory (no view
-        # into a larger buffer), each built on the first read only; an equal
-        # DAG that is another object gets its own pair
+        # one entry per (DAG, m), built on the first read only: two span+1
+        # int64 tables, the rows of one buffer that owns its memory and holds
+        # nothing else; an equal DAG that is another object gets its own pair
         for _ in range(20):
             dag = random_dag(rng, n_max=10, wcet_max=30)
             tables = {}
             for count, m in enumerate((1, 3, 16), start=1):
                 pair = _pair(tables, dag, m)
                 assert _pair(tables, dag, m) is pair and pair[2] is dag
-                arrays = [a for entry in tables.values() for a in entry[:2]]
-                assert all(a.dtype == np.int64 and a.base is None for a in arrays)
-                assert sum(a.nbytes for a in arrays) == count * 2 * 8 * (dag.span + 1)
+                assert len(tables) == count
+                buffers = []
+                for carry_in, carry_out, _ in tables.values():
+                    assert carry_in.base is carry_out.base
+                    assert all(a.dtype == np.int64 and a.shape == (dag.span + 1,)
+                               for a in (carry_in, carry_out))
+                    buffers.append(carry_in.base)
+                assert all(b.base is None for b in buffers)
+                assert len({id(b) for b in buffers}) == count
+                assert sum(b.nbytes for b in buffers) == count * 2 * 8 * (dag.span + 1)
             twin = Dag(dag.wcets, dag.edges)
             assert _pair(tables, twin, 1)[2] is twin and len(tables) == 4
 
