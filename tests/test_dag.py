@@ -162,22 +162,29 @@ class TestLazyFacts:
         # from Python 3.12 on, cached_property holds no lock: threads that read a
         # fact first at once each run its getter, so every getter must give the
         # same result when run again; the threads also call the getters directly
-        # so that a getter that works only once fails on every Python
+        # so that a getter that works only once fails on every Python.  Half the
+        # threads build work curves first, which walk the successor lists that
+        # `succs` replaces when another thread reads it first
         inputs = [(d.wcets, d.edges) for d in (gen_dag(GenConfig(), rng) for _ in range(30))]
         dags = [Dag(*i) for i in inputs]
         expect = [[getattr(Dag(*i), name) for name in LAZY_FACTS] for i in inputs]
+        penalties = [WorkCurve(Dag(*i)).penalties for i in inputs]
         getters = [getattr(Dag, name).func for name in LAZY_FACTS]
-        barrier, out, errors = threading.Barrier(4), [], []
+        barrier, out, curves, errors = threading.Barrier(4), [], [], []
 
-        def worker():
+        def worker(curves_first):
             try:
                 barrier.wait()
+                if curves_first:
+                    curves.append([WorkCurve(d).penalties for d in dags])
                 out.append([[getattr(d, name) for name in LAZY_FACTS] for d in dags])
                 out.append([[get(d) for get in getters] for d in dags])
+                if not curves_first:
+                    curves.append([WorkCurve(d).penalties for d in dags])
             except Exception as exc:  # reported by the assert below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [threading.Thread(target=worker, args=(k % 2,)) for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often during the first reads
         try:
@@ -190,6 +197,7 @@ class TestLazyFacts:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(out) == 8 and all(o == expect for o in out)
+        assert len(curves) == 4 and all(c == penalties for c in curves)
 
     def test_curve_analysis_and_simulation_build_no_edge_list(self):
         # the work curve, the response-time test and the simulator with its
