@@ -257,19 +257,27 @@ class TestStopAtTheLimit:
                 kinds["iterated" if rep.iterations[rep.failed_at] else "seed"] += 1
         assert min(kinds.values()) >= 30 and stopped >= 5, (kinds, stopped)
 
-    def test_failing_iteration_reads_no_interferer_past_the_limit(self, monkeypatch):
-        # m = 1; task 2 may take 3 - 2 = 1 unit of interference, and in its
-        # first iteration (window 2) task 0 alone puts 2 units in, so task 1
-        # is never read there
-        tasks = [DagTask(Dag([3], []), 10, 10), DagTask(Dag([3], []), 10, 10),
+    @pytest.mark.parametrize("wcet, bounds, reads", [
+        # task 2 may take 3 - 2 = 1 unit of interference; in its first
+        # iteration (window 2) task 0 alone puts 2 units in, so task 1 is
+        # never read there
+        (3, [3, 6, None], [1, 1, 1]),
+        # task 0 puts in exactly the 1 unit task 2 may take, which leaves
+        # the iterate at the deadline; task 1's unit then fails it
+        (1, [1, 2, None], [1, 1, 2]),
+    ])
+    def test_failing_iteration_reads_no_interferer_past_the_limit(self, wcet, bounds, reads,
+                                                                  monkeypatch):
+        # m = 1, two single-vertex interferers of period 10 above a task of
+        # WCET 2 and deadline 3
+        tasks = [DagTask(Dag([wcet], []), 10, 10), DagTask(Dag([wcet], []), 10, 10),
                  DagTask(Dag([2], []), 3, 3)]
         ts = TaskSet(tasks, 1)
-        assert reference_test(ts, "ilp") == (("ilp", 1, [3, 6, None], [0, 2, 1], 2),
-                                             [1, 1, 1])
+        assert reference_test(ts, "ilp") == (("ilp", 1, bounds, [0, 2, 1], 2), reads)
         read = counting_workloads(monkeypatch)
         rep = rta.schedulability_test(ts, method="ilp")
-        assert (rep.bounds, rep.iterations, rep.failed_at) == ([3, 6, None], [0, 2, 1], 2)
-        assert read == [tasks[0]] * 3
+        assert (rep.bounds, rep.iterations, rep.failed_at) == (bounds, [0, 2, 1], 2)
+        assert read == [tasks[0]] * 2 + tasks[:reads[-1]]
 
 
 class TestDominance:
