@@ -30,11 +30,11 @@ time by a min-cost flow on the DAG itself, with a virtual source and sink
 instead of a normalized copy: each augmentation is one pass over the
 topological order plus a Dijkstra that repairs only the labels a backward
 move improves.  The curve reads a DAG's order, WCETs and whichever
-successor lists it holds (the constructor's, or `succs` once read), never
-its edge list, `preds`, `sinks` or ASAP starts; `_cover_penalties` says why
-edge order and repeated edges cannot change it.  `WorkCurve.ramps` writes
-the curve as ramps for `_ramp_sums`, which tabulates it alone (`values`) or
-beside the carry-in table in `workload._tables`.  All three routes are
+successor lists it holds (those it was built with, or `succs` once read),
+never its edge list, `preds`, `sinks` or ASAP starts; `_cover_penalties`
+says why edge order and repeated edges cannot change it.  `WorkCurve.ramps`
+writes the curve as ramps for `_ramp_sums`, which tabulates it alone
+(`values`) or beside the carry-in table in `workload._tables`.  All three routes are
 cross-checked exactly in the test suite.
 """
 
@@ -465,18 +465,20 @@ def _cover_penalties(dag):
     path through v that costs at most -C_v, so the cheapest path costs -1 or
     less and the penalty drops by at least 1.
 
-    The flow walks whichever successor lists the DAG holds: the
-    constructor's, in edge order with a repeated edge listed twice, or
-    `succs` once something has read it.  It finds the sources (vertices no
-    list names) and the sinks (empty lists) itself, so a curve build reads
-    none of the `succs`, `preds` and `sinks` facts.  Neither order nor
+    The flow walks whichever successor lists the DAG holds: those it was
+    built with (the constructor's, in edge order with a repeated edge
+    listed twice, or `taskgen.gen_dag`'s, the same lists the constructor
+    would build from its edges), or `succs` once something has read it.
+    It finds the sources (vertices no list names) and the sinks (empty
+    lists) itself, so a curve build reads none of the `succs`, `preds` and
+    `sinks` facts.  Neither order nor
     repeats can change the penalties: a repeated edge relaxes the same move
     twice, the order only decides between equally cheap labels, and
     penalty(phi) is the optimum of a min-cost flow of phi units, whichever
     shortest path each augmentation takes.
     """
     n, wcets, order = dag.n, dag.wcets, dag.order
-    succs = dag._succ  # the constructor's lists, or `succs` once something read it
+    succs = dag._succ  # the lists it was built with, or `succs` once something read it
     # step 1's in-labels before the pushes: 0 at a source, where the virtual
     # source enters, and elsewhere 1, above every label (step 1 starts at 0
     # and adds costs of -C_v or 0, and the repair only lowers labels)

@@ -4,8 +4,8 @@ Time is integral everywhere.  A task's *work* is the sum of its subtask
 WCETs, its *span* the length of a longest precedence chain; constrained
 deadlines require span <= deadline <= period.  A task set lists its tasks
 in priority order: a task's priority is its index, 0 the highest.  A `Dag`
-computes work, span, starts and one topological order when built, edges and
-adjacency when read.
+computes work, span, starts and one topological order when built (the
+generator hands it the order it drew), edges and adjacency when read.
 """
 
 from __future__ import annotations
@@ -23,21 +23,28 @@ PATH_CAP = 100_000
 class Dag:
     """Immutable DAG over dense vertex ids 0..n-1 with integer WCETs.
 
-    The input is checked once, here: a ValidationError names the first
-    broken rule of "wcet" (non-negative integers, work below 2^63), "edge"
-    (integer endpoint pairs), "dangling-edge", "self-loop" and "cycle";
-    bools and floats are rejected, numpy integers stored as ints.  ``work``,
-    ``span``, ``starts`` (ASAP start times at full WCETs) and ``order`` (the
-    topological order of the constructor's pass; its readers accept any) are
-    computed here, the rest on first read: ``succs`` and ``preds``
-    (ascending tuples, ``preds`` derived from ``succs``), ``sources``,
-    ``sinks`` and ``edges`` (sorted, no duplicates).  The DAG holds one
-    adjacency, ``_succ``: the constructor's successor lists, which
-    ``succs`` replaces once read.  The work curve walks whichever of the two
-    is held and reads none of these facts, so an analysis builds none; the
-    simulator reads ``succs``, ``preds`` and ``sources``; ``edges`` is built
-    for export, ``__eq__``/``__hash__`` and the carry-out model.  The workload tables
-    are not kept here: each analysis holds its own (see `workload`).
+    Outside input is checked once, by the constructor: a ValidationError
+    names the first broken rule of "wcet" (non-negative integers, work below
+    2^63), "edge" (integer endpoint pairs), "dangling-edge", "self-loop" and
+    "cycle"; bools and floats are rejected, numpy integers stored as ints.
+    One Kahn pass over the edges finds cycles and a topological order.  The
+    constructor and `taskgen.gen_dag` then share one core, `_derive`, which
+    takes the WCETs with their checked sum, successor lists and a
+    topological order and sets ``work``, ``n``, ``starts`` (ASAP start
+    times at full WCETs, in one push pass), ``span``, ``order`` and
+    ``_succ``.  ``order`` is the constructor's Kahn order or the
+    generator's drawn vertex order, whose successor lists need no check
+    (`_from_order`; only its WCETs are checked); every reader accepts any
+    topological order.  The rest is built on first read:
+    ``succs`` and ``preds`` (ascending tuples, ``preds`` derived from
+    ``succs``), ``sources``, ``sinks`` and ``edges`` (sorted, no
+    duplicates).  The DAG holds one adjacency, ``_succ``: the successor
+    lists it was built with, in edge order with repeats, which ``succs``
+    replaces once read.  The work curve walks whichever of the two is held
+    and reads none of these facts, so an analysis builds none; the simulator
+    reads ``succs``, ``preds`` and ``sources``; ``edges`` is built for
+    export, ``__eq__``/``__hash__`` and the carry-out model.  The workload
+    tables are not kept here: each analysis holds its own (see `workload`).
     """
 
     def __init__(self, wcets, edges):
@@ -47,12 +54,8 @@ class Dag:
             raise ValidationError("wcet", f"WCETs must be a sequence: {exc}") from None
         if not {int}.issuperset(map(type, wcets)):  # bools, floats, numpy integers
             wcets = tuple(as_int(w, "wcet", f"WCET of vertex {v}") for v, w in enumerate(wcets))
-        self.wcets = wcets
-        self.work = sum(wcets)
-        # the work tables are int64 arrays, hence the bound on the sum
-        if (wcets and min(wcets) < 0) or self.work >= 2**63:
-            raise ValidationError("wcet", "subtask WCETs must be non-negative, their sum below 2^63")
-        self.n = n = len(wcets)
+        work = _checked_work(wcets)
+        n = len(wcets)
         # a repeated edge counts twice here, which Kahn's pass tolerates and `succs` drops
         succ = [[] for _ in range(n)]
         indeg = [0] * n
@@ -68,27 +71,44 @@ class Dag:
                 indeg[b] += 1
         except (TypeError, ValueError) as exc:
             raise ValidationError("edge", f"edges must be (src, dst) pairs: {exc}") from None
-        # Kahn's algorithm in any ready order: a vertex's ASAP start is final
-        # once it is ready, so its finish updates its successors
+        # Kahn's algorithm in any ready order
         ready = [v for v in range(n) if not indeg[v]]
-        starts = [0] * n
         for v in ready:  # the list grows while it is read
-            finish = starts[v] + wcets[v]
             for b in succ[v]:
-                if finish > starts[b]:
-                    starts[b] = finish
                 indeg[b] -= 1
                 if not indeg[b]:
                     ready.append(b)
         if len(ready) != n:  # leftovers mean a cycle
             raise ValidationError("cycle", "edge set contains a directed cycle")
+        self._derive(wcets, work, succ, ready)
+
+    @classmethod
+    def _from_order(cls, wcets, succ, order):
+        """A DAG from trusted successor lists and a topological order of
+        them, as `taskgen.gen_dag` draws them; only the WCETs, whose range
+        is outside input, are checked."""
+        wcets = tuple(wcets)
+        dag = cls.__new__(cls)
+        dag._derive(wcets, _checked_work(wcets), succ, order)
+        return dag
+
+    def _derive(self, wcets, work, succ, order):
+        # in topological order a vertex's ASAP start is final when it is
+        # reached, so its finish updates its successors
+        self.wcets, self.work, self.n = wcets, work, len(wcets)
+        starts = [0] * self.n
+        for v in order:
+            finish = starts[v] + wcets[v]
+            for b in succ[v]:
+                if finish > starts[b]:
+                    starts[b] = finish
         self._succ = succ
-        self.order = tuple(ready)
+        self.order = tuple(order)
         self.starts = tuple(starts)
         self.span = max(map(add, starts, wcets), default=0)
 
     @cached_property
-    def succs(self):  # replaces the constructor's lists: held once, and a rerun agrees
+    def succs(self):  # replaces the lists it was built with: held once, and a rerun agrees
         self._succ = succs = tuple(tuple(sorted(set(s))) for s in self._succ)
         return succs
 
@@ -114,6 +134,16 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(n={self.n}, work={self.work}, span={self.span})"
+
+
+def _checked_work(wcets) -> int:
+    """The sum of the WCETs; ValidationError ("wcet") unless they are
+    non-negative and sum below 2^63."""
+    work = sum(wcets)
+    # the work tables are int64 arrays, hence the bound on the sum
+    if (wcets and min(wcets) < 0) or work >= 2**63:
+        raise ValidationError("wcet", "subtask WCETs must be non-negative, their sum below 2^63")
+    return work
 
 
 def work(dag) -> int:

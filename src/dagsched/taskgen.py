@@ -7,9 +7,13 @@ weakly connected.  The n(n-1)/2 edge draws are taken in one call, in
 row-major order over position pairs i < j (the same stream as one scalar
 draw per pair).  The fix-up links position h - 1 to position h for every
 h > 0 that is the earliest position of its component: all earlier
-positions already form one connected prefix.  WCETs are uniform integers;
-utilization is uniform in [beta, work/span]; the deadline is a normal draw
-redrawn until it falls in [span, period].  Vertex counts stop at
+positions already form one connected prefix.  Every edge joins an earlier
+position to a later one, so the drawn ordering is a topological order:
+the `Dag` is built from it and the successor lists directly
+(`Dag._from_order`), with no edge list, edge check or Kahn pass; only the
+WCETs are checked, their sum below 2^63 as in `Dag`.  WCETs are uniform
+integers; utilization is uniform in [beta, work/span]; the deadline is a
+normal draw redrawn until it falls in [span, period].  Vertex counts stop at
 `MAX_VERTICES`, since the edge draws grow as n^2, and a task set's
 utilization at `MAX_TASKS` tasks' worth.  Everything is a pure function of
 (config, seed).
@@ -100,10 +104,14 @@ def gen_dag(config, rng) -> Dag:
         elif j < i:
             root[i] = j
     pairs += [(h - 1, h) for h in range(1, n) if root[h] == h]
-    edges = [(order[i], order[j]) for i, j in pairs]
+    # every pair joins an earlier position to a later one, so the drawn
+    # permutation is a topological order and no check is needed
+    succ = [[] for _ in range(n)]
+    for i, j in pairs:
+        succ[order[i]].append(order[j])
 
     wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()
-    return Dag(wcets, edges)
+    return Dag._from_order(wcets, succ, order)
 
 
 def _draw_deadline(rng, length, period):

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import diamond, random_dag
-from dagsched import dag as dag_module
-from dagsched import rta, sim, workload
+from dagsched import rta, sim, taskgen, workload
 from dagsched.carryout import WorkCurve, trim_to_window
 from dagsched.cli import ExperimentSpec, run_experiment
 from dagsched.dag import (
@@ -233,14 +232,16 @@ class TestLazyFacts:
             assert "edges" not in vars(dag)
 
     def test_sweep_builds_adjacency_only_for_dags_with_tables(self, monkeypatch):
-        built, tabled = [], set()  # `built` keeps every DAG, so ids stay unique
-        init, build = dag_module.Dag.__init__, workload._tables
+        # the sweep's DAGs are generated, so they are recorded as `gen_dag`
+        # returns them; `built` keeps every DAG, so ids stay unique
+        built, tabled = [], set()
+        draw, build = taskgen.gen_dag, workload._tables
 
-        def recording_init(self, wcets, edges):
-            init(self, wcets, edges)
-            built.append(self)
+        def recording_draw(config, rng):
+            built.append(draw(config, rng))
+            return built[-1]
 
-        monkeypatch.setattr(dag_module.Dag, "__init__", recording_init)
+        monkeypatch.setattr(taskgen, "gen_dag", recording_draw)
         monkeypatch.setattr(workload, "_tables", lambda d, m: tabled.add(id(d)) or build(d, m))
         run_experiment(ExperimentSpec(sets_per_point=20, seed=0, zero_timing=True))
         assert 0 < len(tabled) < len(built)

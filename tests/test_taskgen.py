@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dagsched import rta
+from dagsched.carryout import _cover_penalties
 from dagsched.dag import Dag, DagTask, TaskSet, span, taskset_to_dict, work
 from dagsched.errors import ValidationError
 from dagsched.taskgen import (
@@ -83,6 +84,30 @@ def kept_gen_dag(config, rng):
     return Dag(wcets, edges)
 
 
+def edge_list_gen_dag(config, rng):
+    """`gen_dag` as it was before it built its `Dag` from the drawn order:
+    the position pairs flattened into an edge list for `Dag(wcets, edges)`,
+    which checks every edge again and finds its own order by Kahn's pass."""
+    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+    order = rng.permutation(n).tolist()
+    hits = (rng.random(n * (n - 1) // 2) < config.edge_prob).tolist()
+    pairs = list(compress(combinations(range(n), 2), hits))
+    root = list(range(n))
+    for i, j in pairs:
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        if i < j:
+            root[j] = i
+        elif j < i:
+            root[i] = j
+    pairs += [(h - 1, h) for h in range(1, n) if root[h] == h]
+    edges = [(order[i], order[j]) for i, j in pairs]
+    wcets = rng.integers(config.wcet_range[0], config.wcet_range[1] + 1, size=n).tolist()
+    return Dag(wcets, edges)
+
+
 def reference_gen_taskset(total_util, m, config, rng):
     """`gen_taskset`'s loop with one append per branch and no stop check.
     Returns the tasks and the number of tasks that absorbed half a gap."""
@@ -143,6 +168,37 @@ class TestGenDag:
         for _ in range(400):
             assert gen_dag(cfg, rng) == kept_gen_dag(cfg, kept_rng)
         assert rng.random() == kept_rng.random()  # the same draws
+
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("n_range", [(1, 1), (1, 5), (10, 20), (30, 60)])
+    def test_same_facts_as_the_public_constructor(self, n_range, edge_prob):
+        cfg = GenConfig(n_range=n_range, edge_prob=edge_prob)
+        for seed in range(25):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            dag, ref = gen_dag(cfg, rng), edge_list_gen_dag(cfg, ref_rng)
+            # the successor lists first: reading `succs` replaces them
+            assert dag._succ == ref._succ
+            # a drawn order, not Kahn's, but a topological order all the
+            # same, checked before the flow that walks it
+            assert sorted(dag.order) == list(range(dag.n))
+            at = {v: i for i, v in enumerate(dag.order)}
+            assert all(at[a] < at[b] for a, s in enumerate(dag._succ) for b in s)
+            assert _cover_penalties(dag) == _cover_penalties(ref)
+            for fact in ("wcets", "work", "span", "starts", "succs", "preds", "edges",
+                         "sources", "sinks"):
+                assert getattr(dag, fact) == getattr(ref, fact), fact
+            assert rng.random() == ref_rng.random()  # the same draws
+
+    def test_work_bound_on_the_generated_path(self):
+        # the WCET range is outside input, so a drawn sum of 2^63 is refused
+        # as the constructor refuses it; one WCET of 2^63 - 1 is kept
+        with pytest.raises(ValidationError, match="below 2\\^63") as err:
+            gen_dag(GenConfig(wcet_range=(2**62, 2**62), n_range=(2, 2)),
+                    np.random.default_rng(0))
+        assert err.value.rule == "wcet"
+        dag = gen_dag(GenConfig(wcet_range=(2**63 - 1, 2**63 - 1), n_range=(1, 1)),
+                      np.random.default_rng(0))
+        assert dag.wcets == (2**63 - 1,) and dag.work == dag.span == 2**63 - 1
 
     @pytest.mark.parametrize("field, most, text", [
         ("n_range", MAX_VERTICES, str(MAX_VERTICES)), ("wcet_range", 2**63 - 1, r"2\^63 - 1"),
